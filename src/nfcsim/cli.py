@@ -199,6 +199,11 @@ def compare(scenario_file: str, seed: int | None, out: str | None, trials: int |
         f"forwarding/nfc symbol ratio: {report.ratio} "
         f"(forwarding {report.forwarding_total}, nfc {report.nfc_total})"
     )
+    if scenario.failures.node_dropout_p:
+        click.echo(
+            "note: the forwarding baseline runs failure-free; node_dropout_p="
+            f"{scenario.failures.node_dropout_p} applies to {scenario.application} only"
+        )
     if out:
         out_dir = Path(out)
         out_dir.mkdir(parents=True, exist_ok=True)

@@ -129,8 +129,9 @@ class Scenario:
                 problems.append("neural scenarios use scalar activities (packet_length 1)")
         if self.application == "custom" and self.assignment is None:
             problems.append("custom application requires a FunctionAssignment")
-        if self.application == "forwarding" and self.failures.message_loss_p:
-            problems.append("forwarding has no downward messages to lose")
+        lossless = ("forwarding", "consensus", "custom")
+        if self.application in lossless and self.failures.message_loss_p:
+            problems.append(f"{self.application} does not model message loss")
         return problems
 
     def validate(self) -> None:

@@ -2,10 +2,10 @@
 
 Field elements are plain integers in [0, 2^m) whose bits are polynomial
 coefficients over GF(2); packets and matrices are numpy arrays (uint8 for
-m <= 8, uint16 above). Multiplication uses log/antilog tables for m <= 8
-and carry-less shift-reduce for larger extensions, so the byte-size
-fields used in hot coding loops stay fast while bigger fields remain
-available for analysis runs.
+m <= 8, uint16 above). Every m in 1..16 multiplies through the same
+log/antilog tables: the antilog table is doubled and followed by a zero
+tail, and log(0) points into that tail, so a product is one gather
+``exp[log[x] + log[y]]`` with no zero test.
 """
 
 from __future__ import annotations
@@ -37,8 +37,6 @@ DEFAULT_POLYNOMIALS = {
     16: 0b10001000000001011,
 }
 
-TABLE_DEGREE_LIMIT = 8  # log/antilog tables up to GF(256)
-
 
 def _poly_mod(a: int, b: int) -> int:
     """Remainder of carry-less polynomial division of a by b."""
@@ -48,15 +46,36 @@ def _poly_mod(a: int, b: int) -> int:
     return a
 
 
-def _poly_mulmod(a: int, b: int, mod: int) -> int:
-    """Carry-less product of a and b reduced modulo mod."""
-    acc = 0
-    while b:
-        if b & 1:
+def _mul_by(a: np.ndarray, c: int, poly: int) -> np.ndarray:
+    """Every entry of a times the constant c, modulo poly (shift-and-add)."""
+    m = poly.bit_length() - 1
+    acc = np.zeros_like(a)
+    while c:
+        if c & 1:
             acc ^= a
-        b >>= 1
-        a <<= 1
-    return _poly_mod(acc, mod)
+        c >>= 1
+        a = a << 1
+        a ^= (a >> m) * poly
+    return acc
+
+
+def _powers(g: int, poly: int) -> np.ndarray | None:
+    """g^0 .. g^(q-1) if g generates the multiplicative group, else None.
+
+    Fills by doubling, exp[k:2k] = g^k * exp[:k], and gives up as soon as
+    a power below q-1 returns to 1.
+    """
+    q = 1 << (poly.bit_length() - 1)
+    exp = np.empty(q, dtype=np.uint32)
+    exp[0] = 1
+    k = 1
+    while k < q:
+        g_k = int(_mul_by(exp[k - 1 : k], g, poly)[0])
+        exp[k : 2 * k] = _mul_by(exp[:k], g_k, poly)
+        if (exp[k : min(2 * k, q - 1)] == 1).any():
+            return None
+        k *= 2
+    return exp
 
 
 def _is_irreducible(poly: int, m: int) -> bool:
@@ -93,11 +112,8 @@ class FieldSpec:
         self.m = m
         self.reduction_polynomial = reduction_polynomial
         self.order = 1 << m
-        self.dtype = np.uint8 if m <= TABLE_DEGREE_LIMIT else np.uint16
-        self._exp: np.ndarray | None = None
-        self._log: np.ndarray | None = None
-        if m <= TABLE_DEGREE_LIMIT:
-            self._build_tables()
+        self.dtype = np.uint8 if m <= 8 else np.uint16
+        self._build_tables()
 
     def __repr__(self) -> str:
         return f"FieldSpec(m={self.m}, reduction_polynomial=0x{self.reduction_polynomial:X})"
@@ -114,26 +130,18 @@ class FieldSpec:
 
     def _build_tables(self) -> None:
         n = self.order - 1
-        if self.m == 1:
-            exp = [1]
-        else:
-            exp = None
-            for g in range(2, self.order):
-                seq, x = [], 1
-                for _ in range(n):
-                    seq.append(x)
-                    x = _poly_mulmod(x, g, self.reduction_polynomial)
-                if x == 1 and len(set(seq)) == n:
-                    exp = seq
-                    break
-            if exp is None:  # cannot happen for a valid field
-                raise ValueError("no primitive element found")
-        # Doubled antilog table avoids a modulo in the hot multiply path.
-        self._exp = np.array(exp + exp, dtype=self.dtype)
-        log = np.zeros(self.order, dtype=np.int32)
-        for i, v in enumerate(exp):
-            log[v] = i
-        self._log = log
+        exp = next(
+            p for g in range(1, self.order)
+            if (p := _powers(g, self.reduction_polynomial)) is not None
+        )[:n]
+        # exp[i] = g^i twice over, so log sums up to 2n-2 need no modulo;
+        # log(0) = 2n lands any sum with a zero factor in the zero tail.
+        sentinel = 2 * n
+        self._exp = np.zeros(2 * sentinel + 1, dtype=self.dtype)
+        self._exp[:n] = self._exp[n:sentinel] = exp
+        self._log = np.empty(self.order, dtype=np.intp)
+        self._log[exp] = np.arange(n)
+        self._log[0] = sentinel
 
     # -- scalar operations ------------------------------------------------
 
@@ -143,31 +151,15 @@ class FieldSpec:
     sub = add  # characteristic 2
 
     def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        if self._log is not None:
-            return int(self._exp[self._log[a] + self._log[b]])
-        return _poly_mulmod(a, b, self.reduction_polynomial)
+        return int(self._exp[self._log[a] + self._log[b]])
 
     def inv(self, a: int) -> int:
         if a == 0:
             raise ZeroInverse("0 has no multiplicative inverse")
-        if self._log is not None:
-            n = self.order - 1
-            return int(self._exp[(n - int(self._log[a])) % n])
-        return self.pow(a, self.order - 2)
+        return int(self._exp[self.order - 1 - self._log[a]])
 
     def div(self, a: int, b: int) -> int:
         return self.mul(a, self.inv(b))
-
-    def pow(self, a: int, e: int) -> int:
-        acc, base = 1, a
-        while e:
-            if e & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return acc
 
     # -- vectorized operations --------------------------------------------
 
@@ -183,18 +175,7 @@ class FieldSpec:
 
     def mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise product with numpy broadcasting."""
-        if self._log is not None:
-            x = np.asarray(x, dtype=self.dtype)
-            y = np.asarray(y, dtype=self.dtype)
-            out = self._exp[self._log[x] + self._log[y]]
-            zero = (x == 0) | (y == 0)
-            return np.where(zero, self.dtype(0), out)
-        xb, yb = np.broadcast_arrays(np.asarray(x), np.asarray(y))
-        flat = [
-            _poly_mulmod(int(a), int(b), self.reduction_polynomial)
-            for a, b in zip(xb.ravel(), yb.ravel())
-        ]
-        return np.array(flat, dtype=self.dtype).reshape(xb.shape)
+        return self._exp[self._log[x] + self._log[y]]
 
     def scale(self, c: int, x: np.ndarray) -> np.ndarray:
         if c == 0:

@@ -215,6 +215,56 @@ packet_length: 64
     assert len(lines) == 127  # 126 arcs
 
 
+def test_compare_notes_failure_free_baseline(runner, tmp_path):
+    text = """\
+schema_version: 1
+seed: 2
+application: consensus
+topology:
+  generator: balanced_tree
+  sources: 16
+generations: 3
+packet_length: 4
+failures:
+  node_dropout_p: 0.25
+  seed: 9
+"""
+    path = write(tmp_path, "dropout.yaml", text)
+    out = tmp_path / "cmp"
+    result = runner.invoke(main, ["compare", str(path), "--out", str(out), "--quiet"])
+    assert result.exit_code == 0
+    notes = [line for line in result.output.splitlines() if "failure-free" in line]
+    assert notes == [
+        "note: the forwarding baseline runs failure-free; "
+        "node_dropout_p=0.25 applies to consensus only"
+    ]
+    csv = (out / "compare.csv").read_text()
+    assert csv.startswith("src,dst,nfc_symbols,forwarding_symbols\n")
+    assert "failure-free" not in csv
+    no_dropout = write(tmp_path, "plain.yaml", text.replace("0.25", "0.0"))
+    plain = runner.invoke(main, ["compare", str(no_dropout)])
+    assert plain.exit_code == 0
+    assert "failure-free" not in plain.output
+
+
+def test_consensus_and_custom_reject_message_loss(runner, tmp_path):
+    for application in ("consensus", "custom"):
+        text = f"""\
+schema_version: 1
+application: {application}
+topology:
+  generator: star
+  sources: 3
+generations: 2
+failures:
+  message_loss_p: 0.5
+"""
+        path = write(tmp_path, f"{application}_loss.yaml", text)
+        result = runner.invoke(main, ["validate", str(path)])
+        assert result.exit_code == 2
+        assert f"{application} does not model message loss" in result.output
+
+
 def test_compare_rejects_forwarding(runner, tmp_path):
     text = VALID_RLNC.replace("application: rlnc", "application: forwarding").replace(
         "n_prime: 2\n", ""

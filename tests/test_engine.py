@@ -198,6 +198,33 @@ def test_scenario_validation_errors():
     assert any("failure" in p for p in rlnc_failures.validation_errors())
 
 
+@pytest.mark.parametrize("application", ["consensus", "custom"])
+def test_message_loss_rejected_where_not_modelled(application):
+    from nfcsim.afc import FunctionAssignment, Max
+    from nfcsim.graph import build_graph
+
+    topo = balanced_tree_topology(4)
+    assignment = FunctionAssignment(functions={a: Max() for a in build_graph(topo).atomics})
+    lossy = Scenario(
+        topology=topo,
+        application=application,
+        generations=2,
+        assignment=assignment if application == "custom" else None,
+        failures=FailureModel(message_loss_p=0.5),
+    )
+    assert f"{application} does not model message loss" in lossy.validation_errors()
+    with pytest.raises(ScenarioError, match="message loss"):
+        run_scenario(lossy)
+    dropout_only = Scenario(
+        topology=topo,
+        application=application,
+        generations=2,
+        assignment=lossy.assignment,
+        failures=FailureModel(node_dropout_p=0.5),
+    )
+    assert dropout_only.validation_errors() == []
+
+
 def test_determinism_identical_serialized_tables():
     for make in (lambda: forwarding_scenario(3, 8, seed=9),
                  lambda: consensus_scenario(3, 8, seed=9)):

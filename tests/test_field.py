@@ -246,3 +246,84 @@ def test_overdetermined_solve_uses_row_basis():
     solved = gaussian_solve(GF256, a, b)
     assert solved.rank == 3
     assert np.array_equal(solved.solution, x)
+
+
+# -- one table path for every m ---------------------------------------------
+
+def multiplicative_order(a: int, poly: int) -> int:
+    x, k = a, 1
+    while x != 1:
+        x, k = mul_oracle(x, a, poly), k + 1
+    return k
+
+
+def check_sample(field: FieldSpec, seed: int) -> None:
+    """10^4 random pairs, zeros included, plus inverses, against the oracles."""
+    poly = field.reduction_polynomial
+    rng = np.random.default_rng(seed)
+    x = field.random_elements(rng, 10_000)
+    y = field.random_elements(rng, 10_000)
+    x[:100] = 0
+    y[50:150] = 0
+    prod = field.mul_arrays(x, y)
+    assert prod.dtype == field.dtype
+    for a, b, p in zip(x.tolist(), y.tolist(), prod.tolist()):
+        assert p == mul_oracle(a, b, poly)
+        assert field.mul(a, b) == p
+    for a in x[x != 0][:1000].tolist():
+        assert field.inv(a) == inv_oracle(a, poly)
+    nonzero = np.arange(1, field.order, dtype=field.dtype)
+    inverses = np.array([field.inv(a) for a in nonzero.tolist()], dtype=field.dtype)
+    assert np.all(field.mul_arrays(nonzero, inverses) == 1)
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_mul_arrays_all_pairs_small_fields(m):
+    f = FieldSpec(m)
+    assert f.dtype == np.uint8
+    elements = np.arange(f.order, dtype=f.dtype)
+    table = f.mul_arrays(elements[:, None], elements[None, :])
+    expected = [
+        [mul_oracle(a, b, f.reduction_polynomial) for b in range(f.order)]
+        for a in range(f.order)
+    ]
+    assert table.tolist() == expected
+
+
+@pytest.mark.parametrize("m", range(9, 17))
+def test_mul_and_inv_sampled_large_fields(m):
+    f = FieldSpec(m)
+    assert f.dtype == np.uint16
+    check_sample(f, seed=m)
+
+
+@pytest.mark.parametrize(
+    "m, poly, order_of_x", [(8, 0x11B, 51), (10, 0x40F, 341), (12, 0x1009, 45)]
+)
+def test_non_primitive_polynomials_search_for_a_generator(m, poly, order_of_x):
+    # x is not a generator here, so the tables must come from another element
+    assert multiplicative_order(2, poly) == order_of_x
+    f = FieldSpec(m, poly)
+    check_sample(f, seed=poly)
+
+
+def test_combine_and_solve_round_trip_gf65536():
+    f = FieldSpec(16)
+    rng = np.random.default_rng(16)
+    coeffs = f.random_elements(rng, 6)
+    rows = f.random_elements(rng, (6, 40))
+    combined = f.combine(coeffs, rows)
+    for j in range(40):
+        acc = 0
+        for i in range(6):
+            acc ^= mul_oracle(int(coeffs[i]), int(rows[i, j]), f.reduction_polynomial)
+        assert combined[j] == acc
+    for _ in range(5):
+        a = f.random_elements(rng, (8, 8))
+        while matrix_rank(f, a) < 8:
+            a = f.random_elements(rng, (8, 8))
+        x = f.random_elements(rng, (8, 3))
+        b = np.stack([f.combine(a[i], x) for i in range(8)])
+        solved = gaussian_solve(f, a, b)
+        assert solved.rank == 8
+        assert np.array_equal(solved.solution, x)
