@@ -35,15 +35,10 @@ class AtomicFunction:
     """Base marker for installable atomic functions.
 
     ``arity`` is the required input count, or None when any positive
-    count is accepted; ``output_length`` maps the input packet length
-    to the output length (identity for all kinds except Histogram and
-    AppendCount).
+    count is accepted.
     """
 
     arity: int | None = None
-
-    def output_length(self, input_length: int) -> int:
-        return input_length
 
 
 @dataclass(frozen=True)
@@ -90,9 +85,6 @@ class Histogram(AtomicFunction):
 
     bins: int
 
-    def output_length(self, input_length: int) -> int:
-        return self.bins
-
 
 @dataclass(frozen=True)
 class NeuronUnit(AtomicFunction):
@@ -110,9 +102,6 @@ class AppendCount(AtomicFunction):
     """Source-side encoding for average decomposition: emit (x, 1)."""
 
     arity = 1
-
-    def output_length(self, input_length: int) -> int:
-        return input_length + 1
 
 
 @dataclass(frozen=True)

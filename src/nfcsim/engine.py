@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -25,8 +25,10 @@ from nfcsim.field import FieldSpec
 from nfcsim.graph import NfcGraph, NodeRole, TopologyConfig, build_graph
 from nfcsim.learning.consensus import ConsensusState, consensus_step
 from nfcsim.learning.neural import (
+    MESSAGE_SYMBOLS,
     FailureModel,
     NeuralTreeNetwork,
+    draw_dropped,
     nn_train,
     separable_dataset,
 )
@@ -35,10 +37,6 @@ from nfcsim.rlnc import run_recovery_experiment
 # "custom" runs a caller-supplied FunctionAssignment; the file-based CLI
 # drives the four named applications.
 APPLICATIONS = ("forwarding", "rlnc", "consensus", "neural", "custom")
-
-# Per-message header symbols on top of the payload. Forwarding is charged
-# payload only; the coded-recovery header is the N-symbol coding vector.
-NEURAL_MESSAGE_SYMBOLS = 2  # activity (or gradient contribution) + generation tag
 
 TRAJECTORY_COLUMNS = ("generation", "value", "dropped_nodes", "lost_messages")
 ARC_COLUMNS = ("src", "dst", "messages", "symbols")
@@ -108,6 +106,8 @@ class Scenario:
             return problems
         if self.packet_length < 1:
             problems.append("packet_length must be >= 1")
+        if self.data.std < 0:
+            problems.append("data.std must be >= 0")
         if self.application == "rlnc":
             if self.field is None:
                 problems.append("rlnc requires a field section (digital domain)")
@@ -127,6 +127,10 @@ class Scenario:
                 problems.append("neural requires samples >= 1 and epochs >= 1")
             if self.packet_length != 1:
                 problems.append("neural scenarios use scalar activities (packet_length 1)")
+            # |sum of n uniform(-1, 1) features| < n: no sample could clear the margin
+            n_sources = list(self.topology.roles.values()).count(NodeRole.SOURCE)
+            if self.neural.margin >= n_sources:
+                problems.append(f"neural.margin must be below the source count {n_sources}")
         if self.application == "custom" and self.assignment is None:
             problems.append("custom application requires a FunctionAssignment")
         lossless = ("forwarding", "consensus", "custom")
@@ -176,18 +180,16 @@ class Metrics:
         return sum(self.arc_messages.values())
 
     def arc_rows(self, g: NfcGraph) -> list[dict[str, object]]:
-        rows = []
         by_name = sorted(self.arc_symbols, key=lambda arc: (g.names[arc[0]], g.names[arc[1]]))
-        for u, v in by_name:
-            rows.append(
-                {
-                    "src": g.names[u],
-                    "dst": g.names[v],
-                    "messages": self.arc_messages[(u, v)],
-                    "symbols": self.arc_symbols[(u, v)],
-                }
-            )
-        return rows
+        return [
+            {
+                "src": g.names[u],
+                "dst": g.names[v],
+                "messages": self.arc_messages[(u, v)],
+                "symbols": self.arc_symbols[(u, v)],
+            }
+            for u, v in by_name
+        ]
 
 
 @dataclass(frozen=True)
@@ -199,6 +201,7 @@ class ScenarioResult:
     metrics: Metrics
     headline: Mapping[str, object]
     tables: Mapping[str, tuple[tuple[str, ...], list[dict[str, object]]]]
+    audit_events: list[tuple] | None = None  # barrier events, when run with audit=True
 
     def summary_line(self) -> str:
         parts = [f"application={self.scenario.application}"]
@@ -239,40 +242,30 @@ class GenerationBarrier:
         return self.buffers.pop((node, generation), {})
 
 
-def _draw_dropped(
-    g: NfcGraph, failures: FailureModel, rng: np.random.Generator
-) -> frozenset[int]:
-    if failures.node_dropout_p == 0.0:
-        return frozenset()
-    candidates = [v for v in range(g.n_nodes) if g.roles[v] is not NodeRole.DESTINATION]
-    hits = rng.random(len(candidates)) < failures.node_dropout_p
-    return frozenset(v for v, hit in zip(candidates, hits) if hit)
+def _row(t: int, value: object, dropped: int, lost: int = 0) -> dict[str, object]:
+    return {"generation": t, "value": value, "dropped_nodes": dropped, "lost_messages": lost}
 
 
 # -- application runners ----------------------------------------------------
 
 def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
-    """Raw delivery: every packet is forwarded hop by hop to the root."""
+    """Raw delivery: every packet (only counts matter, so a source's
+    packet is its node id) is forwarded hop by hop to the root."""
     length = s.packet_length
-    data_rng = substream(s.seed, 0)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
     barrier = GenerationBarrier(audit=audit)
     rows: list[dict[str, object]] = []
     delivered_total = 0
     for t in range(s.generations):
-        dropped = _draw_dropped(g, s.failures, dropout_rng)
+        dropped = draw_dropped(g, s.failures, dropout_rng)
         metrics.dropped_nodes += len(dropped)
         for v in g.topo_order:
             if v in dropped:
                 continue
             role = g.roles[v]
             if role is NodeRole.SOURCE:
-                if s.field is not None:
-                    packet = s.field.random_elements(data_rng, length)
-                else:
-                    packet = data_rng.normal(s.data.mean, s.data.std, size=length)
-                outbox = [(v, packet)]
+                outbox = [v]
             elif role is NodeRole.ATOMIC:
                 expected = {c for c in g.in_neighbors[v] if c not in dropped}
                 assert barrier.ready(v, t, expected), "barrier violation"
@@ -286,112 +279,75 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
                     metrics.record((v, w), length, messages=len(outbox))
         delivered = sum(len(m) for m in barrier.take(dest, t).values())
         delivered_total += delivered
-        rows.append(
-            {
-                "generation": t,
-                "value": delivered,
-                "dropped_nodes": len(dropped),
-                "lost_messages": 0,
-            }
-        )
+        rows.append(_row(t, delivered, len(dropped)))
     headline = {"delivered_packets": delivered_total}
-    tables = {
-        "trajectory": (TRAJECTORY_COLUMNS, rows),
-        "arcs": (ARC_COLUMNS, metrics.arc_rows(g)),
-    }
-    return headline, tables, barrier.events
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, barrier.events
+
+
+def _evaluated_generations(
+    s: Scenario,
+    g: NfcGraph,
+    assignment: FunctionAssignment,
+    metrics: Metrics,
+    events: list[tuple] | None,
+) -> Iterator[tuple[int, object]]:
+    """The metered generation loop shared by consensus and custom.
+
+    Each generation draws dropout and the source data, evaluates the
+    installed assignment, meters every arc it used, records the audit
+    events when ``events`` is a list, and yields (dropped count,
+    destination output).
+    """
+    network = install_functions(g, assignment)
+    data_rng = substream(s.seed, 0)
+    dropout_rng, _ = s.failures.streams()
+    dest = g.destinations[0]
+    shape = (g.n_sources, s.packet_length)
+    for t in range(s.generations):
+        dropped = draw_dropped(g, s.failures, dropout_rng)
+        metrics.dropped_nodes += len(dropped)
+        if s.field is not None:
+            values = s.field.random_elements(data_rng, shape)
+        else:
+            values = data_rng.normal(s.data.mean, s.data.std, size=shape)
+        evaluation = network.evaluate(dict(zip(g.sources, values)), dropped=dropped)
+        for arc, message in evaluation.messages.items():
+            metrics.record(arc, len(message))
+        if events is not None:
+            events.extend(("deliver", u, v, t) for u, v in evaluation.messages)
+            events.append(("evaluate", dest, t))
+        yield len(dropped), evaluation.destination_outputs[dest]
 
 
 def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     """Average decomposition feeding the harmonic-step estimator."""
-    network = install_functions(g, decompose_average(g))
-    data_rng = substream(s.seed, 0)
-    dropout_rng, _ = s.failures.streams()
-    dest = g.destinations[0]
+    events: list[tuple] | None = [] if audit else None
     state = ConsensusState(estimate=np.zeros(s.packet_length), generation=0)
     rows: list[dict[str, object]] = []
-    events: list[tuple] | None = [] if audit else None
-    for t in range(s.generations):
-        dropped = _draw_dropped(g, s.failures, dropout_rng)
-        metrics.dropped_nodes += len(dropped)
-        values = data_rng.normal(s.data.mean, s.data.std, size=(g.n_sources, s.packet_length))
-        inputs = {src: values[i] for i, src in enumerate(g.sources)}
-        evaluation = network.evaluate(inputs, dropped=dropped)
-        for (u, v), message in evaluation.messages.items():
-            metrics.record((u, v), len(message))
-            if events is not None:
-                events.append(("deliver", u, v, t))
-        if events is not None:
-            events.append(("evaluate", dest, t))
-        delivered = evaluation.destination_outputs.get(dest)
-        if delivered is not None and not isinstance(delivered, list):
+    generations = _evaluated_generations(s, g, decompose_average(g), metrics, events)
+    for t, (dropped, delivered) in enumerate(generations):
+        if not isinstance(delivered, list):
             state = consensus_step(state, np.asarray(delivered))
-        rows.append(
-            {
-                "generation": t,
-                "value": float(np.asarray(state.estimate).ravel()[0]),
-                "dropped_nodes": len(dropped),
-                "lost_messages": 0,
-            }
-        )
-    headline = {"final_estimate": float(np.asarray(state.estimate).ravel()[0])}
-    tables = {
-        "trajectory": (TRAJECTORY_COLUMNS, rows),
-        "arcs": (ARC_COLUMNS, metrics.arc_rows(g)),
-    }
-    return headline, tables, events
+        rows.append(_row(t, float(state.estimate[0]), dropped))
+    headline = {"final_estimate": float(state.estimate[0])}
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, events
 
 
 def _run_custom(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
-    """Caller-supplied assignment evaluated generation by generation."""
+    """Caller-supplied assignment; the last delivered value is the headline."""
     assert s.assignment is not None
-    network = install_functions(g, s.assignment)
-    data_rng = substream(s.seed, 0)
-    dropout_rng, _ = s.failures.streams()
-    dest = g.destinations[0]
-    rows: list[dict[str, object]] = []
     events: list[tuple] | None = [] if audit else None
-    last_output = None
-    for t in range(s.generations):
-        dropped = _draw_dropped(g, s.failures, dropout_rng)
-        metrics.dropped_nodes += len(dropped)
-        if s.field is not None:
-            values = s.field.random_elements(data_rng, (g.n_sources, s.packet_length))
-        else:
-            values = data_rng.normal(
-                s.data.mean, s.data.std, size=(g.n_sources, s.packet_length)
-            )
-        inputs = {src: values[i] for i, src in enumerate(g.sources)}
-        evaluation = network.evaluate(inputs, dropped=dropped)
-        for (u, v), message in evaluation.messages.items():
-            metrics.record((u, v), len(message))
-            if events is not None:
-                events.append(("deliver", u, v, t))
-        if events is not None:
-            events.append(("evaluate", dest, t))
-        delivered = evaluation.destination_outputs.get(dest)
+    last_value = float("nan")
+    rows: list[dict[str, object]] = []
+    generations = _evaluated_generations(s, g, s.assignment, metrics, events)
+    for t, (dropped, delivered) in enumerate(generations):
         if isinstance(delivered, list):
             delivered = delivered[0] if delivered else None
         value = float("nan")
         if delivered is not None:
-            last_output = np.asarray(delivered)
-            value = float(last_output.ravel()[0])
-        rows.append(
-            {
-                "generation": t,
-                "value": value,
-                "dropped_nodes": len(dropped),
-                "lost_messages": 0,
-            }
-        )
-    headline = {
-        "final_value": float(last_output.ravel()[0]) if last_output is not None else float("nan")
-    }
-    tables = {
-        "trajectory": (TRAJECTORY_COLUMNS, rows),
-        "arcs": (ARC_COLUMNS, metrics.arc_rows(g)),
-    }
-    return headline, tables, events
+            value = last_value = float(np.asarray(delivered).ravel()[0])
+        rows.append(_row(t, value, dropped))
+    return {"final_value": last_value}, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, events
 
 
 def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
@@ -409,11 +365,7 @@ def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     for arc in g.arcs:
         metrics.record(arc, per_message, messages=stats.messages_per_arc)
     headline = {"probability": stats.probability}
-    tables = {
-        "stats": (stats.CSV_COLUMNS, [stats.csv_row()]),
-        "arcs": (ARC_COLUMNS, metrics.arc_rows(g)),
-    }
-    return headline, tables, None
+    return headline, {"stats": (stats.CSV_COLUMNS, [stats.csv_row()])}, None
 
 
 def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
@@ -432,17 +384,17 @@ def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
         failures=s.failures,
     )
     for arc, count in result.arc_messages.items():
-        metrics.record(arc, NEURAL_MESSAGE_SYMBOLS, messages=count)
+        metrics.record(arc, MESSAGE_SYMBOLS, messages=count)
     metrics.stale_skips += result.stale_skips
     metrics.lost_messages += sum(result.lost_per_step)
-    rows = result.csv_rows()
-    final_loss = float(np.mean(result.losses[-len(dataset):]))
-    headline = {"final_loss": final_loss}
-    tables = {
-        "trajectory": (TRAJECTORY_COLUMNS, rows),
-        "arcs": (ARC_COLUMNS, metrics.arc_rows(g)),
-    }
-    return headline, tables, None
+    rows = [
+        _row(t, loss, dropped, lost)
+        for t, (loss, dropped, lost) in enumerate(
+            zip(result.losses, result.dropped_per_step, result.lost_per_step)
+        )
+    ]
+    headline = {"final_loss": float(np.mean(result.losses[-len(dataset):]))}
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, None
 
 
 _RUNNERS: dict[str, Callable] = {
@@ -467,16 +419,15 @@ def run_scenario(s: Scenario, audit: bool = False) -> ScenarioResult:
     started = time.perf_counter()
     headline, tables, events = _RUNNERS[s.application](s, g, metrics, audit)
     metrics.wall_clock = time.perf_counter() - started
-    result = ScenarioResult(
-        scenario=s, graph=g, metrics=metrics, headline=headline, tables=tables
+    tables["arcs"] = (ARC_COLUMNS, metrics.arc_rows(g))
+    return ScenarioResult(
+        scenario=s,
+        graph=g,
+        metrics=metrics,
+        headline=headline,
+        tables=tables,
+        audit_events=events,
     )
-    if audit and events is not None:
-        object.__setattr__(result, "_audit_events", events)
-    return result
-
-
-def audit_events(result: ScenarioResult) -> list[tuple] | None:
-    return getattr(result, "_audit_events", None)
 
 
 # -- cost comparison ---------------------------------------------------------

@@ -158,9 +158,6 @@ class FieldSpec:
             raise ZeroInverse("0 has no multiplicative inverse")
         return int(self._exp[self.order - 1 - self._log[a]])
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # -- vectorized operations --------------------------------------------
 
     def validate_array(self, arr: np.ndarray) -> np.ndarray:

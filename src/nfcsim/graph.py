@@ -11,6 +11,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -97,15 +98,15 @@ class NfcGraph:
     def n_nodes(self) -> int:
         return len(self.names)
 
-    @property
+    @cached_property
     def sources(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r is NodeRole.SOURCE)
 
-    @property
+    @cached_property
     def atomics(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r is NodeRole.ATOMIC)
 
-    @property
+    @cached_property
     def destinations(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r is NodeRole.DESTINATION)
 

@@ -13,11 +13,11 @@ independent of the initial estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping
+from typing import Iterable
 
 import numpy as np
 
-from nfcsim.afc import ConfiguredNetwork, decompose_average, install_functions
+from nfcsim.afc import decompose_average, install_functions
 from nfcsim.graph import NfcGraph
 
 
@@ -58,16 +58,6 @@ class ConsensusTrajectory:
     def final(self) -> ConsensusState:
         return self.states[-1]
 
-    def csv_rows(self) -> list[dict[str, object]]:
-        return [
-            {"generation": t, "value": float(np.asarray(s.estimate).ravel()[0])}
-            for t, s in enumerate(self.states[1:], start=1)
-        ]
-
-
-def _mean_network(g: NfcGraph) -> ConfiguredNetwork:
-    return install_functions(g, decompose_average(g))
-
 
 def consensus_run(
     g: NfcGraph,
@@ -81,21 +71,17 @@ def consensus_run(
     like ``g.sources``. The recorded trajectory starts at the initial
     estimate and has one state per generation.
     """
-    network = _mean_network(g)
-    source_ids = g.sources
+    network = install_functions(g, decompose_average(g))
     state = ConsensusState(estimate=initial_estimate, generation=0)
     states = [state]
     means: list[float] = []
-    sample_iter: Iterator[np.ndarray] = iter(samples)
+    sample_iter = iter(samples)
     dest = g.destinations[0]
     for _ in range(generations):
         values = np.asarray(next(sample_iter), dtype=np.float64)
         if values.ndim == 1:
             values = values[:, None]
-        inputs: Mapping[int, np.ndarray] = {
-            s: values[i] for i, s in enumerate(source_ids)
-        }
-        evaluation = network.evaluate(inputs)
+        evaluation = network.evaluate(dict(zip(g.sources, values)))
         mean = np.asarray(evaluation.destination_outputs[dest])
         if mean.size == 1:
             mean = float(mean.ravel()[0])

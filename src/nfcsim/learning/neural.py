@@ -13,7 +13,9 @@ summand of the child's accumulated gradient.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from itertools import compress
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -122,8 +124,6 @@ class NeuralTreeNetwork:
         self.destination = graph.destinations[0]
         self.staleness_window = staleness_window
         source_set = set(graph.sources)
-
-        self.levels = self._assign_levels()
         # Concatenated-input layout per non-source node: child -> slice.
         self.input_slices: dict[int, dict[int, slice]] = {}
         self.input_dims: dict[int, int] = {}
@@ -154,17 +154,6 @@ class NeuralTreeNetwork:
         self.gradient_store: dict[int, dict[int, _StoredGradients]] = {
             v: {} for v in self.input_dims
         }
-
-    def _assign_levels(self) -> dict[int, int]:
-        levels: dict[int, int] = {}
-        for v in self.graph.topo_order:
-            kids = self.graph.in_neighbors[v]
-            levels[v] = 0 if not kids else 1 + max(levels[c] for c in kids)
-        return levels
-
-    def droppable_nodes(self) -> list[int]:
-        """Every node except the destination, in id order."""
-        return [v for v in range(self.graph.n_nodes) if v != self.destination]
 
     # -- passes -----------------------------------------------------------
 
@@ -290,19 +279,20 @@ class NeuralTreeNetwork:
 
 
 def draw_dropped(
-    network: NeuralTreeNetwork, failures: FailureModel, rng: np.random.Generator
+    g: NfcGraph, failures: FailureModel, rng: np.random.Generator
 ) -> frozenset[int]:
-    """Per-generation Bernoulli dropout over every non-destination node."""
+    """Per-generation Bernoulli dropout over every non-destination node,
+    one uniform draw per node in id order."""
     if failures.node_dropout_p == 0.0:
         return frozenset()
-    nodes = network.droppable_nodes()
+    nodes = sorted(g.sources + g.atomics)
     hits = rng.random(len(nodes)) < failures.node_dropout_p
-    return frozenset(v for v, hit in zip(nodes, hits) if hit)
+    return frozenset(compress(nodes, hits.tolist()))
 
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Per-step losses plus failure and message counters; CSV-ready.
+    """Per-step losses plus failure and message counters.
 
     ``arc_messages`` tallies link usage per upward arc: one activity
     message per alive non-destination node per step, plus the gradient
@@ -316,17 +306,6 @@ class TrainResult:
     stale_skips: int
     final_weights: Mapping[int, np.ndarray]
     arc_messages: Mapping[tuple[int, int], int] = dc_field(default_factory=dict)
-
-    def csv_rows(self) -> list[dict[str, object]]:
-        return [
-            {
-                "generation": t,
-                "value": loss,
-                "dropped_nodes": self.dropped_per_step[t],
-                "lost_messages": self.lost_per_step[t],
-            }
-            for t, loss in enumerate(self.losses)
-        ]
 
 
 def nn_train(
@@ -350,26 +329,22 @@ def nn_train(
     losses: list[float] = []
     dropped_counts: list[int] = []
     lost_counts: list[int] = []
-    arc_messages: dict[tuple[int, int], int] = {}
+    arc_messages: Counter[tuple[int, int]] = Counter()
     g = network.graph
+    upward_arcs = [(v, g.out_neighbors[v][0]) for v in g.topo_order if v != network.destination]
     stale = 0
     t = 0
     for _ in range(epochs):
         for sample in dataset:
-            dropped = draw_dropped(network, failures, dropout_rng)
+            dropped = draw_dropped(g, failures, dropout_rng)
             up = network.upward(sample.features, generation=t, dropped=dropped)
-            for v in g.topo_order:
-                if v in dropped or v == network.destination:
-                    continue
-                arc = (v, g.out_neighbors[v][0])
-                arc_messages[arc] = arc_messages.get(arc, 0) + 1
+            arc_messages.update(arc for arc in upward_arcs if arc[0] not in dropped)
             losses.append(log_loss(up.prediction, sample.target))
             down = network.downward(
                 sample.target, generation=t, eta=eta_fn(t), message_lost=message_lost
             )
-            for sender, child in down.sent:
-                arc = (child, sender)  # gradient travels the upward arc backwards
-                arc_messages[arc] = arc_messages.get(arc, 0) + 1
+            # each gradient contribution travels its upward arc backwards
+            arc_messages.update((child, sender) for sender, child in down.sent)
             dropped_counts.append(len(dropped))
             lost_counts.append(down.lost_messages)
             stale += down.stale_skips

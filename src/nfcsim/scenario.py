@@ -289,10 +289,15 @@ def parse_scenario_text(
             except ValueError as exc:
                 checker.fail(("field",), str(exc))
 
+    probabilities = {}
+    for key in ("node_dropout_p", "message_loss_p"):
+        p = checker.value(("failures", key), float, default=0.0)
+        if not 0.0 <= p <= 1.0:
+            checker.fail(("failures", key), "must be within [0, 1]")
+            p = 0.0
+        probabilities[key] = p
     failures = FailureModel(
-        node_dropout_p=checker.value(("failures", "node_dropout_p"), float, default=0.0),
-        message_loss_p=checker.value(("failures", "message_loss_p"), float, default=0.0),
-        seed=checker.value(("failures", "seed"), int, default=seed),
+        **probabilities, seed=checker.value(("failures", "seed"), int, default=seed)
     )
     data_model = DataModel(
         mean=checker.value(("data", "mean"), float, default=0.0),
@@ -316,8 +321,12 @@ def parse_scenario_text(
         if target is not None and target not in TARGET_PRESETS:
             checker.fail(("capacity", "target"), f"must be one of {', '.join(sorted(TARGET_PRESETS))}")
             target = None
-        k_values = checker.value(("capacity", "k_values"), list, default=[1])
-        l_values = checker.value(("capacity", "l_values"), list, default=[1])
+        lengths = {}
+        for key in ("k_values", "l_values"):
+            values = checker.value(("capacity", key), list, default=[1])
+            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+                checker.fail(("capacity", key), "entries must be integers >= 1")
+            lengths[key] = tuple(values)
         function_class = checker.value(("capacity", "function_class"), str, default="all")
         if function_class not in ("all", "linear"):
             checker.fail(("capacity", "function_class"), "must be 'all' or 'linear'")
@@ -325,8 +334,7 @@ def parse_scenario_text(
             capacity = CapacityRequest(
                 target=target,
                 alphabet=checker.value(("capacity", "alphabet"), int, default=2),
-                k_values=tuple(int(k) for k in k_values),
-                l_values=tuple(int(l) for l in l_values),
+                **lengths,
                 cap=checker.value(("capacity", "cap"), int, default=10_000_000),
                 function_class=function_class,
             )

@@ -328,3 +328,65 @@ def test_sample_scenarios_validate(runner):
     ):
         result = runner.invoke(main, ["validate", str(SCENARIOS / name)])
         assert result.exit_code == 0, f"{name}: {result.output}"
+
+
+CAPACITY_STAR = """\
+schema_version: 1
+topology:
+  generator: star
+  sources: 2
+capacity:
+  target: identity
+  k_values: [1]
+  l_values: [1]
+"""
+
+
+@pytest.mark.parametrize(
+    "text, line, path",
+    [
+        (VALID_RLNC + "failures:\n  node_dropout_p: 1.5\n", 13, "failures.node_dropout_p"),
+        (VALID_RLNC + "failures:\n  message_loss_p: -0.1\n", 13, "failures.message_loss_p"),
+        (CAPACITY_STAR.replace("k_values: [1]", "k_values: [1, a]"), 7, "capacity.k_values"),
+        (CAPACITY_STAR.replace("l_values: [1]", "l_values: [x]"), 8, "capacity.l_values"),
+        (CAPACITY_STAR.replace("k_values: [1]", "k_values: [0]"), 7, "capacity.k_values"),
+        (CAPACITY_STAR.replace("l_values: [1]", "l_values: [2, 0]"), 8, "capacity.l_values"),
+    ],
+    ids=["dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero"],
+)
+def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, text, line, path):
+    scenario = write(tmp_path, "bad.yaml", text)
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert f"line {line}: {path}:" in result.output
+    assert "Traceback" not in result.output
+
+
+NEURAL_TWO_SOURCES = """\
+schema_version: 1
+application: neural
+topology:
+  generator: star
+  sources: 2
+neural:
+  samples: 4
+  epochs: 1
+  margin: 5.0
+"""
+
+
+def test_run_rejects_unreachable_neural_margin(runner, tmp_path):
+    scenario = write(tmp_path, "margin.yaml", NEURAL_TWO_SOURCES)
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "neural.margin must be below the source count 2" in result.output
+
+
+def test_run_rejects_negative_data_std(runner, tmp_path):
+    text = VALID_RLNC.replace("application: rlnc", "application: consensus").replace(
+        "field:\n  m: 1\n", ""
+    ) + "generations: 2\ndata:\n  std: -1.0\n"
+    scenario = write(tmp_path, "std.yaml", text)
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 2
+    assert "data.std must be >= 0" in result.output

@@ -8,7 +8,6 @@ from nfcsim.engine import (
     GenerationBarrier,
     NeuralParams,
     Scenario,
-    audit_events,
     compare_costs,
     run_scenario,
 )
@@ -198,6 +197,22 @@ def test_scenario_validation_errors():
     assert any("failure" in p for p in rlnc_failures.validation_errors())
 
 
+def test_validation_rejects_unreachable_margin_and_negative_std():
+    def neural(margin):
+        return Scenario(
+            topology=star_topology(2), application="neural", neural=NeuralParams(margin=margin)
+        )
+
+    assert "neural.margin must be below the source count 2" in neural(2.0).validation_errors()
+    assert neural(1.9).validation_errors() == []
+    noisy = Scenario(
+        topology=TREE64, application="consensus", generations=1, data=DataModel(std=-0.5)
+    )
+    assert noisy.validation_errors() == ["data.std must be >= 0"]
+    with pytest.raises(ScenarioError, match="data.std"):
+        run_scenario(noisy)
+
+
 @pytest.mark.parametrize("application", ["consensus", "custom"])
 def test_message_loss_rejected_where_not_modelled(application):
     from nfcsim.afc import FunctionAssignment, Max
@@ -240,7 +255,7 @@ def test_determinism_identical_serialized_tables():
 def test_barrier_audit_order():
     scenario = forwarding_scenario(generations=2, length=2)
     result = run_scenario(scenario, audit=True)
-    events = audit_events(result)
+    events = result.audit_events
     assert events, "audit requested but no events recorded"
     g = result.graph
     delivered: set[tuple[int, int, int]] = set()
@@ -259,7 +274,7 @@ def test_barrier_audit_order():
 
 def test_barrier_audit_consensus():
     result = run_scenario(consensus_scenario(generations=1, length=2), audit=True)
-    events = audit_events(result)
+    events = result.audit_events
     kinds = {e[0] for e in events}
     assert kinds == {"deliver", "evaluate"}
 
