@@ -342,11 +342,12 @@ class ConfiguredNetwork:
         messages: dict[tuple[int, int], Packet] = {}
         destination_outputs: dict[int, object] = {}
         metrics: dict = {}
+        source, atomic = NodeRole.SOURCE, NodeRole.ATOMIC
         for v in g.topo_order:
             if v in dropped:
                 continue
             role = g.roles[v]
-            if role is NodeRole.SOURCE:
+            if role is source:
                 if v not in inputs_by_id:
                     raise MissingAssignment(f"no input packet for source {g.names[v]!r}")
                 base = [inputs_by_id[v]]
@@ -361,7 +362,7 @@ class ConfiguredNetwork:
                         messages[(v, w)] = self._apply(
                             spec, incoming + base, rng, noise_sigma, metrics
                         )
-            elif role is NodeRole.ATOMIC:
+            elif role is atomic:
                 present = [c for c in g.in_neighbors[v] if (c, v) in messages]
                 if not present:
                     continue

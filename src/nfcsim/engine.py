@@ -26,9 +26,11 @@ from nfcsim.graph import NfcGraph, NodeRole, TopologyConfig, build_graph
 from nfcsim.learning.consensus import ConsensusState, consensus_step
 from nfcsim.learning.neural import (
     MESSAGE_SYMBOLS,
+    MIN_MARGIN_ACCEPTANCE,
     FailureModel,
     NeuralTreeNetwork,
     draw_dropped,
+    margin_acceptance,
     nn_train,
     separable_dataset,
 )
@@ -129,8 +131,15 @@ class Scenario:
                 problems.append("neural scenarios use scalar activities (packet_length 1)")
             # |sum of n uniform(-1, 1) features| < n: no sample could clear the margin
             n_sources = list(self.topology.roles.values()).count(NodeRole.SOURCE)
-            if self.neural.margin >= n_sources:
+            margin = self.neural.margin
+            if margin >= n_sources:
                 problems.append(f"neural.margin must be below the source count {n_sources}")
+            elif (acceptance := margin_acceptance(n_sources, margin)) < MIN_MARGIN_ACCEPTANCE:
+                problems.append(
+                    f"neural.margin {margin} is cleared by a fraction"
+                    f" {acceptance:.2g} of samples over {n_sources} sources,"
+                    f" below {MIN_MARGIN_ACCEPTANCE:g}"
+                )
         if self.application == "custom" and self.assignment is None:
             problems.append("custom application requires a FunctionAssignment")
         lossless = ("forwarding", "consensus", "custom")
@@ -257,6 +266,7 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     barrier = GenerationBarrier(audit=audit)
     rows: list[dict[str, object]] = []
     delivered_total = 0
+    source, atomic = NodeRole.SOURCE, NodeRole.ATOMIC
     for t in range(s.generations):
         dropped = draw_dropped(g, s.failures, dropout_rng)
         metrics.dropped_nodes += len(dropped)
@@ -264,9 +274,9 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
             if v in dropped:
                 continue
             role = g.roles[v]
-            if role is NodeRole.SOURCE:
+            if role is source:
                 outbox = [v]
-            elif role is NodeRole.ATOMIC:
+            elif role is atomic:
                 expected = {c for c in g.in_neighbors[v] if c not in dropped}
                 assert barrier.ready(v, t, expected), "barrier violation"
                 inbox = barrier.take(v, t)

@@ -181,21 +181,27 @@ class FieldSpec:
             return x.copy()
         return self.mul_arrays(np.asarray(c, dtype=self.dtype), x)
 
-    def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-        """sum_i coeffs[i] * rows[i], the network-coding workhorse.
+    def inv_arrays(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise inverse of nonzero entries through the log table.
 
-        coeffs has shape (P,), rows (P, W); returns shape (W,). An empty
-        P yields the zero vector.
+        A zero entry has no inverse; its index falls in the zero tail, so
+        it maps to zero instead of raising.
+        """
+        return self._exp[self.order - 1 - self._log[x]]
+
+    def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """sum_i coeffs[..., i] * rows[..., i, :], the network-coding workhorse.
+
+        coeffs has shape (..., P), rows (..., P, W) with broadcastable
+        leading batch axes; returns shape (..., W). An empty P yields
+        the zero vector.
         """
         rows = np.asarray(rows)
-        if rows.shape[0] == 0:
-            return np.zeros(rows.shape[1:], dtype=self.dtype)
-        if self.m == 1:
-            coeffs = np.asarray(coeffs, dtype=self.dtype)
-            return np.bitwise_xor.reduce(coeffs[:, None] & rows, axis=0)
-        coeffs = np.asarray(coeffs, dtype=self.dtype)
-        prods = self.mul_arrays(coeffs[:, None], rows)
-        return np.bitwise_xor.reduce(prods, axis=0)
+        coeffs = np.asarray(coeffs, dtype=self.dtype)[..., None]
+        if rows.shape[-2] == 0:
+            return np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=self.dtype)
+        prods = coeffs & rows if self.m == 1 else self.mul_arrays(coeffs, rows)
+        return np.bitwise_xor.reduce(prods, axis=-2)
 
     def random_elements(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Uniform draws over the whole field, zero included."""

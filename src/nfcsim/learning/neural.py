@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
 from itertools import compress
+from math import comb, factorial
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -29,6 +30,10 @@ LABEL_MAPPING = {-1: 0.0, 1: 1.0}
 STALENESS_WINDOW = 8  # stored upward tuples older than this are evicted
 
 MESSAGE_SYMBOLS = 2  # one activity or gradient contribution + generation tag
+
+# separable_dataset draws 1 / acceptance samples per kept one; below this
+# floor a margin makes data generation effectively never finish.
+MIN_MARGIN_ACCEPTANCE = 1e-3
 
 
 def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
@@ -187,8 +192,9 @@ class NeuralTreeNetwork:
         for i, s in enumerate(g.sources):
             if s not in dropped:
                 activations[s] = features[i]
+        roles, source = g.roles, NodeRole.SOURCE
         for v in g.topo_order:
-            if g.roles[v] is NodeRole.SOURCE or v in dropped:
+            if roles[v] is source or v in dropped:
                 continue
             x_in = self.input_vector(v, activations)
             x = float(sigmoid(self.weights[v] @ x_in))
@@ -240,11 +246,8 @@ class NeuralTreeNetwork:
             accumulated[self.destination] = -target / x + (1.0 - target) / (1.0 - x)
         else:
             stale += 1  # no stored prediction for this generation
-        order = [
-            v
-            for v in reversed(g.topo_order)
-            if g.roles[v] is not NodeRole.SOURCE
-        ]
+        roles, source = g.roles, NodeRole.SOURCE
+        order = [v for v in reversed(g.topo_order) if roles[v] is not source]
         for v in order:
             if v not in accumulated:
                 continue
@@ -254,7 +257,7 @@ class NeuralTreeNetwork:
                 continue
             d_loss = accumulated[v]
             for c, sl in self.input_slices[v].items():
-                if g.roles[c] is NodeRole.SOURCE:
+                if roles[c] is source:
                     continue
                 if c not in self.gradient_store or generation not in self.gradient_store[c]:
                     continue  # child was dropped this generation
@@ -389,6 +392,28 @@ def gradient_check(
             denom = max(abs(numeric), abs(analytic[i]), 1e-6)
             worst = max(worst, abs(numeric - analytic[i]) / denom)
     return worst
+
+
+def margin_acceptance(n_sources: int, margin: float) -> float:
+    """Probability that |sum of n uniform(-1, 1) features| >= margin.
+
+    The sum is 2Y - n with Y Irwin-Hall distributed, so by symmetry the
+    probability is 2 F(x) at x = (n - margin) / 2, where
+    F(x) = sum_{k <= x} (-1)^k C(n, k) (x - k)^n / n!. With margin = a/b
+    exactly, every term is an integer over (2b)^n n!, so the alternating
+    sum cancels without rounding.
+    """
+    if margin <= 0:
+        return 1.0
+    if margin >= n_sources:
+        return 0.0
+    a, b = float(margin).as_integer_ratio()
+    top = n_sources * b - a  # x = top / 2b
+    tail = sum(
+        (-1) ** k * comb(n_sources, k) * (top - 2 * k * b) ** n_sources
+        for k in range(top // (2 * b) + 1)
+    )
+    return 2 * tail / ((2 * b) ** n_sources * factorial(n_sources))
 
 
 def separable_dataset(

@@ -63,29 +63,61 @@ def atomic_recode(
     )
 
 
+def add_rows(
+    field: FieldSpec,
+    basis: np.ndarray,
+    pivots: np.ndarray,
+    ranks: np.ndarray,
+    rows: np.ndarray,
+) -> None:
+    """Online reduced row-echelon update for a batch of T decoders, in place.
+
+    Decoder t holds ``ranks[t]`` reduced rows in ``basis[t]`` (T, N, N),
+    with pivot columns ``pivots[t]`` (T, N) and zero rows below its rank;
+    ``rows`` (T, N) brings one new coding vector per decoder. Each row is
+    eliminated against the existing pivots, normalised at its first
+    nonzero column and, if anything is left, written below the basis
+    after clearing that column in the rows above. A dependent row
+    reduces to zero and changes nothing, so rank is non-decreasing and
+    never exceeds min(rows added, N).
+    """
+    k = int(ranks.max())  # zero rows past a decoder's rank add nothing
+    factors = np.take_along_axis(rows, pivots[:, :k], axis=1)
+    rows = field.add_arrays(rows, field.combine(factors, basis[:, :k]))
+    nonzero = rows != 0
+    hit = np.flatnonzero(nonzero.any(axis=1))
+    if not hit.size:
+        return
+    cols = nonzero[hit].argmax(axis=1)
+    new = rows[hit]
+    lead = np.take_along_axis(new, cols[:, None], axis=1)
+    new = field.mul_arrays(field.inv_arrays(lead), new)
+    above = basis[hit, :k]
+    factors = np.take_along_axis(above, cols[:, None, None], axis=2)
+    basis[hit, :k] = field.add_arrays(above, field.mul_arrays(factors, new[:, None]))
+    at = ranks[hit]
+    basis[hit, at] = new
+    pivots[hit, at] = cols
+    ranks[hit] += 1
+
+
 class DecoderState:
     """Collected (payload, coding vector) pairs with an online rank.
 
-    The coding vectors are kept in reduced row-echelon form, so rank is
-    non-decreasing as pairs arrive and never exceeds min(pairs, N).
+    The rank is the single-decoder case of ``add_rows``.
     """
 
     def __init__(self, field: FieldSpec, n_sources: int):
         self.field = field
         self.n_sources = n_sources
         self.collected: list[CodedPacket] = []
-        self._matrix = np.zeros((n_sources, n_sources), dtype=field.dtype)
-        self._pivot_cols = np.zeros(n_sources, dtype=np.int64)
-        self._rank = 0
-
-    def reset(self) -> None:
-        self.collected.clear()
-        self._matrix[:] = 0
-        self._rank = 0
+        self._basis = np.zeros((1, n_sources, n_sources), dtype=field.dtype)
+        self._pivots = np.zeros((1, n_sources), dtype=np.intp)
+        self._ranks = np.zeros(1, dtype=np.intp)
 
     @property
     def rank(self) -> int:
-        return self._rank
+        return int(self._ranks[0])
 
     def add(self, packet: CodedPacket) -> int:
         """Collect one pair; returns the updated rank."""
@@ -98,32 +130,8 @@ class DecoderState:
 
     def add_vector(self, vector: np.ndarray) -> int:
         """Rank bookkeeping only, for callers that keep payloads elsewhere."""
-        field = self.field
-        k = self._rank
-        if k == self.n_sources:
-            return k
-        row = vector.copy()
-        if k:
-            factors = row[self._pivot_cols[:k]]
-            row = field.add_arrays(row, field.combine(factors, self._matrix[:k]))
-        nonzero = np.nonzero(row)[0]
-        if nonzero.size == 0:
-            return k
-        col = int(nonzero[0])
-        inv = field.inv(int(row[col]))
-        if inv != 1:
-            row = field.scale(inv, row)
-        if k:  # keep existing rows reduced against the new pivot
-            above = self._matrix[:k, col].copy()
-            hit = above != 0
-            if hit.any():
-                self._matrix[:k][hit] = field.add_arrays(
-                    self._matrix[:k][hit], field.mul_arrays(above[hit, None], row)
-                )
-        self._matrix[k] = row
-        self._pivot_cols[k] = col
-        self._rank = k + 1
-        return self._rank
+        add_rows(self.field, self._basis, self._pivots, self._ranks, vector[None])
+        return self.rank
 
 
 @dataclass(frozen=True)
@@ -212,21 +220,24 @@ class RlncNetwork:
     ) -> None:
         """Recode every atomic node in topological order, in place.
 
-        Local coefficients come either from ``rng`` (one draw per node)
-        or from a pre-drawn flat ``coeffs`` block of length
-        ``coeffs_per_pass``. Combining the fused row updates payload and
-        coding vector with the same coefficients, which is exactly the
-        global-coefficient propagation rule.
+        ``state`` is one trial's (nodes, L+N) buffer or a (T, nodes, L+N)
+        block of trials. Local coefficients come either from ``rng`` (one
+        draw per node) or from a pre-drawn ``coeffs`` block of shape
+        (..., coeffs_per_pass) matching the leading trial axes. Combining
+        the fused row updates payload and coding vector with the same
+        coefficients, which is exactly the global-coefficient propagation
+        rule.
         """
         field = self.field
         combine = field.combine
+        batch = state.shape[:-2]
         for a, kids, lo, hi in self.coeff_slices:
             if coeffs is None:
                 assert rng is not None
-                local = field.random_elements(rng, hi - lo)
+                local = field.random_elements(rng, batch + (hi - lo,))
             else:
-                local = coeffs[lo:hi]
-            state[a] = combine(local, state[kids])
+                local = coeffs[..., lo:hi]
+            state[..., a, :] = combine(local, state[..., kids, :])
 
     def packet_at(self, state: np.ndarray, node: int) -> CodedPacket:
         return CodedPacket(
@@ -288,6 +299,10 @@ class SuccessStats:
         }
 
 
+# Trials per block of the recovery experiment; bounds its working memory.
+TRIALS_PER_BLOCK = 1024
+
+
 def trial_rng(seed: int, trial: int) -> np.random.Generator:
     """Independent, reproducible substream for one trial."""
     return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
@@ -308,41 +323,43 @@ def run_recovery_experiment(
     destination's incoming pairs into the decoder state. All n_prime
     passes run regardless of when full rank is reached (the protocol has
     no feedback), and per-trial substreams make results reproducible and
-    nested in n_prime for a fixed seed.
+    nested in n_prime for a fixed seed. Trials run TRIALS_PER_BLOCK at a
+    time as one (T, nodes, L+N) state with T decoders.
     """
     net = RlncNetwork(graph, field, payload_length)
     n = net.n_sources
-    successes = 0
-    success_by_pass = [0] * n_prime
-    dest_children = net.dest_children
-    state = net.fresh_state(np.zeros((n, payload_length), dtype=field.dtype))
+    unit_state = net.fresh_state(np.zeros((n, payload_length), dtype=field.dtype))
     source_rows = np.array(net.source_ids, dtype=np.int64)
-    decoder = DecoderState(field=field, n_sources=n)
     n_payload_draws = n * payload_length
     per_pass = net.coeffs_per_pass
     draws_per_trial = n_payload_draws + n_prime * per_pass
-    for trial in range(trials):
-        rng = trial_rng(seed, trial)
+    # The pass after which each trial first reached rank N; n_prime if never.
+    first_full = np.full(trials, n_prime, dtype=np.intp)
+    for start in range(0, trials, TRIALS_PER_BLOCK):
+        stop = min(start + TRIALS_PER_BLOCK, trials)
         # One block per trial: source payloads first, then the local
         # coefficients pass by pass (keeps runs nested in n_prime).
-        block = field.random_elements(rng, draws_per_trial)
-        state[source_rows, :payload_length] = block[:n_payload_draws].reshape(
-            n, payload_length
+        block = np.stack(
+            [field.random_elements(trial_rng(seed, t), draws_per_trial) for t in range(start, stop)]
         )
-        decoder.reset()
-        first_full_rank: int | None = None
+        size = stop - start
+        state = np.repeat(unit_state[None], size, axis=0)
+        state[:, source_rows, :payload_length] = block[:, :n_payload_draws].reshape(
+            size, n, payload_length
+        )
+        basis = np.zeros((size, n, n), dtype=field.dtype)
+        pivots = np.zeros((size, n), dtype=np.intp)
+        ranks = np.zeros(size, dtype=np.intp)
+        reached = first_full[start:stop]  # a view: writes land in first_full
         offset = n_payload_draws
         for k in range(n_prime):
-            net.run_pass(state, coeffs=block[offset : offset + per_pass])
+            net.run_pass(state, coeffs=block[:, offset : offset + per_pass])
             offset += per_pass
-            for c in dest_children:
-                decoder.add_vector(state[c, payload_length:])
-            if first_full_rank is None and decoder.rank == n:
-                first_full_rank = k
-        if first_full_rank is not None:
-            successes += 1
-            for later in range(first_full_rank, n_prime):
-                success_by_pass[later] += 1
+            for c in net.dest_children:
+                add_rows(field, basis, pivots, ranks, state[:, c, payload_length:])
+            reached[(ranks == n) & (reached == n_prime)] = k
+    success_by_pass = np.cumsum(np.bincount(first_full, minlength=n_prime + 1)[:n_prime])
+    successes = int(np.count_nonzero(first_full < n_prime))
     return SuccessStats(
         field_order=field.order,
         n_sources=n,
@@ -352,5 +369,5 @@ def run_recovery_experiment(
         probability=successes / trials if trials else 0.0,
         seed=seed,
         messages_per_arc=trials * n_prime,
-        success_by_pass=tuple(success_by_pass),
+        success_by_pass=tuple(success_by_pass.tolist()),
     )

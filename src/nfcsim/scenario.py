@@ -324,7 +324,9 @@ def parse_scenario_text(
         lengths = {}
         for key in ("k_values", "l_values"):
             values = checker.value(("capacity", key), list, default=[1])
-            if not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+            if not values:
+                checker.fail(("capacity", key), "must list at least one length")
+            elif not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
                 checker.fail(("capacity", key), "entries must be integers >= 1")
             lengths[key] = tuple(values)
         function_class = checker.value(("capacity", "function_class"), str, default="all")

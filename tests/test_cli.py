@@ -1,5 +1,6 @@
 """Command surface: exit codes, diagnostics, outputs, reproducibility."""
 
+import time
 from pathlib import Path
 
 import pytest
@@ -351,8 +352,13 @@ capacity:
         (CAPACITY_STAR.replace("l_values: [1]", "l_values: [x]"), 8, "capacity.l_values"),
         (CAPACITY_STAR.replace("k_values: [1]", "k_values: [0]"), 7, "capacity.k_values"),
         (CAPACITY_STAR.replace("l_values: [1]", "l_values: [2, 0]"), 8, "capacity.l_values"),
+        (CAPACITY_STAR.replace("k_values: [1]", "k_values: []"), 7, "capacity.k_values"),
+        (CAPACITY_STAR.replace("l_values: [1]", "l_values: []"), 8, "capacity.l_values"),
     ],
-    ids=["dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero"],
+    ids=[
+        "dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero",
+        "k_empty", "l_empty",
+    ],
 )
 def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, text, line, path):
     scenario = write(tmp_path, "bad.yaml", text)
@@ -380,6 +386,16 @@ def test_run_rejects_unreachable_neural_margin(runner, tmp_path):
     result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "neural.margin must be below the source count 2" in result.output
+
+
+def test_run_rejects_margin_too_rare_to_sample(runner, tmp_path):
+    text = NEURAL_TWO_SOURCES.replace("sources: 2", "sources: 8").replace("5.0", "7.0")
+    scenario = write(tmp_path, "margin.yaml", text)
+    started = time.perf_counter()
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - started < 1.0
+    assert result.exit_code == 2, result.output
+    assert "neural.margin 7.0 is cleared by a fraction 1.9e-07 of samples" in result.output
 
 
 def test_run_rejects_negative_data_std(runner, tmp_path):

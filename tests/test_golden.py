@@ -20,6 +20,7 @@ DATA = Path(__file__).resolve().parent / "data"
     [
         "rlnc_gf4096_star6",
         "rlnc_gf65536_star6",
+        "rlnc_gf4_tree8",
         "consensus_dropout_tree8",
         "forwarding_dropout_tree8",
         "neural_dropout_loss_tree8",

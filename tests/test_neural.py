@@ -12,7 +12,13 @@ from nfcsim.learning import (
     gradient_check,
     nn_train,
 )
-from nfcsim.learning.neural import LABEL_MAPPING, log_loss, separable_dataset, sigmoid
+from nfcsim.learning.neural import (
+    LABEL_MAPPING,
+    log_loss,
+    margin_acceptance,
+    separable_dataset,
+    sigmoid,
+)
 from reference_nn import Reference
 
 
@@ -279,3 +285,14 @@ def test_train_arc_message_accounting():
     assert result.arc_messages[(s0, a0)] == 4
     assert result.arc_messages[(s1, a0)] == 4
     assert result.arc_messages[(a0, d0)] == 4 + 4
+
+
+def test_margin_acceptance_irwin_hall_tail():
+    assert margin_acceptance(1, 0.25) == pytest.approx(0.75)  # |U| >= c
+    assert margin_acceptance(2, 1.0) == pytest.approx(0.25)  # triangle density
+    # below one unit from the extreme only the k=0 term is left
+    assert margin_acceptance(8, 7.0) == pytest.approx(2 * 0.5**8 / 40320)
+    assert margin_acceptance(8, 0.0) == 1.0 and margin_acceptance(8, 8.0) == 0.0
+    rng = np.random.default_rng(20)
+    sums = np.abs(rng.uniform(-1.0, 1.0, size=(20_000, 64)).sum(axis=1))
+    assert margin_acceptance(64, 0.5) == pytest.approx((sums >= 0.5).mean(), abs=0.01)
