@@ -324,8 +324,6 @@ class ConfiguredNetwork:
     def evaluate(
         self,
         source_inputs: Mapping[object, Packet],
-        rng: np.random.Generator | None = None,
-        noise_sigma: float = 0.0,
         dropped: frozenset[int] | set[int] = frozenset(),
     ) -> NetworkEvaluation:
         """Run one generation through the network in topological order.
@@ -359,9 +357,7 @@ class ConfiguredNetwork:
                     if spec is None:
                         messages[(v, w)] = base[0].copy()
                     else:
-                        messages[(v, w)] = self._apply(
-                            spec, incoming + base, rng, noise_sigma, metrics
-                        )
+                        messages[(v, w)] = self._apply(spec, incoming + base, metrics)
             elif role is atomic:
                 present = [c for c in g.in_neighbors[v] if (c, v) in messages]
                 if not present:
@@ -370,7 +366,7 @@ class ConfiguredNetwork:
                 for w in g.out_neighbors[v]:
                     spec = self.arc_functions[(v, w)]
                     spec = _restrict_arity(spec, g.in_neighbors[v], present)
-                    messages[(v, w)] = self._apply(spec, packets, rng, noise_sigma, metrics)
+                    messages[(v, w)] = self._apply(spec, packets, metrics)
             else:
                 inbox = [messages[(c, v)] for c in g.in_neighbors[v] if (c, v) in messages]
                 decoder = self.decoders.get(v)
@@ -385,9 +381,9 @@ class ConfiguredNetwork:
         )
 
     @staticmethod
-    def _apply(spec, packets, rng, noise_sigma, metrics):
+    def _apply(spec, packets, metrics):
         if isinstance(spec, Nomographic):
-            return eval_aafc(spec, packets, noise_sigma=noise_sigma, rng=rng)
+            return eval_aafc(spec, packets)
         return eval_dafc(spec, packets, metrics=metrics)
 
 

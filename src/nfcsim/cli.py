@@ -104,9 +104,7 @@ def capacity(scenario_file: str, out: str | None, quiet: bool):
         click.echo("scenario file declares no capacity section", err=True)
         sys.exit(EXIT_VALIDATION)
     request = loaded.capacity
-    graph = build_graph(
-        _topology_from_resolved(loaded)
-    )
+    graph = build_graph(loaded.topology)
     target = TARGET_PRESETS[request.target](graph.n_sources, request.alphabet)
     identity = linear_identity_check(graph)
     click.echo(
@@ -211,14 +209,6 @@ def compare(scenario_file: str, seed: int | None, out: str | None, trials: int |
         if not quiet:
             click.echo(f"wrote {out_dir / 'compare.csv'}")
     sys.exit(EXIT_OK)
-
-
-def _topology_from_resolved(loaded: LoadedScenario):
-    from nfcsim.graph import NodeRole, TopologyConfig
-
-    echo = loaded.resolved["topology"]
-    roles = {name: NodeRole(role) for name, role in echo["nodes"].items()}
-    return TopologyConfig(roles=roles, children=echo["children"], mode=echo["mode"])
 
 
 def _witness_report(sweep, target_name: str) -> str:

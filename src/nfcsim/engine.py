@@ -35,6 +35,7 @@ from nfcsim.learning.neural import (
     separable_dataset,
 )
 from nfcsim.rlnc import run_recovery_experiment
+from nfcsim.rng import substream
 
 # "custom" runs a caller-supplied FunctionAssignment; the file-based CLI
 # drives the four named applications.
@@ -42,16 +43,6 @@ APPLICATIONS = ("forwarding", "rlnc", "consensus", "neural", "custom")
 
 TRAJECTORY_COLUMNS = ("generation", "value", "dropped_nodes", "lost_messages")
 ARC_COLUMNS = ("src", "dst", "messages", "symbols")
-
-
-def substream(seed: int, *key: int) -> np.random.Generator:
-    """Named substream: independent draws per (seed, purpose, ...) key.
-
-    Each randomness source (source data, weight init, dropout, message
-    loss) draws from its own substream, so enabling or disabling one
-    never perturbs another's draws.
-    """
-    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=tuple(key)))
 
 
 @dataclass(frozen=True)
@@ -124,6 +115,11 @@ class Scenario:
                 problems.append(f"{self.application} runs on the real domain, not a field")
         if self.application in ("forwarding", "consensus", "custom") and self.generations < 0:
             problems.append("generations must be >= 0")
+        if self.application in ("rlnc", "neural") and self.generations:
+            problems.append(f"{self.application} does not read generations; it must stay 0")
+        for section, default in (("eta", EtaSchedule()), ("neural", NeuralParams())):
+            if self.application != "neural" and getattr(self, section) != default:
+                problems.append(f"{self.application} does not read {section}; it must keep its defaults")
         if self.application == "neural":
             if self.neural.samples < 1 or self.neural.epochs < 1:
                 problems.append("neural requires samples >= 1 and epochs >= 1")

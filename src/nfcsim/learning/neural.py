@@ -23,6 +23,7 @@ import numpy as np
 
 from nfcsim.errors import NotATree
 from nfcsim.graph import NfcGraph, NodeRole
+from nfcsim.rng import substream
 
 # External labels are -1/+1; the log-loss gradient seed wants 0/1.
 LABEL_MAPPING = {-1: 0.0, 1: 1.0}
@@ -77,9 +78,7 @@ class FailureModel:
     def streams(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Independent dropout and message-loss streams, so toggling one
         failure source never perturbs the other's draws."""
-        dropout = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(0,)))
-        loss = np.random.default_rng(np.random.SeedSequence(self.seed, spawn_key=(1,)))
-        return dropout, loss
+        return substream(self.seed, 0), substream(self.seed, 1)
 
 
 @dataclass
@@ -120,14 +119,12 @@ class NeuralTreeNetwork:
         source_dim: int = 1,
         init_rng: np.random.Generator | None = None,
         weights: Mapping[int, np.ndarray] | None = None,
-        staleness_window: int = STALENESS_WINDOW,
     ):
         if graph.mode != "tree" or len(graph.destinations) != 1:
             raise NotATree("neural training requires a single-destination tree")
         self.graph = graph
         self.source_dim = source_dim
         self.destination = graph.destinations[0]
-        self.staleness_window = staleness_window
         source_set = set(graph.sources)
         # Concatenated-input layout per non-source node: child -> slice.
         self.input_slices: dict[int, dict[int, slice]] = {}
@@ -213,7 +210,7 @@ class NeuralTreeNetwork:
         )
 
     def _evict_stale(self, v: int, generation: int) -> None:
-        horizon = generation - self.staleness_window
+        horizon = generation - STALENESS_WINDOW
         store = self.gradient_store[v]
         for t in [t for t in store if t <= horizon]:
             del store[t]

@@ -17,6 +17,7 @@ import numpy as np
 from nfcsim.errors import InconsistentDimensions, NotATree, RankDeficient
 from nfcsim.field import FieldSpec, gaussian_solve
 from nfcsim.graph import NfcGraph, NodeRole
+from nfcsim.rng import substream
 
 
 @dataclass(frozen=True)
@@ -303,9 +304,8 @@ class SuccessStats:
 TRIALS_PER_BLOCK = 1024
 
 
-def trial_rng(seed: int, trial: int) -> np.random.Generator:
-    """Independent, reproducible substream for one trial."""
-    return np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(trial,)))
+# Trial t of an experiment seeded s draws from its own substream(s, t).
+trial_rng = substream
 
 
 def run_recovery_experiment(

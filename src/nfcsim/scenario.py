@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, field as dc_field
+from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields
 from pathlib import Path
 
 import yaml
@@ -71,6 +71,7 @@ class LoadedScenario:
     """Parse/validation outcome: resolved echo, built values, diagnostics."""
 
     resolved: dict
+    topology: TopologyConfig | None = None
     scenario: Scenario | None = None
     capacity: CapacityRequest | None = None
     diagnostics: list[Diagnostic] = dc_field(default_factory=list)
@@ -80,42 +81,40 @@ class LoadedScenario:
         return not self.diagnostics
 
 
-def _line_index(text: str) -> dict[tuple, int]:
-    """Map of key paths to 1-based line numbers, from the YAML node tree."""
-    lines: dict[tuple, int] = {}
-    try:
-        root = yaml.compose(text)
-    except yaml.YAMLError:
-        return lines
-
-    def walk(node, path: tuple) -> None:
-        if isinstance(node, yaml.MappingNode):
-            for key_node, value_node in node.value:
-                key = key_node.value
-                lines[path + (key,)] = key_node.start_mark.line + 1
-                walk(value_node, path + (key,))
-
-    if root is not None:
-        walk(root, ())
-    return lines
-
+# Each section's dataclass declares its keys, their types and defaults
+# (the type of a key is the type of its default), and their manifest order.
+_SECTIONS = {
+    "failures": FailureModel,
+    "data": DataModel,
+    "eta": EtaSchedule,
+    "neural": NeuralParams,
+    "capacity": CapacityRequest,
+}
 
 _SECTION_KEYS = {
     (): {
         "schema_version", "seed", "topology", "application", "generations",
-        "packet_length", "field", "n_prime", "trials", "failures", "data",
-        "eta", "neural", "capacity", "output", "tool_version",
-    },
+        "packet_length", "field", "n_prime", "trials", "output", "tool_version",
+    } | _SECTIONS.keys(),
     ("topology",): {
         "mode", "generator", "sources", "branching", "relays", "nodes", "children",
     },
     ("field",): {"m", "polynomial"},
-    ("failures",): {"node_dropout_p", "message_loss_p", "seed"},
-    ("data",): {"mean", "std"},
-    ("eta",): {"kind", "value"},
-    ("neural",): {"samples", "epochs", "margin"},
-    ("capacity",): {"target", "alphabet", "k_values", "l_values", "cap", "function_class"},
+    **{(name,): {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
 }
+
+
+def _line_index(root: yaml.Node) -> dict[tuple, int]:
+    """Map of key paths to 1-based line numbers, from the YAML node tree."""
+    lines: dict[tuple, int] = {}
+    stack = [((), root)]
+    while stack:
+        path, node = stack.pop()
+        if isinstance(node, yaml.MappingNode):
+            for key_node, value_node in node.value:
+                lines[path + (key_node.value,)] = key_node.start_mark.line + 1
+                stack.append((path + (key_node.value,), value_node))
+    return lines
 
 
 class _Checker:
@@ -162,6 +161,22 @@ class _Checker:
             self.fail(path, f"expected {getattr(kind, '__name__', kind)}, got {type(raw).__name__}")
             return default
         return raw
+
+    def read(self, section: str, **defaults) -> dict:
+        """Every field of the section's dataclass, typed by its default
+        (``defaults`` replace field defaults): a field without a default
+        is a required string, and a tuple default reads a list."""
+        values = {}
+        for f in fields(_SECTIONS[section]):
+            path = (section, f.name)
+            default = defaults.get(f.name, f.default)
+            if default is MISSING:
+                values[f.name] = self.value(path, str, required=True)
+            elif isinstance(default, tuple):
+                values[f.name] = tuple(self.value(path, list, default=default))
+            else:
+                values[f.name] = self.value(path, type(default), default=default)
+        return values
 
 
 def _build_topology(checker: _Checker) -> TopologyConfig | None:
@@ -230,23 +245,26 @@ def parse_scenario_text(
     Diagnostics carry line numbers; an empty diagnostic list means the
     scenario (and/or capacity request) is ready to run.
     """
-    lines = _line_index(text)
+    loader = yaml.SafeLoader(text)
     try:
-        data = yaml.safe_load(text)
+        root = loader.get_single_node()
+        data = None if root is None else loader.construct_document(root)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
         return LoadedScenario(
             resolved={}, diagnostics=[Diagnostic(line, "<document>", f"not valid YAML: {exc}")]
         )
+    finally:
+        loader.dispose()
     if not isinstance(data, dict):
         return LoadedScenario(
             resolved={}, diagnostics=[Diagnostic(None, "<document>", "document must be a mapping")]
         )
 
-    checker = _Checker(data, lines)
+    checker = _Checker(data, _line_index(root))
     checker.reject_unknown((), data)
-    for section in ("field", "failures", "data", "eta", "neural", "capacity"):
+    for section in ("field", *_SECTIONS):
         if section in data:
             mapping = checker.section((section,))
             if mapping is not None:
@@ -289,57 +307,32 @@ def parse_scenario_text(
             except ValueError as exc:
                 checker.fail(("field",), str(exc))
 
-    probabilities = {}
+    probabilities = checker.read("failures", seed=seed)
     for key in ("node_dropout_p", "message_loss_p"):
-        p = checker.value(("failures", key), float, default=0.0)
-        if not 0.0 <= p <= 1.0:
+        if not 0.0 <= probabilities[key] <= 1.0:
             checker.fail(("failures", key), "must be within [0, 1]")
-            p = 0.0
-        probabilities[key] = p
-    failures = FailureModel(
-        **probabilities, seed=checker.value(("failures", "seed"), int, default=seed)
-    )
-    data_model = DataModel(
-        mean=checker.value(("data", "mean"), float, default=0.0),
-        std=checker.value(("data", "std"), float, default=1.0),
-    )
-    eta = EtaSchedule(
-        kind=checker.value(("eta", "kind"), str, default="constant"),
-        value=checker.value(("eta", "value"), float, default=0.5),
-    )
+            probabilities[key] = 0.0
+    failures = FailureModel(**probabilities)
+    data_model = DataModel(**checker.read("data"))
+    eta = EtaSchedule(**checker.read("eta"))
     if eta.kind not in ("constant", "harmonic"):
         checker.fail(("eta", "kind"), "must be 'constant' or 'harmonic'")
-    neural = NeuralParams(
-        samples=checker.value(("neural", "samples"), int, default=32),
-        epochs=checker.value(("neural", "epochs"), int, default=10),
-        margin=checker.value(("neural", "margin"), float, default=0.5),
-    )
+    neural = NeuralParams(**checker.read("neural"))
 
     capacity = None
     if "capacity" in data:
-        target = checker.value(("capacity", "target"), str, required=True)
-        if target is not None and target not in TARGET_PRESETS:
+        request = checker.read("capacity")
+        if request["target"] not in (None, *TARGET_PRESETS):
             checker.fail(("capacity", "target"), f"must be one of {', '.join(sorted(TARGET_PRESETS))}")
-            target = None
-        lengths = {}
         for key in ("k_values", "l_values"):
-            values = checker.value(("capacity", key), list, default=[1])
-            if not values:
+            if not request[key]:
                 checker.fail(("capacity", key), "must list at least one length")
-            elif not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in values):
+            elif not all(isinstance(v, int) and not isinstance(v, bool) and v >= 1 for v in request[key]):
                 checker.fail(("capacity", key), "entries must be integers >= 1")
-            lengths[key] = tuple(values)
-        function_class = checker.value(("capacity", "function_class"), str, default="all")
-        if function_class not in ("all", "linear"):
+        if request["function_class"] not in ("all", "linear"):
             checker.fail(("capacity", "function_class"), "must be 'all' or 'linear'")
-        if target is not None:
-            capacity = CapacityRequest(
-                target=target,
-                alphabet=checker.value(("capacity", "alphabet"), int, default=2),
-                **lengths,
-                cap=checker.value(("capacity", "cap"), int, default=10_000_000),
-                function_class=function_class,
-            )
+        if request["target"] in TARGET_PRESETS:
+            capacity = CapacityRequest(**request)
 
     if application is None and capacity is None:
         checker.fail((), "scenario declares neither an application nor a capacity request")
@@ -371,13 +364,9 @@ def parse_scenario_text(
         "topology": _topology_echo(config, data.get("topology") or {}),
         "generations": generations,
         "packet_length": packet_length,
-        "failures": {
-            "node_dropout_p": failures.node_dropout_p,
-            "message_loss_p": failures.message_loss_p,
-            "seed": failures.seed,
-        },
-        "data": {"mean": data_model.mean, "std": data_model.std},
-        "eta": {"kind": eta.kind, "value": eta.value},
+        "failures": asdict(failures),
+        "data": asdict(data_model),
+        "eta": asdict(eta),
         "output": output,
     }
     if application is not None:
@@ -389,23 +378,13 @@ def parse_scenario_text(
     if trials is not None:
         resolved["trials"] = trials
     if application == "neural":
-        resolved["neural"] = {
-            "samples": neural.samples,
-            "epochs": neural.epochs,
-            "margin": neural.margin,
-        }
+        resolved["neural"] = asdict(neural)
     if capacity is not None:
-        resolved["capacity"] = {
-            "target": capacity.target,
-            "alphabet": capacity.alphabet,
-            "k_values": list(capacity.k_values),
-            "l_values": list(capacity.l_values),
-            "cap": capacity.cap,
-            "function_class": capacity.function_class,
-        }
+        resolved["capacity"] = asdict(capacity)
 
     return LoadedScenario(
         resolved=resolved,
+        topology=config,
         scenario=scenario,
         capacity=capacity,
         diagnostics=checker.diagnostics,

@@ -4,6 +4,7 @@ import time
 from pathlib import Path
 
 import pytest
+import yaml
 from click.testing import CliRunner
 
 from nfcsim.cli import main
@@ -406,3 +407,68 @@ def test_run_rejects_negative_data_std(runner, tmp_path):
     result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
     assert "data.std must be >= 0" in result.output
+
+
+CONSENSUS_STAR = """\
+schema_version: 1
+application: consensus
+topology:
+  generator: star
+  sources: 2
+generations: 2
+"""
+
+NEURAL_STAR = NEURAL_TWO_SOURCES.replace("5.0", "0.5")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (CONSENSUS_STAR + "eta:\n  kind: constant\n  value: 0.9\n",
+         "consensus does not read eta; it must keep its defaults"),
+        (VALID_RLNC + "eta:\n  kind: harmonic\n", "rlnc does not read eta"),
+        (CONSENSUS_STAR + "neural:\n  epochs: 3\n", "consensus does not read neural"),
+        (VALID_RLNC + "generations: 5\n", "rlnc does not read generations; it must stay 0"),
+        (NEURAL_STAR + "generations: 5\n", "neural does not read generations"),
+    ],
+    ids=["eta_on_consensus", "eta_on_rlnc", "neural_on_consensus", "generations_on_rlnc",
+         "generations_on_neural"],
+)
+def test_run_rejects_values_the_application_does_not_read(runner, tmp_path, text, message):
+    scenario = write(tmp_path, "inert.yaml", text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert message in result.output
+    assert not out.exists()
+
+
+def test_explicit_defaults_are_accepted_on_every_application(runner, tmp_path):
+    defaults = (
+        "eta:\n  kind: constant\n  value: 0.5\n"
+        "neural:\n  samples: 32\n  epochs: 10\n  margin: 0.5\n"
+    )
+    for text in (CONSENSUS_STAR + defaults, VALID_RLNC + "generations: 0\n" + defaults):
+        scenario = write(tmp_path, "defaults.yaml", text)
+        result = runner.invoke(main, ["validate", str(scenario)])
+        assert result.exit_code == 0, result.output
+
+
+# Capacity-only files have no application to run and so no manifest.
+RUNNABLE_SCENARIOS = sorted(
+    path.name for path in SCENARIOS.glob("*.yaml") if "application" in yaml.safe_load(path.read_text())
+)
+
+
+@pytest.mark.parametrize("name", RUNNABLE_SCENARIOS)
+def test_shipped_scenario_manifest_replays_byte_identical(runner, tmp_path, name):
+    first, replay = tmp_path / "run", tmp_path / "replay"
+    result = runner.invoke(main, ["run", str(SCENARIOS / name), "--out", str(first), "--quiet"])
+    assert result.exit_code == 0, result.output
+    manifest = first / "manifest.yaml"
+    result = runner.invoke(main, ["run", str(manifest), "--out", str(replay), "--quiet"])
+    assert result.exit_code == 0, result.output
+    written = sorted(path.name for path in first.iterdir())
+    assert written == sorted(path.name for path in replay.iterdir())
+    for output in written:
+        assert (first / output).read_bytes() == (replay / output).read_bytes(), output

@@ -1,0 +1,91 @@
+"""Scenario parsing and manifests: a manifest parses back to the same run.
+
+Documents are drawn with a non-default value in every field of every
+section dataclass, each section on an application that reads it, with
+and without a capacity section. Parsing a document, rendering its
+manifest and parsing that manifest must give the same resolved echo,
+``Scenario`` and ``CapacityRequest``, and the second manifest must be
+byte-identical to the first.
+"""
+
+import yaml
+from hypothesis import given, settings, strategies as st
+
+from nfcsim.learning.neural import MIN_MARGIN_ACCEPTANCE, margin_acceptance
+from nfcsim.scenario import parse_scenario_text, render_manifest
+from nfcsim.solvability import TARGET_PRESETS
+
+SEEDS = st.integers(0, 2**32 - 1)
+REALS = st.floats(-1e6, 1e6, allow_nan=False)
+PROBABILITIES = st.floats(0.0, 1.0).filter(bool)
+LENGTHS = st.lists(st.integers(1, 9), min_size=1, max_size=4).filter(lambda v: v != [1])
+
+
+@st.composite
+def scenario_documents(draw) -> dict:
+    n_sources = draw(st.integers(2, 6))
+    seed = draw(SEEDS)
+    application = draw(st.sampled_from(["neural", "consensus", None]))
+    doc: dict = {
+        "schema_version": 1,
+        "seed": seed,
+        "topology": {"generator": "star", "sources": n_sources},
+    }
+    if application is not None:
+        doc["application"] = application
+    failures = {
+        "node_dropout_p": draw(PROBABILITIES),
+        "seed": draw(SEEDS.filter(lambda s: s != seed)),
+    }
+    if application == "neural":
+        failures["message_loss_p"] = draw(PROBABILITIES)
+        doc["eta"] = {"kind": "harmonic", "value": draw(REALS.filter(lambda v: v != 0.5))}
+        margin = draw(
+            st.floats(-1.0, n_sources / 2).filter(
+                lambda m: m != 0.5 and margin_acceptance(n_sources, m) >= MIN_MARGIN_ACCEPTANCE
+            )
+        )
+        doc["neural"] = {
+            "samples": draw(st.integers(1, 1000).filter(lambda v: v != 32)),
+            "epochs": draw(st.integers(1, 1000).filter(lambda v: v != 10)),
+            "margin": margin,
+        }
+    if application == "consensus":
+        doc["generations"] = draw(st.integers(1, 1000))
+        doc["data"] = {
+            "mean": draw(REALS.filter(bool)),
+            "std": draw(st.floats(0.0, 1e6).filter(lambda v: v != 1.0)),
+        }
+    if application is not None:
+        doc["failures"] = failures
+    if application is None or draw(st.booleans()):
+        doc["capacity"] = {
+            "target": draw(st.sampled_from(sorted(TARGET_PRESETS))),
+            "alphabet": draw(st.integers(3, 16)),
+            "k_values": draw(LENGTHS),
+            "l_values": draw(LENGTHS),
+            "cap": draw(st.integers(1, 10**9).filter(lambda v: v != 10_000_000)),
+            "function_class": "linear",
+        }
+    return doc
+
+
+@settings(max_examples=150, deadline=None)
+@given(doc=scenario_documents())
+def test_manifest_round_trip(doc):
+    first = parse_scenario_text(yaml.safe_dump(doc, sort_keys=False))
+    assert first.ok, first.diagnostics
+    manifest = render_manifest(first)
+    echoed = yaml.safe_load(manifest)
+    for section in ("failures", "data", "eta", "neural", "capacity"):
+        for key, value in doc.get(section, {}).items():
+            assert echoed[section][key] == value, (section, key)
+
+    second = parse_scenario_text(manifest)
+    assert second.ok, second.diagnostics
+    assert second.resolved == first.resolved
+    assert second.scenario == first.scenario
+    assert second.capacity == first.capacity
+    assert (first.scenario is None) == ("application" not in doc)
+    assert (first.capacity is None) == ("capacity" not in doc)
+    assert render_manifest(second) == manifest
