@@ -22,7 +22,7 @@ from nfcsim.errors import (
     NotATree,
 )
 from nfcsim.field import FieldSpec
-from nfcsim.graph import NfcGraph, NodeRole
+from nfcsim.graph import NfcGraph
 
 Packet = np.ndarray  # (L,) of field symbols (unsigned ints) or float64 reals
 
@@ -127,33 +127,38 @@ class Nomographic(AtomicFunction):
         return len(self.channel_coefficients)
 
 
-def _check_inputs(spec: AtomicFunction, inputs: Sequence[Packet]) -> None:
-    if not inputs:
+def _stack_inputs(spec: AtomicFunction, inputs: Sequence[Packet] | np.ndarray) -> np.ndarray:
+    """The inputs as one (..., P, L) array; an array is taken as already
+    stacked, its leading axes a batch of nodes that share the spec."""
+    stacked = isinstance(inputs, np.ndarray)
+    count = inputs.shape[-2] if stacked else len(inputs)
+    if not count:
         raise ArityMismatch(f"{type(spec).__name__} needs at least one input")
-    if spec.arity is not None and len(inputs) != spec.arity:
-        raise ArityMismatch(
-            f"{type(spec).__name__} has arity {spec.arity}, got {len(inputs)} inputs"
-        )
+    if spec.arity is not None and count != spec.arity:
+        raise ArityMismatch(f"{type(spec).__name__} has arity {spec.arity}, got {count} inputs")
+    if stacked:
+        return inputs
     lengths = {len(p) for p in inputs}
     if len(lengths) != 1:
         raise DomainMismatch(f"inputs have mixed lengths {sorted(lengths)}")
     domains = {is_real_packet(p) for p in inputs}
     if len(domains) != 1:
         raise DomainMismatch("inputs mix field and real domains")
+    return np.stack([np.asarray(p) for p in inputs])
 
 
 def eval_dafc(
     spec: AtomicFunction,
-    inputs: Sequence[Packet],
+    inputs: Sequence[Packet] | np.ndarray,
     metrics: dict | None = None,
 ) -> Packet:
     """Evaluate a digital atomic function on equal-length packets.
 
-    ``metrics`` (optional dict) accumulates the histogram clamp count
-    under key "clamped_symbols".
+    ``inputs`` is a list of packets, or a stacked (..., P, L) array whose
+    leading axes give one output per node. ``metrics`` (optional dict)
+    accumulates the histogram clamp count under key "clamped_symbols".
     """
-    _check_inputs(spec, inputs)
-    stacked = np.stack([np.asarray(p) for p in inputs])
+    stacked = _stack_inputs(spec, inputs)
     real = is_real_packet(stacked)
 
     if isinstance(spec, LinearCombination):
@@ -163,28 +168,28 @@ def eval_dafc(
         coeffs = spec.field.validate_array(np.array(spec.coefficients))
         return spec.field.combine(coeffs, rows)
     if isinstance(spec, Identity):
-        return stacked[0].copy()
+        return stacked[..., 0, :].copy()
     if isinstance(spec, AppendCount):
         if not real:
             raise DomainMismatch("AppendCount operates on real packets")
-        return np.concatenate([stacked[0], [1.0]])
+        return np.concatenate([stacked[..., 0, :], np.ones(stacked.shape[:-2] + (1,))], axis=-1)
     if isinstance(spec, Sum):
-        return stacked.sum(axis=0, dtype=np.float64 if real else np.int64)
+        return stacked.sum(axis=-2, dtype=np.float64 if real else np.int64)
     if isinstance(spec, Max):
-        return stacked.max(axis=0)
+        return stacked.max(axis=-2)
     if isinstance(spec, Min):
-        return stacked.min(axis=0)
+        return stacked.min(axis=-2)
     if isinstance(spec, Average):
-        return stacked.mean(axis=0, dtype=np.float64)
+        return stacked.mean(axis=-2, dtype=np.float64)
     if isinstance(spec, Histogram):
         if real:
             raise DomainMismatch("Histogram requires integer-valued symbols")
-        values = stacked.astype(np.int64).ravel()
+        values = stacked.astype(np.int64).reshape(*stacked.shape[:-2], -1)
         clamped = np.clip(values, 0, spec.bins - 1)
         n_clamped = int((clamped != values).sum())
         if metrics is not None and n_clamped:
             metrics["clamped_symbols"] = metrics.get("clamped_symbols", 0) + n_clamped
-        return np.bincount(clamped, minlength=spec.bins).astype(np.int64)
+        return np.apply_along_axis(np.bincount, -1, clamped, minlength=spec.bins).astype(np.int64)
     if isinstance(spec, NeuronUnit):
         if not real:
             raise DomainMismatch("NeuronUnit operates on real packets")
@@ -197,28 +202,27 @@ def eval_dafc(
 
 def eval_aafc(
     spec: Nomographic,
-    inputs: Sequence[Packet],
+    inputs: Sequence[Packet] | np.ndarray,
     noise_sigma: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> Packet:
     """Simulated-analog evaluation: post(sum_s h_s * pre_s(x_s) + noise).
 
-    Noise is i.i.d. Normal(0, noise_sigma^2) per symbol; noise_sigma > 0
-    requires an rng.
+    ``inputs`` is stacked as in ``eval_dafc``. Noise is i.i.d.
+    Normal(0, noise_sigma^2) per symbol; noise_sigma > 0 requires an rng.
     """
-    _check_inputs(spec, inputs)
-    if not is_real_packet(inputs[0]):
+    stacked = _stack_inputs(spec, inputs)
+    if not is_real_packet(stacked):
         raise DomainMismatch("analog evaluation requires real packets")
-    length = len(inputs[0])
-    received = np.zeros(length, dtype=np.float64)
-    for pre, h, x in zip(spec.pre_functions, spec.channel_coefficients, inputs):
+    received = np.zeros(stacked.shape[:-2] + stacked.shape[-1:], dtype=np.float64)
+    for pre, h, x in zip(spec.pre_functions, spec.channel_coefficients, np.moveaxis(stacked, -2, 0)):
         received += h * np.asarray(pre(np.asarray(x, dtype=np.float64)), dtype=np.float64)
     if noise_sigma < 0:
         raise DomainError("noise_sigma must be >= 0")
     if noise_sigma > 0:
         if rng is None:
             raise ValueError("noise_sigma > 0 requires an rng")
-        received += rng.normal(0.0, noise_sigma, size=length)
+        received += rng.normal(0.0, noise_sigma, size=received.shape)
     return np.asarray(spec.post_function(received), dtype=np.float64)
 
 
@@ -309,82 +313,84 @@ def _resolve_node(g: NfcGraph, key: object) -> int:
 
 
 class ConfiguredNetwork:
-    """Immutable executable network: graph + per-arc atomic functions."""
+    """Immutable executable network: a tree and one function per node.
+
+    The sources, then each group of the graph's level plan, are split into
+    batches of nodes that share a function. A source's one child is itself
+    (its input packet); without a function it forwards that packet.
+    """
 
     def __init__(
         self,
         graph: NfcGraph,
-        arc_functions: Mapping[tuple[int, int], AtomicFunction],
+        functions: Mapping[int, AtomicFunction],
         decoders: Mapping[int, DecoderFn],
     ):
         self.graph = graph
-        self.arc_functions = dict(arc_functions)
+        self.functions = dict(functions)
         self.decoders = dict(decoders)
+        sources = np.array(graph.sources, dtype=np.intp)
+        levels = [(sources, sources[:, None])] + [group[:2] for group in graph.level_plan]
+        self._batches = []
+        for nodes, children in levels:
+            members: dict[AtomicFunction, list[int]] = {}
+            for i, v in enumerate(nodes.tolist()):
+                members.setdefault(self.functions.get(v, Identity()), []).append(i)
+            self._batches += [(spec, nodes[i], children[i]) for spec, i in members.items()]
 
     def evaluate(
         self,
         source_inputs: Mapping[object, Packet],
         dropped: frozenset[int] | set[int] = frozenset(),
     ) -> NetworkEvaluation:
-        """Run one generation through the network in topological order.
+        """Run one generation through the network, batch by batch.
 
-        Dropped nodes emit nothing; consumers evaluate over whatever
-        inputs arrived (fixed-arity functions restrict their coefficient
-        vectors to the surviving children). A node whose inputs all
-        vanished emits nothing either.
+        Dropped nodes emit nothing. A batch's nodes whose children all
+        emitted make one call if their packets share a dtype and a length.
+        Any other node is evaluated alone over the inputs that arrived
+        (fixed-arity functions restrict their coefficient vectors to the
+        surviving children), and emits nothing if none did.
         """
         g = self.graph
-        inputs_by_id: dict[int, Packet] = {
-            _resolve_node(g, key): np.asarray(p) for key, p in source_inputs.items()
-        }
-        messages: dict[tuple[int, int], Packet] = {}
-        destination_outputs: dict[int, object] = {}
+        inputs = {_resolve_node(g, key): p for key, p in source_inputs.items()}
+        out: list[Packet | None] = [None] * g.n_nodes  # a node's packet, once emitted
+        for s in g.sources:
+            if s not in dropped:
+                if s not in inputs:
+                    raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
+                out[s] = np.asarray(inputs[s])
+        emitted = np.ones(g.n_nodes, dtype=bool)  # until dropped or left without inputs
+        emitted[list(dropped)] = False
         metrics: dict = {}
-        source, atomic = NodeRole.SOURCE, NodeRole.ATOMIC
-        for v in g.topo_order:
-            if v in dropped:
-                continue
-            role = g.roles[v]
-            if role is source:
-                if v not in inputs_by_id:
-                    raise MissingAssignment(f"no input packet for source {g.names[v]!r}")
-                base = [inputs_by_id[v]]
-                incoming = [
-                    messages[(c, v)] for c in g.in_neighbors[v] if (c, v) in messages
-                ]
-                for w in g.out_neighbors[v]:
-                    spec = self.arc_functions.get((v, w))
-                    if spec is None:
-                        messages[(v, w)] = base[0].copy()
-                    else:
-                        messages[(v, w)] = self._apply(spec, incoming + base, metrics)
-            elif role is atomic:
-                present = [c for c in g.in_neighbors[v] if (c, v) in messages]
-                if not present:
-                    continue
-                packets = [messages[(c, v)] for c in present]
-                for w in g.out_neighbors[v]:
-                    spec = self.arc_functions[(v, w)]
-                    spec = _restrict_arity(spec, g.in_neighbors[v], present)
-                    messages[(v, w)] = self._apply(spec, packets, metrics)
-            else:
-                inbox = [messages[(c, v)] for c in g.in_neighbors[v] if (c, v) in messages]
-                decoder = self.decoders.get(v)
-                if decoder is not None and inbox:
-                    destination_outputs[v] = decoder(inbox)
-                else:
-                    destination_outputs[v] = inbox
-        return NetworkEvaluation(
-            messages=messages,
-            destination_outputs=destination_outputs,
-            clamped_symbols=metrics.get("clamped_symbols", 0),
-        )
+        for spec, nodes, children in self._batches:
+            arrived = emitted[children]
+            emitted[nodes] &= arrived.any(axis=1)
+            full = emitted[nodes] & arrived.all(axis=1)
+            packets = [out[c] for c in children[full].ravel().tolist()]
+            alone = emitted[nodes]
+            if len({p.dtype for p in packets}) == 1 and len(set(map(len, packets))) == 1:
+                stacked = np.concatenate(packets).reshape(*children[full].shape, len(packets[0]))
+                for v, packet in zip(nodes[full].tolist(), _apply(spec, stacked, metrics)):
+                    out[v] = packet
+                alone = alone & ~full
+            for i in np.flatnonzero(alone).tolist():
+                present = children[i][arrived[i]].tolist()
+                restricted = _restrict_arity(spec, children[i].tolist(), present)
+                out[nodes[i]] = _apply(restricted, [out[c] for c in present], metrics)
+        destination_outputs: dict[int, object] = {}
+        for d in g.destinations:
+            if d not in dropped:
+                inbox = [out[c] for c in g.in_neighbors[d] if out[c] is not None]
+                decoder = self.decoders.get(d)
+                destination_outputs[d] = decoder(inbox) if decoder is not None and inbox else inbox
+        messages = {(v, g.out_neighbors[v][0]): out[v] for v in g.topo_order if out[v] is not None}
+        return NetworkEvaluation(messages, destination_outputs, metrics.get("clamped_symbols", 0))
 
-    @staticmethod
-    def _apply(spec, packets, metrics):
-        if isinstance(spec, Nomographic):
-            return eval_aafc(spec, packets)
-        return eval_dafc(spec, packets, metrics=metrics)
+
+def _apply(spec: AtomicFunction, packets: Sequence[Packet] | np.ndarray, metrics: dict):
+    if isinstance(spec, Nomographic):
+        return eval_aafc(spec, packets)
+    return eval_dafc(spec, packets, metrics=metrics)
 
 
 def _restrict_arity(
@@ -408,34 +414,35 @@ def _restrict_arity(
 
 
 def install_functions(g: NfcGraph, assignment: FunctionAssignment) -> ConfiguredNetwork:
-    """Bind an assignment to a graph, checking coverage and arities."""
-    arc_functions: dict[tuple[int, int], AtomicFunction] = {}
+    """Bind an assignment to a tree, checking coverage and arities. A tree
+    node has one out-arc, so an arc key binds its tail and wins over a node key."""
+    if g.mode != "tree":
+        raise NotATree("installed assignments run on tree-mode graphs")
+    functions: dict[int, AtomicFunction] = {}
     for key, spec in assignment.functions.items():
         if isinstance(key, tuple):
             u, v = (_resolve_node(g, key[0]), _resolve_node(g, key[1]))
             if (u, v) not in g.arcs:
                 raise MissingAssignment(f"assignment names nonexistent arc {key!r}")
-            arc_functions[(u, v)] = spec
+            functions[u] = spec
         else:
-            u = _resolve_node(g, key)
-            for w in g.out_neighbors[u]:
-                arc_functions.setdefault((u, w), spec)
+            functions.setdefault(_resolve_node(g, key), spec)
     for a in g.atomics:
-        for w in g.out_neighbors[a]:
-            if (a, w) not in arc_functions:
-                raise MissingAssignment(
-                    f"atomic node {g.names[a]!r} has no function on arc to {g.names[w]!r}"
-                )
-            spec = arc_functions[(a, w)]
-            if spec.arity is not None and spec.arity != len(g.in_neighbors[a]):
-                raise ArityMismatch(
-                    f"{type(spec).__name__} arity {spec.arity} != in-degree "
-                    f"{len(g.in_neighbors[a])} of node {g.names[a]!r}"
-                )
+        if a not in functions:
+            raise MissingAssignment(
+                f"atomic node {g.names[a]!r} has no function on arc to "
+                f"{g.names[g.out_neighbors[a][0]]!r}"
+            )
+        spec = functions[a]
+        if spec.arity is not None and spec.arity != len(g.in_neighbors[a]):
+            raise ArityMismatch(
+                f"{type(spec).__name__} arity {spec.arity} != in-degree "
+                f"{len(g.in_neighbors[a])} of node {g.names[a]!r}"
+            )
     decoders = {
         _resolve_node(g, key): fn for key, fn in assignment.decoders.items()
     }
-    return ConfiguredNetwork(g, arc_functions, decoders)
+    return ConfiguredNetwork(g, functions, decoders)
 
 
 def average_decoder(inbox: Sequence[Packet]) -> Packet:

@@ -117,9 +117,19 @@ class Scenario:
             problems.append("generations must be >= 0")
         if self.application in ("rlnc", "neural") and self.generations:
             problems.append(f"{self.application} does not read generations; it must stay 0")
-        for section, default in (("eta", EtaSchedule()), ("neural", NeuralParams())):
-            if self.application != "neural" and getattr(self, section) != default:
+        # Forwarding accepts data: compare copies it into the forwarding twin.
+        for section, default, readers in (
+            ("eta", EtaSchedule(), ("neural",)),
+            ("neural", NeuralParams(), ("neural",)),
+            ("data", DataModel(), ("forwarding", "consensus", "custom")),
+        ):
+            if self.application not in readers and getattr(self, section) != default:
                 problems.append(f"{self.application} does not read {section}; it must keep its defaults")
+        for key in ("n_prime", "trials"):
+            if self.application != "rlnc" and getattr(self, key) is not None:
+                problems.append(f"{self.application} does not read {key}; only rlnc does")
+        if self.eta.kind == "harmonic" and self.eta.value != EtaSchedule().value:
+            problems.append("eta.value is not read under kind harmonic; it must keep its default")
         if self.application == "neural":
             if self.neural.samples < 1 or self.neural.epochs < 1:
                 problems.append("neural requires samples >= 1 and epochs >= 1")

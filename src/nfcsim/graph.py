@@ -1,4 +1,4 @@
-"""Computation-graph model: construction, validation, min-cut.
+"""Computation-graph model: construction, validation, level plan, min-cut.
 
 A graph is a DAG of source, atomic, and destination nodes. Arcs point
 from children toward the destination side ("upward"), so a node's
@@ -12,13 +12,14 @@ import enum
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from nfcsim.errors import (
     CycleDetected,
     DanglingReference,
+    NotATree,
     RoleConflict,
     TreeViolation,
 )
@@ -82,6 +83,14 @@ _ERROR_TYPES = {
 }
 
 
+class LevelGroup(NamedTuple):
+    """Atomic nodes of one height and one arity, evaluated together."""
+
+    nodes: np.ndarray  # (k,) node ids
+    children: np.ndarray  # (k, arity) child ids, in in_neighbors order
+    slots: np.ndarray  # (k, arity) in-arc positions among all atomic in-arcs, topologically
+
+
 @dataclass(frozen=True)
 class NfcGraph:
     """Validated immutable computation graph with derived neighborhoods."""
@@ -109,6 +118,24 @@ class NfcGraph:
     @cached_property
     def destinations(self) -> tuple[int, ...]:
         return tuple(i for i, r in enumerate(self.roles) if r is NodeRole.DESTINATION)
+
+    @cached_property
+    def level_plan(self) -> tuple[LevelGroup, ...]:
+        """The tree compiled once: atomic nodes grouped by (height, arity),
+        lowest first, so a group reads only sources and earlier groups."""
+        if self.mode != "tree":
+            raise NotATree("a level plan needs a tree-mode graph")
+        height = [0] * self.n_nodes  # 0 for sources
+        groups: dict[tuple[int, int], list[tuple]] = {}  # members: (node, children, slots)
+        slot = 0
+        for v in self.topo_order:
+            kids = self.in_neighbors[v]
+            if self.roles[v] is NodeRole.ATOMIC:
+                height[v] = 1 + max(height[c] for c in kids)
+                member = (v, kids, range(slot, slot + len(kids)))
+                groups.setdefault((height[v], len(kids)), []).append(member)
+                slot += len(kids)
+        return tuple(LevelGroup(*map(np.array, zip(*groups[key]))) for key in sorted(groups))
 
     @property
     def n_sources(self) -> int:

@@ -162,7 +162,7 @@ def destination_decode(state: DecoderState) -> DecodeOutcome:
 
 
 class RlncNetwork:
-    """Compiled upward-pass plan for one tree: node order and child lists."""
+    """Coded recovery on one tree, run on the graph's level plan."""
 
     def __init__(self, graph: NfcGraph, field: FieldSpec, payload_length: int = 1):
         if graph.mode != "tree":
@@ -174,21 +174,8 @@ class RlncNetwork:
         self.payload_length = payload_length
         self.source_ids = list(graph.sources)
         self.destination = graph.destinations[0]
-        self.atomic_order = [
-            v for v in graph.topo_order if graph.roles[v] is NodeRole.ATOMIC
-        ]
-        self.child_index = {
-            a: np.array(graph.in_neighbors[a], dtype=np.int64) for a in self.atomic_order
-        }
         self.dest_children = list(graph.in_neighbors[self.destination])
-        # Flat layout of one pass's local coefficient draws, node by node.
-        self.coeff_slices: list[tuple[int, np.ndarray, int, int]] = []
-        offset = 0
-        for a in self.atomic_order:
-            kids = self.child_index[a]
-            self.coeff_slices.append((a, kids, offset, offset + len(kids)))
-            offset += len(kids)
-        self.coeffs_per_pass = offset
+        self.coeffs_per_pass = sum(group.slots.size for group in graph.level_plan)
 
     @property
     def n_sources(self) -> int:
@@ -202,63 +189,45 @@ class RlncNetwork:
 
         Row v holds node v's message: columns [0, L) are the payload,
         columns [L, L+N) the global coding vector. Source rows are
-        filled; atomic rows are produced by passes.
+        filled from the (..., N, L) payloads, whose leading axes are
+        trials; atomic rows are produced by passes.
         """
-        n = self.n_sources
-        state = np.zeros(
-            (self.graph.n_nodes, self.payload_length + n), dtype=self.field.dtype
-        )
-        for i, s in enumerate(self.source_ids):
-            state[s, : self.payload_length] = payloads[i]
-            state[s, self.payload_length + i] = 1
+        n, length = self.n_sources, self.payload_length
+        shape = payloads.shape[:-2] + (self.graph.n_nodes, length + n)
+        state = np.zeros(shape, dtype=self.field.dtype)
+        state[..., self.source_ids, :length] = payloads
+        state[..., self.source_ids, length + np.arange(n)] = 1
         return state
 
-    def run_pass(
-        self,
-        state: np.ndarray,
-        rng: np.random.Generator | None = None,
-        coeffs: np.ndarray | None = None,
-    ) -> None:
-        """Recode every atomic node in topological order, in place.
+    def run_pass(self, state: np.ndarray, coeffs: np.ndarray) -> None:
+        """Recode every atomic node in place, one combine per plan group.
 
         ``state`` is one trial's (nodes, L+N) buffer or a (T, nodes, L+N)
-        block of trials. Local coefficients come either from ``rng`` (one
-        draw per node) or from a pre-drawn ``coeffs`` block of shape
-        (..., coeffs_per_pass) matching the leading trial axes. Combining
-        the fused row updates payload and coding vector with the same
-        coefficients, which is exactly the global-coefficient propagation
-        rule.
+        block; ``coeffs`` (..., coeffs_per_pass) holds the pass's local
+        coefficients at the plan's slots. Combining the fused rows updates
+        payload and coding vector alike: the global-coefficient rule.
         """
-        field = self.field
-        combine = field.combine
-        batch = state.shape[:-2]
-        for a, kids, lo, hi in self.coeff_slices:
-            if coeffs is None:
-                assert rng is not None
-                local = field.random_elements(rng, batch + (hi - lo,))
-            else:
-                local = coeffs[..., lo:hi]
-            state[..., a, :] = combine(local, state[..., kids, :])
-
-    def packet_at(self, state: np.ndarray, node: int) -> CodedPacket:
-        return CodedPacket(
-            payload=state[node, : self.payload_length].copy(),
-            coding_vector=state[node, self.payload_length :].copy(),
-        )
+        combine = self.field.combine
+        for nodes, children, slots in self.graph.level_plan:
+            state[..., nodes, :] = combine(coeffs[..., slots], state[..., children, :])
 
     def pass_once(
         self, payloads: np.ndarray, rng: np.random.Generator
     ) -> dict[int, CodedPacket]:
         """One upward pass; returns every node's emitted packet.
 
-        ``payloads`` is the (N, L) matrix of source packets, reused
-        across sequential passes while the local coefficients are
-        redrawn each pass.
+        ``payloads`` (N, L) is reused across passes; each pass redraws the
+        local coefficients node by node in topological order (slot order).
         """
+        g, length = self.graph, self.payload_length
+        atomics = [v for v in g.topo_order if g.roles[v] is NodeRole.ATOMIC]
+        draws = [self.field.random_elements(rng, len(g.in_neighbors[a])) for a in atomics]
         state = self.fresh_state(payloads)
-        self.run_pass(state, rng)
-        nodes = self.source_ids + self.atomic_order
-        return {v: self.packet_at(state, v) for v in nodes}
+        self.run_pass(state, np.concatenate([np.zeros(0, self.field.dtype), *draws]))
+        return {
+            v: CodedPacket(state[v, :length].copy(), state[v, length:].copy())
+            for v in self.source_ids + atomics
+        }
 
     def destination_pairs(self, packets: dict[int, CodedPacket]) -> list[CodedPacket]:
         return [packets[c] for c in self.dest_children]
@@ -328,8 +297,6 @@ def run_recovery_experiment(
     """
     net = RlncNetwork(graph, field, payload_length)
     n = net.n_sources
-    unit_state = net.fresh_state(np.zeros((n, payload_length), dtype=field.dtype))
-    source_rows = np.array(net.source_ids, dtype=np.int64)
     n_payload_draws = n * payload_length
     per_pass = net.coeffs_per_pass
     draws_per_trial = n_payload_draws + n_prime * per_pass
@@ -343,17 +310,14 @@ def run_recovery_experiment(
             [field.random_elements(trial_rng(seed, t), draws_per_trial) for t in range(start, stop)]
         )
         size = stop - start
-        state = np.repeat(unit_state[None], size, axis=0)
-        state[:, source_rows, :payload_length] = block[:, :n_payload_draws].reshape(
-            size, n, payload_length
-        )
+        state = net.fresh_state(block[:, :n_payload_draws].reshape(size, n, payload_length))
         basis = np.zeros((size, n, n), dtype=field.dtype)
         pivots = np.zeros((size, n), dtype=np.intp)
         ranks = np.zeros(size, dtype=np.intp)
         reached = first_full[start:stop]  # a view: writes land in first_full
         offset = n_payload_draws
         for k in range(n_prime):
-            net.run_pass(state, coeffs=block[:, offset : offset + per_pass])
+            net.run_pass(state, block[:, offset : offset + per_pass])
             offset += per_pass
             for c in net.dest_children:
                 add_rows(field, basis, pivots, ranks, state[:, c, payload_length:])

@@ -430,9 +430,16 @@ NEURAL_STAR = NEURAL_TWO_SOURCES.replace("5.0", "0.5")
         (CONSENSUS_STAR + "neural:\n  epochs: 3\n", "consensus does not read neural"),
         (VALID_RLNC + "generations: 5\n", "rlnc does not read generations; it must stay 0"),
         (NEURAL_STAR + "generations: 5\n", "neural does not read generations"),
+        (CONSENSUS_STAR + "n_prime: 3\n", "consensus does not read n_prime; only rlnc does"),
+        (CONSENSUS_STAR + "trials: 7\n", "consensus does not read trials; only rlnc does"),
+        (VALID_RLNC + "data:\n  mean: 9.0\n", "rlnc does not read data; it must keep its defaults"),
+        (NEURAL_STAR + "data:\n  std: 2.0\n", "neural does not read data"),
+        (NEURAL_STAR + "eta:\n  kind: harmonic\n  value: 0.9\n",
+         "eta.value is not read under kind harmonic; it must keep its default"),
     ],
     ids=["eta_on_consensus", "eta_on_rlnc", "neural_on_consensus", "generations_on_rlnc",
-         "generations_on_neural"],
+         "generations_on_neural", "n_prime_on_consensus", "trials_on_consensus", "data_on_rlnc",
+         "data_on_neural", "eta_value_under_harmonic"],
 )
 def test_run_rejects_values_the_application_does_not_read(runner, tmp_path, text, message):
     scenario = write(tmp_path, "inert.yaml", text)
@@ -448,10 +455,25 @@ def test_explicit_defaults_are_accepted_on_every_application(runner, tmp_path):
         "eta:\n  kind: constant\n  value: 0.5\n"
         "neural:\n  samples: 32\n  epochs: 10\n  margin: 0.5\n"
     )
-    for text in (CONSENSUS_STAR + defaults, VALID_RLNC + "generations: 0\n" + defaults):
+    for text in (
+        CONSENSUS_STAR + defaults,
+        VALID_RLNC + "generations: 0\n" + defaults + "data:\n  mean: 0.0\n  std: 1.0\n",
+        NEURAL_STAR + "eta:\n  kind: harmonic\n  value: 0.5\n" + "data:\n  mean: 0.0\n",
+    ):
         scenario = write(tmp_path, "defaults.yaml", text)
         result = runner.invoke(main, ["validate", str(scenario)])
         assert result.exit_code == 0, result.output
+
+
+def test_trials_flag_is_rlnc_only(runner, tmp_path):
+    scenario = write(tmp_path, "consensus.yaml", CONSENSUS_STAR)
+    for command in ("run", "compare"):
+        result = runner.invoke(main, [command, str(scenario), "--trials", "5"])
+        assert result.exit_code == 2, result.output
+        assert "consensus does not read trials; only rlnc does" in result.output
+    rlnc = write(tmp_path, "rlnc.yaml", VALID_RLNC)
+    result = runner.invoke(main, ["run", str(rlnc), "--trials", "5", "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
 
 
 # Capacity-only files have no application to run and so no manifest.

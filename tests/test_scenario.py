@@ -1,8 +1,9 @@
 """Scenario parsing and manifests: a manifest parses back to the same run.
 
 Documents are drawn with a non-default value in every field of every
-section dataclass, each section on an application that reads it, with
-and without a capacity section. Parsing a document, rendering its
+section dataclass (the eta value only under a constant schedule, the one
+that reads it), each section on an application that reads it, with and
+without a capacity section. Parsing a document, rendering its
 manifest and parsing that manifest must give the same resolved echo,
 ``Scenario`` and ``CapacityRequest``, and the second manifest must be
 byte-identical to the first.
@@ -39,7 +40,9 @@ def scenario_documents(draw) -> dict:
     }
     if application == "neural":
         failures["message_loss_p"] = draw(PROBABILITIES)
-        doc["eta"] = {"kind": "harmonic", "value": draw(REALS.filter(lambda v: v != 0.5))}
+        # The harmonic schedule reads no value, so only a constant one sets it.
+        value = draw(REALS.filter(lambda v: v != 0.5))
+        doc["eta"] = draw(st.sampled_from([{"kind": "harmonic"}, {"kind": "constant", "value": value}]))
         margin = draw(
             st.floats(-1.0, n_sources / 2).filter(
                 lambda m: m != 0.5 and margin_acceptance(n_sources, m) >= MIN_MARGIN_ACCEPTANCE
