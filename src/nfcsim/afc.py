@@ -10,7 +10,8 @@ turns a graph plus an assignment into an executable network.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from typing import Callable, Mapping, Sequence
+from itertools import compress
+from typing import Callable, Iterator, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -306,6 +307,26 @@ class NetworkEvaluation:
     clamped_symbols: int = 0
 
 
+# Packet symbols a block of generations may hold, counted over every node.
+BLOCK_ELEMENTS = 1 << 16
+
+
+def block_sizes(generations: int, symbols_per_generation: int) -> Iterator[int]:
+    """Split a run into blocks of generations that stay within BLOCK_ELEMENTS."""
+    size = max(1, BLOCK_ELEMENTS // max(1, symbols_per_generation))
+    for start in range(0, generations, size):
+        yield min(size, generations - start)
+
+
+class BlockEvaluation(NamedTuple):
+    """A block of B generations' dataflow through a configured network."""
+
+    emitted: np.ndarray  # (B, nodes): the node sent a message that generation
+    packets: list[np.ndarray | None]  # per node (B, width); rows valid where emitted
+    outputs: dict[int, list[object]]  # per destination and generation; None if dropped
+    clamped_symbols: int
+
+
 def _resolve_node(g: NfcGraph, key: object) -> int:
     if isinstance(key, str):
         return g.node_id(key)
@@ -343,48 +364,88 @@ class ConfiguredNetwork:
         source_inputs: Mapping[object, Packet],
         dropped: frozenset[int] | set[int] = frozenset(),
     ) -> NetworkEvaluation:
-        """Run one generation through the network, batch by batch.
-
-        Dropped nodes emit nothing. A batch's nodes whose children all
-        emitted make one call if their packets share a dtype and a length.
-        Any other node is evaluated alone over the inputs that arrived
-        (fixed-arity functions restrict their coefficient vectors to the
-        surviving children), and emits nothing if none did.
-        """
+        """Run one generation through the network: ``evaluate_block`` with B = 1."""
         g = self.graph
         inputs = {_resolve_node(g, key): p for key, p in source_inputs.items()}
-        out: list[Packet | None] = [None] * g.n_nodes  # a node's packet, once emitted
+        mask = np.zeros((1, g.n_nodes), dtype=bool)
+        mask[0, list(dropped)] = True
         for s in g.sources:
-            if s not in dropped:
-                if s not in inputs:
-                    raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
-                out[s] = np.asarray(inputs[s])
-        emitted = np.ones(g.n_nodes, dtype=bool)  # until dropped or left without inputs
-        emitted[list(dropped)] = False
+            if s not in inputs and not mask[0, s]:
+                raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
+        columns = [np.asarray(inputs[s])[None] if s in inputs else None for s in g.sources]
+        block = self.evaluate_block(columns, mask)
+        emitted = block.emitted[0].tolist()
+        messages = {
+            (v, g.out_neighbors[v][0]): block.packets[v][0] for v in g.topo_order if emitted[v]
+        }
+        outputs = {d: output[0] for d, output in block.outputs.items() if output[0] is not None}
+        return NetworkEvaluation(messages, outputs, block.clamped_symbols)
+
+    def evaluate_block(
+        self, sources: np.ndarray | Sequence[np.ndarray | None], dropped: np.ndarray
+    ) -> BlockEvaluation:
+        """Run a block of B generations through the network, batch by batch.
+
+        ``sources`` is a (B, sources, L) array ordered like the graph's
+        sources, or one (B, L) array per source (None for a source dropped
+        throughout); ``dropped`` is a (B, nodes) boolean mask. Dropped
+        nodes emit nothing. One call per batch covers every (generation,
+        node) pair whose children all emitted, when the batch's packets
+        share a dtype and a width. Any other pair is evaluated alone over
+        the inputs that arrived (fixed-arity functions restrict their
+        coefficient vectors to the surviving children), and emits nothing
+        if none did. Each destination that is not dropped applies its
+        decoder, if any, to each generation's nonempty inbox.
+        """
+        g = self.graph
+        B = len(dropped)
+        out: list[np.ndarray | None] = [None] * g.n_nodes
+        if isinstance(sources, np.ndarray):
+            sources = list(np.swapaxes(sources, 0, 1))
+        for s, column in zip(g.sources, sources):
+            out[s] = column
+        emitted = ~dropped  # until dropped or left without inputs
+        emitted[:, list(g.destinations)] = False
         metrics: dict = {}
         for spec, nodes, children in self._batches:
-            arrived = emitted[children]
-            emitted[nodes] &= arrived.any(axis=1)
-            full = emitted[nodes] & arrived.all(axis=1)
-            packets = [out[c] for c in children[full].ravel().tolist()]
-            alone = emitted[nodes]
-            if len({p.dtype for p in packets}) == 1 and len(set(map(len, packets))) == 1:
-                stacked = np.concatenate(packets).reshape(*children[full].shape, len(packets[0]))
-                for v, packet in zip(nodes[full].tolist(), _apply(spec, stacked, metrics)):
-                    out[v] = packet
+            arrived = emitted[:, children]
+            emitted[:, nodes] &= arrived.any(axis=2)
+            full = emitted[:, nodes] & arrived.all(axis=2)
+            alone = emitted[:, nodes]
+            columns: dict[int, np.ndarray] = {}
+            sub = np.flatnonzero(full.any(axis=0))
+            parts = [out[c] for c in children[sub].ravel().tolist()]
+            if len({(p.dtype, p.shape[-1]) for p in parts}) == 1:
+                stacked = np.concatenate(parts, axis=1).reshape(B, *children[sub].shape, -1)
+                packets = _apply(spec, stacked[full[:, sub]], metrics)
+                batch = np.zeros((B, len(nodes)) + packets.shape[1:], packets.dtype)
+                batch[full] = packets
+                columns = dict(zip(sub.tolist(), batch.swapaxes(0, 1)[sub]))
                 alone = alone & ~full
-            for i in np.flatnonzero(alone).tolist():
-                present = children[i][arrived[i]].tolist()
+            ids = nodes.tolist()
+            for b, i in np.argwhere(alone).tolist():
+                present = children[i][arrived[b, i]].tolist()
                 restricted = _restrict_arity(spec, children[i].tolist(), present)
-                out[nodes[i]] = _apply(restricted, [out[c] for c in present], metrics)
-        destination_outputs: dict[int, object] = {}
+                packet = _apply(restricted, [out[c][b] for c in present], metrics)
+                column = columns.get(i)
+                if column is None:
+                    column = columns[i] = np.zeros((B,) + packet.shape, packet.dtype)
+                elif column.shape[1:] != packet.shape:
+                    raise DomainMismatch(f"node {g.names[ids[i]]!r} emits packets of unequal widths")
+                elif column.dtype != (dtype := np.promote_types(column.dtype, packet.dtype)):
+                    column = columns[i] = column.astype(dtype)  # which children arrived varies
+                column[b] = packet
+            for i, column in columns.items():
+                out[ids[i]] = column
+        outputs = {}
         for d in g.destinations:
-            if d not in dropped:
-                inbox = [out[c] for c in g.in_neighbors[d] if out[c] is not None]
-                decoder = self.decoders.get(d)
-                destination_outputs[d] = decoder(inbox) if decoder is not None and inbox else inbox
-        messages = {(v, g.out_neighbors[v][0]): out[v] for v in g.topo_order if out[v] is not None}
-        return NetworkEvaluation(messages, destination_outputs, metrics.get("clamped_symbols", 0))
+            kids, decoder = g.in_neighbors[d], self.decoders.get(d)
+            arrived = emitted[:, list(kids)].tolist()
+            outputs[d] = [None] * B
+            for b in np.flatnonzero(~dropped[:, d]).tolist():
+                inbox = [out[c][b] for c in compress(kids, arrived[b])]
+                outputs[d][b] = decoder(inbox) if decoder is not None and inbox else inbox
+        return BlockEvaluation(emitted, out, outputs, metrics.get("clamped_symbols", 0))
 
 
 def _apply(spec: AtomicFunction, packets: Sequence[Packet] | np.ndarray, metrics: dict):

@@ -184,8 +184,6 @@ def compare(scenario_file: str, seed: int | None, out: str | None, trials: int |
             seed=scenario.seed,
             generations=scenario.effective_generations,
             packet_length=scenario.packet_length,
-            field=scenario.field,
-            data=scenario.data,
             failures=FailureModel(seed=scenario.failures.seed),
         )
         baseline = run_scenario(twin)

@@ -19,7 +19,7 @@ from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
-from nfcsim.afc import FunctionAssignment, decompose_average, install_functions
+from nfcsim.afc import FunctionAssignment, block_sizes, decompose_average, install_functions
 from nfcsim.errors import MismatchedScenarios, ScenarioError
 from nfcsim.field import FieldSpec
 from nfcsim.graph import NfcGraph, NodeRole, TopologyConfig, build_graph
@@ -110,14 +110,15 @@ class Scenario:
                 problems.append("rlnc requires trials >= 1")
             if self.failures.node_dropout_p or self.failures.message_loss_p:
                 problems.append("rlnc scenarios run without failure injection")
-        if self.application in ("consensus", "neural"):
-            if self.field is not None:
-                problems.append(f"{self.application} runs on the real domain, not a field")
+        if self.application in ("consensus", "neural") and self.field is not None:
+            problems.append(f"{self.application} runs on the real domain, not a field")
+        if self.application == "forwarding" and self.field is not None:
+            problems.append("forwarding moves packets without reading them; it takes no field")
         if self.application in ("forwarding", "consensus", "custom") and self.generations < 0:
             problems.append("generations must be >= 0")
         if self.application in ("rlnc", "neural") and self.generations:
             problems.append(f"{self.application} does not read generations; it must stay 0")
-        # Forwarding accepts data: compare copies it into the forwarding twin.
+        # Forwarding accepts data: the benchmark copies it into its forwarding twin.
         for section, default, readers in (
             ("eta", EtaSchedule(), ("neural",)),
             ("neural", NeuralParams(), ("neural",)),
@@ -264,40 +265,44 @@ def _row(t: int, value: object, dropped: int, lost: int = 0) -> dict[str, object
 # -- application runners ----------------------------------------------------
 
 def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
-    """Raw delivery: every packet (only counts matter, so a source's
-    packet is its node id) is forwarded hop by hop to the root."""
-    length = s.packet_length
+    """Raw delivery: each alive source sends one packet, which every alive
+    node relays hop by hop to the root. Only the counts matter, so a
+    node's count is summed over the level plan (one node at a time on a
+    dag), one block of generations at a time: 1 for an alive source,
+    its children's total for an alive atomic node."""
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
-    barrier = GenerationBarrier(audit=audit)
+    events: list[tuple] | None = [] if audit else None
+    if g.mode == "tree":
+        groups = [group[:2] for group in g.level_plan]
+    else:
+        atomics = [v for v in g.topo_order if g.roles[v] is NodeRole.ATOMIC]
+        groups = [(np.array([v]), np.array([g.in_neighbors[v]], dtype=np.intp)) for v in atomics]
+    is_source = np.array([role is NodeRole.SOURCE for role in g.roles])
+    sent = np.zeros(g.n_nodes, dtype=np.int64)
     rows: list[dict[str, object]] = []
-    delivered_total = 0
-    source, atomic = NodeRole.SOURCE, NodeRole.ATOMIC
-    for t in range(s.generations):
-        dropped = draw_dropped(g, s.failures, dropout_rng)
-        metrics.dropped_nodes += len(dropped)
-        for v in g.topo_order:
-            if v in dropped:
-                continue
-            role = g.roles[v]
-            if role is source:
-                outbox = [v]
-            elif role is atomic:
-                expected = {c for c in g.in_neighbors[v] if c not in dropped}
-                assert barrier.ready(v, t, expected), "barrier violation"
-                inbox = barrier.take(v, t)
-                outbox = [m for msgs in inbox.values() for m in msgs]
-            else:
-                continue
-            for w in g.out_neighbors[v]:
-                barrier.deliver(v, w, t, outbox)
-                if outbox:
-                    metrics.record((v, w), length, messages=len(outbox))
-        delivered = sum(len(m) for m in barrier.take(dest, t).values())
-        delivered_total += delivered
-        rows.append(_row(t, delivered, len(dropped)))
-    headline = {"delivered_packets": delivered_total}
-    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, barrier.events
+    for size in block_sizes(s.generations, g.n_nodes):
+        dropped = draw_dropped(g, s.failures, dropout_rng, size)
+        metrics.dropped_nodes += int(dropped.sum())
+        count = (is_source & ~dropped).astype(np.int64)
+        for nodes, children in groups:
+            count[:, nodes] = ~dropped[:, nodes] * count[:, children].sum(axis=2)
+        sent += count.sum(axis=0)
+        delivered = count[:, list(g.in_neighbors[dest])].sum(axis=1).tolist()
+        for b, gone in enumerate(dropped.tolist()):
+            t = len(rows)
+            rows.append(_row(t, delivered[b], sum(gone)))
+            if events is not None:
+                for v in [v for v in g.topo_order if not gone[v]]:  # the destination takes last
+                    if g.roles[v] is NodeRole.ATOMIC:
+                        events.append(("evaluate", v, t))
+                    events.extend(("deliver", v, w, t) for w in g.out_neighbors[v])
+                events.append(("evaluate", dest, t))
+    for v in g.topo_order:
+        for w in g.out_neighbors[v] if sent[v] else ():
+            metrics.record((v, w), s.packet_length, messages=int(sent[v]))
+    headline = {"delivered_packets": sum(row["value"] for row in rows)}
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, events
 
 
 def _evaluated_generations(
@@ -309,30 +314,40 @@ def _evaluated_generations(
 ) -> Iterator[tuple[int, object]]:
     """The metered generation loop shared by consensus and custom.
 
-    Each generation draws dropout and the source data, evaluates the
-    installed assignment, meters every arc it used, records the audit
-    events when ``events`` is a list, and yields (dropped count,
-    destination output).
+    Each block of generations draws its dropout and source data and runs
+    through the installed assignment in one pass; each generation then
+    records its audit events when ``events`` is a list and yields
+    (dropped count, destination output). Every arc that carried a message
+    is metered once, after the last block.
     """
     network = install_functions(g, assignment)
     data_rng = substream(s.seed, 0)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
     shape = (g.n_sources, s.packet_length)
-    for t in range(s.generations):
-        dropped = draw_dropped(g, s.failures, dropout_rng)
-        metrics.dropped_nodes += len(dropped)
-        if s.field is not None:
-            values = s.field.random_elements(data_rng, shape)
+    sent = np.zeros(g.n_nodes, dtype=np.int64)
+    width = np.zeros(g.n_nodes, dtype=np.int64)
+    t = 0
+    for size in block_sizes(s.generations, g.n_nodes * s.packet_length):
+        dropped = draw_dropped(g, s.failures, dropout_rng, size)
+        metrics.dropped_nodes += int(dropped.sum())
+        if s.field is not None:  # one draw per generation: small-dtype integers do not batch
+            values = np.stack([s.field.random_elements(data_rng, shape) for _ in range(size)])
         else:
-            values = data_rng.normal(s.data.mean, s.data.std, size=shape)
-        evaluation = network.evaluate(dict(zip(g.sources, values)), dropped=dropped)
-        for arc, message in evaluation.messages.items():
-            metrics.record(arc, len(message))
-        if events is not None:
-            events.extend(("deliver", u, v, t) for u, v in evaluation.messages)
-            events.append(("evaluate", dest, t))
-        yield len(dropped), evaluation.destination_outputs[dest]
+            values = data_rng.normal(s.data.mean, s.data.std, size=(size, *shape))
+        block = network.evaluate_block(values, dropped)
+        sent += block.emitted.sum(axis=0)
+        for v in np.flatnonzero(block.emitted.any(axis=0)).tolist():
+            width[v] = block.packets[v].shape[-1]
+        for gone, row, output in zip(dropped.tolist(), block.emitted.tolist(), block.outputs[dest]):
+            if events is not None:
+                events.extend(("deliver", v, g.out_neighbors[v][0], t) for v in g.topo_order if row[v])
+                events.append(("evaluate", dest, t))
+            yield sum(gone), output
+            t += 1
+    for v in g.topo_order:
+        if sent[v]:
+            metrics.record((v, g.out_neighbors[v][0]), int(width[v]), messages=int(sent[v]))
 
 
 def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):

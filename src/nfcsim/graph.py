@@ -141,10 +141,14 @@ class NfcGraph:
     def n_sources(self) -> int:
         return len(self.sources)
 
+    @cached_property
+    def _ids(self) -> dict[str, int]:
+        return {name: i for i, name in enumerate(self.names)}
+
     def node_id(self, name: str) -> int:
         try:
-            return self.names.index(name)
-        except ValueError:
+            return self._ids[name]
+        except KeyError:
             raise DanglingReference(f"unknown node {name!r}") from None
 
     def to_config(self) -> TopologyConfig:

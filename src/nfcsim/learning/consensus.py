@@ -13,11 +13,12 @@ independent of the initial estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 import numpy as np
 
-from nfcsim.afc import decompose_average, install_functions
+from nfcsim.afc import block_sizes, decompose_average, install_functions
 from nfcsim.graph import NfcGraph
 
 
@@ -68,24 +69,26 @@ def consensus_run(
     """Drive the averaging network for a number of generations.
 
     ``samples`` yields one (N,) or (N, L) array per generation, ordered
-    like ``g.sources``. The recorded trajectory starts at the initial
-    estimate and has one state per generation.
+    like ``g.sources``; they run through the network one block at a time.
+    The recorded trajectory starts at the initial estimate and has one
+    state per generation.
     """
     network = install_functions(g, decompose_average(g))
     state = ConsensusState(estimate=initial_estimate, generation=0)
     states = [state]
     means: list[float] = []
-    sample_iter = iter(samples)
+    rows = (np.asarray(x, dtype=np.float64).reshape(g.n_sources, -1) for x in samples)
+    first = [next(rows)] if generations else []
+    rows = chain(first, rows)
     dest = g.destinations[0]
-    for _ in range(generations):
-        values = np.asarray(next(sample_iter), dtype=np.float64)
-        if values.ndim == 1:
-            values = values[:, None]
-        evaluation = network.evaluate(dict(zip(g.sources, values)))
-        mean = np.asarray(evaluation.destination_outputs[dest])
-        if mean.size == 1:
-            mean = float(mean.ravel()[0])
-        state = consensus_step(state, mean)
-        states.append(state)
-        means.append(float(np.asarray(mean).ravel()[0]))
+    for size in block_sizes(generations, g.n_nodes * first[0].shape[1] if first else 1):
+        block = np.stack([next(rows) for _ in range(size)])
+        evaluation = network.evaluate_block(block, np.zeros((size, g.n_nodes), dtype=bool))
+        for output in evaluation.outputs[dest]:
+            mean = np.asarray(output)
+            if mean.size == 1:
+                mean = float(mean.ravel()[0])
+            state = consensus_step(state, mean)
+            states.append(state)
+            means.append(float(np.asarray(mean).ravel()[0]))
     return ConsensusTrajectory(states=tuple(states), means=tuple(means))

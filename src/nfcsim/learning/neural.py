@@ -15,7 +15,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
-from itertools import compress
 from math import comb, factorial
 from typing import Callable, Mapping, Sequence
 
@@ -279,15 +278,16 @@ class NeuralTreeNetwork:
 
 
 def draw_dropped(
-    g: NfcGraph, failures: FailureModel, rng: np.random.Generator
-) -> frozenset[int]:
-    """Per-generation Bernoulli dropout over every non-destination node,
-    one uniform draw per node in id order."""
-    if failures.node_dropout_p == 0.0:
-        return frozenset()
-    nodes = sorted(g.sources + g.atomics)
-    hits = rng.random(len(nodes)) < failures.node_dropout_p
-    return frozenset(compress(nodes, hits.tolist()))
+    g: NfcGraph, failures: FailureModel, rng: np.random.Generator, generations: int
+) -> np.ndarray:
+    """A block's (generations, nodes) Bernoulli dropout mask over every
+    non-destination node: one uniform draw per node in id order, generation
+    after generation, so a block draws what its generations would one by one."""
+    dropped = np.zeros((generations, g.n_nodes), dtype=bool)
+    if failures.node_dropout_p:
+        nodes = sorted(g.sources + g.atomics)
+        dropped[:, nodes] = rng.random((generations, len(nodes))) < failures.node_dropout_p
+    return dropped
 
 
 @dataclass(frozen=True)
@@ -335,8 +335,9 @@ def nn_train(
     stale = 0
     t = 0
     for _ in range(epochs):
-        for sample in dataset:
-            dropped = draw_dropped(g, failures, dropout_rng)
+        masks = draw_dropped(g, failures, dropout_rng, len(dataset))
+        for sample, mask in zip(dataset, masks):
+            dropped = frozenset(np.flatnonzero(mask).tolist())
             up = network.upward(sample.features, generation=t, dropped=dropped)
             arc_messages.update(arc for arc in upward_arcs if arc[0] not in dropped)
             losses.append(log_loss(up.prediction, sample.target))

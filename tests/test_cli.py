@@ -436,10 +436,12 @@ NEURAL_STAR = NEURAL_TWO_SOURCES.replace("5.0", "0.5")
         (NEURAL_STAR + "data:\n  std: 2.0\n", "neural does not read data"),
         (NEURAL_STAR + "eta:\n  kind: harmonic\n  value: 0.9\n",
          "eta.value is not read under kind harmonic; it must keep its default"),
+        (CONSENSUS_STAR.replace("consensus", "forwarding") + "field:\n  m: 4\n",
+         "forwarding moves packets without reading them; it takes no field"),
     ],
     ids=["eta_on_consensus", "eta_on_rlnc", "neural_on_consensus", "generations_on_rlnc",
          "generations_on_neural", "n_prime_on_consensus", "trials_on_consensus", "data_on_rlnc",
-         "data_on_neural", "eta_value_under_harmonic"],
+         "data_on_neural", "eta_value_under_harmonic", "field_on_forwarding"],
 )
 def test_run_rejects_values_the_application_does_not_read(runner, tmp_path, text, message):
     scenario = write(tmp_path, "inert.yaml", text)

@@ -2,7 +2,8 @@
 
 Each directory under ``tests/data`` holds a ``scenario.yaml`` and every
 file an earlier ``nfcsim run`` of it wrote; a fresh run must write the
-same set of files with the same bytes.
+same set of files with the same bytes. ``compare_dropout_tree8`` holds
+what ``nfcsim compare`` wrote instead, with its standard output.
 """
 
 from pathlib import Path
@@ -37,3 +38,15 @@ def test_large_field_rlnc_outputs_byte_identical(name, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == expected
     for file_name in expected:
         assert (out / file_name).read_bytes() == (golden / file_name).read_bytes()
+
+
+def test_compare_outputs_byte_identical(tmp_path):
+    golden = DATA / "compare_dropout_tree8"
+    out = tmp_path / "compare"
+    result = CliRunner().invoke(
+        main, ["compare", str(golden / "scenario.yaml"), "--out", str(out), "--quiet"]
+    )
+    assert result.exit_code == 0, result.output
+    assert result.output == (golden / "stdout.txt").read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["compare.csv"]
+    assert (out / "compare.csv").read_bytes() == (golden / "compare.csv").read_bytes()

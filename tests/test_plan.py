@@ -29,7 +29,7 @@ from nfcsim.afc import (
     install_functions,
     nomographic_sum,
 )
-from nfcsim.errors import NotATree
+from nfcsim.errors import DanglingReference, DomainMismatch, NotATree
 from nfcsim.field import FieldSpec
 from nfcsim.graph import NodeRole, TopologyConfig, balanced_tree_topology, build_graph
 
@@ -186,6 +186,24 @@ def test_evaluate_matches_per_node_reference(seed, n_sources, atomic_share, fami
         assert evaluation.clamped_symbols == clamped
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(1, 24), atomic_share=st.floats(0.0, 1.0))
+def test_name_keys_evaluate_like_id_keys(seed, n_sources, atomic_share):
+    rng = np.random.default_rng(seed)
+    g = build_graph(random_tree(rng, n_sources, max(1, round(atomic_share * n_sources))))
+    assignment, inputs = random_assignment(rng, g, "real")
+    network = install_functions(g, assignment)
+    dropped = {v for v in g.sources + g.atomics if rng.random() < 0.3}
+    by_id = network.evaluate(inputs, dropped=dropped)
+    by_name = network.evaluate({g.names[s]: p for s, p in inputs.items()}, dropped=dropped)
+    assert list(by_name.messages) == list(by_id.messages)
+    assert_identical(list(by_name.messages.values()), list(by_id.messages.values()))
+    assert list(by_name.destination_outputs) == list(by_id.destination_outputs)
+    assert_identical(list(by_name.destination_outputs.values()), list(by_id.destination_outputs.values()))
+    with pytest.raises(DanglingReference):
+        network.evaluate({**inputs, "no such node": inputs[g.sources[0]]})
+
+
 def test_wide_groups_sum_like_one_node_at_a_time():
     """Ten 10-ary nodes summing width-1 and width-2 packets in one batch
     give the per-node sums bit for bit (numpy sums 8 or more terms
@@ -213,6 +231,23 @@ def test_analog_batch_matches_reference():
         messages, outputs, _ = reference(g, assignment, inputs, dropped)
         assert_identical(list(evaluation.messages.values()), list(messages.values()))
         assert_identical(list(evaluation.destination_outputs.values()), list(outputs.values()))
+
+
+def test_block_rejects_a_node_whose_packet_width_changes():
+    """One generation at a time, a node emits whichever of its unequal-width
+    children arrived; a block holds one width per node, so it refuses."""
+    roles = {"s0": NodeRole.SOURCE, "s1": NodeRole.SOURCE, "a0": NodeRole.ATOMIC,
+             "d0": NodeRole.DESTINATION}
+    g = build_graph(TopologyConfig(roles=roles, children={"a0": ["s0", "s1"], "d0": ["a0"]}))
+    network = install_functions(g, FunctionAssignment({"s0": AppendCount(), "a0": Max()}))
+    s0, s1 = g.node_id("s0"), g.node_id("s1")
+    inputs = {s0: np.array([1.0]), s1: np.array([2.0])}
+    assert len(network.evaluate(inputs, dropped={s1}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 2
+    assert len(network.evaluate(inputs, dropped={s0}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 1
+    dropped = np.zeros((2, g.n_nodes), dtype=bool)
+    dropped[0, s1] = dropped[1, s0] = True
+    with pytest.raises(DomainMismatch):
+        network.evaluate_block(np.ones((2, 2, 1)), dropped)
 
 
 def dag_graph():

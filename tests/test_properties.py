@@ -5,23 +5,38 @@ the harmonic fold, so on any tree, dropout rate and seed the two
 applications meter, drop and audit identically, and the consensus
 estimate is the running mean of the values custom delivered.
 
+Consensus, custom and forwarding run a block of generations at a time;
+split into blocks of any size, a run must write the tables, headline and
+audit events of a generation-by-generation oracle.
+
 The recovery experiment runs blocks of trials through one batched rank
 kernel; a trial-by-trial oracle built on the packet API and full row
 reduction must give the same successes, pass by pass.
 """
 
 import math
+from itertools import compress
 from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from nfcsim import rlnc
-from nfcsim.afc import decompose_average
-from nfcsim.engine import DataModel, Scenario, run_scenario
+from nfcsim import afc, rlnc
+from nfcsim.afc import FunctionAssignment, Sum, decompose_average
+from nfcsim.engine import (
+    ARC_COLUMNS,
+    TRAJECTORY_COLUMNS,
+    DataModel,
+    GenerationBarrier,
+    Metrics,
+    Scenario,
+    run_scenario,
+)
 from nfcsim.field import FieldSpec, matrix_rank
-from nfcsim.graph import NodeRole, build_graph, random_tree_topology, star_topology
+from nfcsim.graph import NodeRole, TopologyConfig, build_graph, random_tree_topology, star_topology
+from nfcsim.learning.consensus import ConsensusState, consensus_step
 from nfcsim.learning.neural import FailureModel
+from nfcsim.rng import substream
 from nfcsim.rlnc import (
     DecoderState,
     add_rows,
@@ -30,6 +45,7 @@ from nfcsim.rlnc import (
     source_encode,
     trial_rng,
 )
+from test_plan import random_assignment, random_tree, reference
 
 FIELDS = {m: FieldSpec(m) for m in (1, 4, 8, 12, 16)}
 
@@ -71,6 +87,189 @@ def test_consensus_is_custom_average_plus_fold(tree_seed, n_sources, dropout_p, 
             delivered.append(custom_row["value"])
         running_mean = float(np.mean(delivered)) if delivered else 0.0
         assert math.isclose(consensus_row["value"], running_mean, rel_tol=1e-12)
+
+
+def oracle_dropped(g, failures, rng):
+    """One generation's dropped nodes: a uniform draw per node in id order."""
+    if not failures.node_dropout_p:
+        return set()
+    nodes = sorted(g.sources + g.atomics)
+    return set(compress(nodes, (rng.random(len(nodes)) < failures.node_dropout_p).tolist()))
+
+
+def oracle_evaluated(s, g, assignment):
+    """Generation by generation: draw, evaluate node by node, meter every message."""
+    data_rng = substream(s.seed, 0)
+    dropout_rng, _ = s.failures.streams()
+    dest = g.destinations[0]
+    metrics, events, generations = Metrics(), [], []
+    for t in range(s.generations):
+        dropped = oracle_dropped(g, s.failures, dropout_rng)
+        shape = (g.n_sources, s.packet_length)
+        if s.field is not None:
+            values = s.field.random_elements(data_rng, shape)
+        else:
+            values = data_rng.normal(s.data.mean, s.data.std, size=shape)
+        messages, outputs, _ = reference(g, assignment, dict(zip(g.sources, values)), dropped)
+        for arc, message in messages.items():
+            metrics.record(arc, len(message))
+        events += [("deliver", u, v, t) for u, v in messages] + [("evaluate", dest, t)]
+        generations.append((len(dropped), outputs[dest]))
+    return metrics, events, generations
+
+
+def oracle_consensus(s, g):
+    metrics, events, generations = oracle_evaluated(s, g, decompose_average(g))
+    state, rows = ConsensusState(estimate=np.zeros(s.packet_length)), []
+    for t, (dropped, delivered) in enumerate(generations):
+        if not isinstance(delivered, list):
+            state = consensus_step(state, np.asarray(delivered))
+        rows.append(row(t, float(state.estimate[0]), dropped))
+    return metrics, events, rows, {"final_estimate": float(state.estimate[0])}
+
+
+def oracle_custom(s, g):
+    metrics, events, generations = oracle_evaluated(s, g, s.assignment)
+    last, rows = float("nan"), []
+    for t, (dropped, delivered) in enumerate(generations):
+        if isinstance(delivered, list):
+            delivered = delivered[0] if delivered else None
+        value = float("nan")
+        if delivered is not None:
+            value = last = float(np.asarray(delivered).ravel()[0])
+        rows.append(row(t, value, dropped))
+    return metrics, events, rows, {"final_value": last}
+
+
+def oracle_forwarding(s, g):
+    """The generation barrier walk: each node relays its buffered inbox."""
+    dropout_rng, _ = s.failures.streams()
+    dest = g.destinations[0]
+    metrics, barrier, rows, total = Metrics(), GenerationBarrier(audit=True), [], 0
+    for t in range(s.generations):
+        dropped = oracle_dropped(g, s.failures, dropout_rng)
+        for v in g.topo_order:
+            if v in dropped or g.roles[v] is NodeRole.DESTINATION:
+                continue
+            if g.roles[v] is NodeRole.SOURCE:
+                outbox = [v]
+            else:
+                expected = {c for c in g.in_neighbors[v] if c not in dropped}
+                assert barrier.ready(v, t, expected)
+                outbox = [m for msgs in barrier.take(v, t).values() for m in msgs]
+            for w in g.out_neighbors[v]:
+                barrier.deliver(v, w, t, outbox)
+                if outbox:
+                    metrics.record((v, w), s.packet_length, messages=len(outbox))
+        delivered = sum(len(m) for m in barrier.take(dest, t).values())
+        total += delivered
+        rows.append(row(t, delivered, len(dropped)))
+    return metrics, barrier.events, rows, {"delivered_packets": total}
+
+
+def row(t, value, dropped):
+    return {"generation": t, "value": value, "dropped_nodes": dropped, "lost_messages": 0}
+
+
+def same_value(a, b):
+    return a == b or (isinstance(a, float) and math.isnan(a) and math.isnan(b))
+
+
+ORACLES = {"consensus": oracle_consensus, "custom": oracle_custom, "forwarding": oracle_forwarding}
+
+
+def assert_matches_oracle(s, g, per_generation):
+    """Runs split into blocks of 1, 3 and 7 generations write what the oracle does."""
+    metrics, events, rows, headline = ORACLES[s.application](s, g)
+    for block in (1, 3, 7):
+        with mock.patch.object(afc, "BLOCK_ELEMENTS", block * per_generation):
+            result = run_scenario(s, audit=True)
+        assert result.tables["arcs"] == (ARC_COLUMNS, metrics.arc_rows(g))
+        columns, actual = result.tables["trajectory"]
+        assert columns == TRAJECTORY_COLUMNS and len(actual) == len(rows)
+        for got, want in zip(actual, rows):
+            assert got.keys() == want.keys()
+            assert all(same_value(got[key], want[key]) for key in want)
+        assert result.headline.keys() == headline.keys()
+        assert all(same_value(result.headline[k], headline[k]) for k in headline)
+        assert result.audit_events == events
+        assert result.metrics.dropped_nodes == sum(r["dropped_nodes"] for r in rows)
+
+
+def blocked_case(rng, topology, g, case, seed, dropout_p, generations):
+    """The scenario of one case: consensus, custom on a real or a GF(16)
+    assignment, or forwarding."""
+    application, extra = case, {}
+    if case in ("real", "gf16"):
+        assignment, _ = random_assignment(rng, g, {"real": "real", "gf16": "field"}[case])
+        if case == "gf16":  # sources that re-type their packet to int64 widen their parents' dtype
+            retyped = {s: Sum() for s in g.sources if rng.random() < 0.3}
+            assignment = FunctionAssignment({**assignment.functions, **retyped}, assignment.decoders)
+            extra["field"] = FieldSpec(4)
+        application, extra["assignment"] = "custom", assignment
+    return Scenario(
+        topology=topology,
+        application=application,
+        seed=seed,
+        generations=generations,
+        packet_length=int(rng.integers(1, 4)),
+        failures=FailureModel(node_dropout_p=dropout_p, seed=seed ^ 1),
+        data=DataModel(mean=2.0, std=3.0) if application != "forwarding" else DataModel(),
+        **extra,
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 16),
+    atomic_share=st.floats(0.0, 1.0),
+    dropout_p=st.floats(0.0, 0.6),
+    generations=st.integers(0, 16),
+)
+def test_blocked_runs_match_generation_by_generation_oracle(
+    seed, n_sources, atomic_share, dropout_p, generations
+):
+    rng = np.random.default_rng(seed)
+    topology = random_tree(rng, n_sources, max(1, round(atomic_share * n_sources)))
+    g = build_graph(topology)
+    for case in ("consensus", "real", "gf16", "forwarding"):
+        s = blocked_case(rng, topology, g, case, seed, dropout_p, generations)
+        assert_matches_oracle(s, g, g.n_nodes * (1 if case == "forwarding" else s.packet_length))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 6),
+    n_atomics=st.integers(0, 6),
+    dropout_p=st.floats(0.0, 0.6),
+    generations=st.integers(0, 16),
+)
+def test_blocked_forwarding_on_a_dag_matches_the_barrier_walk(
+    seed, n_sources, n_atomics, dropout_p, generations
+):
+    """Forwarding also runs on dag-mode graphs, where a node may relay to
+    several parents and a destination may take any node's packets."""
+    rng = np.random.default_rng(seed)
+    roles = {f"s{i}": NodeRole.SOURCE for i in range(n_sources)}
+    children: dict[str, list[str]] = {}
+    for name in [f"a{i}" for i in range(n_atomics)] + ["d0"]:
+        earlier = list(roles)
+        count = int(rng.integers(1, min(3, len(earlier)) + 1))
+        children[name] = [earlier[i] for i in rng.choice(len(earlier), size=count, replace=False)]
+        roles[name] = NodeRole.DESTINATION if name == "d0" else NodeRole.ATOMIC
+    topology = TopologyConfig(roles=roles, children=children, mode="dag")
+    s = Scenario(
+        topology=topology,
+        application="forwarding",
+        seed=seed,
+        generations=generations,
+        packet_length=2,
+        failures=FailureModel(node_dropout_p=dropout_p, seed=seed),
+    )
+    g = build_graph(topology)
+    assert_matches_oracle(s, g, g.n_nodes)
 
 
 class ScriptedRng:
