@@ -13,7 +13,7 @@ independent of the initial estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain
+from itertools import islice
 from typing import Iterable
 
 import numpy as np
@@ -77,12 +77,15 @@ def consensus_run(
     state = ConsensusState(estimate=initial_estimate, generation=0)
     states = [state]
     means: list[float] = []
-    rows = (np.asarray(x, dtype=np.float64).reshape(g.n_sources, -1) for x in samples)
-    first = [next(rows)] if generations else []
-    rows = chain(first, rows)
+    rows = [
+        np.asarray(x, dtype=np.float64).reshape(g.n_sources, -1)
+        for x in islice(samples, generations)
+    ]
+    if len(rows) < generations:
+        raise ValueError(f"consensus_run needs {generations} samples, got {len(rows)}")
     dest = g.destinations[0]
-    for size in block_sizes(generations, g.n_nodes * first[0].shape[1] if first else 1):
-        block = np.stack([next(rows) for _ in range(size)])
+    for size in block_sizes(generations, g.n_nodes * rows[0].shape[1] if rows else 1):
+        block, rows = np.stack(rows[:size]), rows[size:]
         evaluation = network.evaluate_block(block, np.zeros((size, g.n_nodes), dtype=bool))
         for output in evaluation.outputs[dest]:
             mean = np.asarray(output)

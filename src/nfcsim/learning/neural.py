@@ -48,7 +48,7 @@ def log_loss(prediction: float, target: float) -> float:
 class TrainingSample:
     """Per-source features plus a -1/+1 class label."""
 
-    features: np.ndarray  # (N,) scalars or (N, L) vectors, ordered like g.sources
+    features: np.ndarray  # (N,) scalars, ordered like g.sources
     label: int
 
     def __post_init__(self):
@@ -91,7 +91,7 @@ class _StoredGradients:
 
 @dataclass(frozen=True)
 class UpwardResult:
-    activations: Mapping[int, np.ndarray]  # node -> activity vector
+    activations: np.ndarray  # (nodes,) activities; dropped nodes read 0
     prediction: float
     dropped: frozenset[int]
 
@@ -107,65 +107,50 @@ class DownwardResult:
 class NeuralTreeNetwork:
     """Logistic units on a rooted tree; leaves are the data sources.
 
-    Weight vectors are indexed by the node's in-neighborhood: one entry
-    per scalar child activity, or a block of ``source_dim`` entries for
-    a source child emitting a feature vector.
+    Every non-source node is a unit whose weight vector holds one entry
+    per child, in ``in_neighbors`` order. The upward pass runs on the
+    graph's level plan, one stacked product per group.
     """
 
     def __init__(
         self,
         graph: NfcGraph,
-        source_dim: int = 1,
         init_rng: np.random.Generator | None = None,
         weights: Mapping[int, np.ndarray] | None = None,
     ):
         if graph.mode != "tree" or len(graph.destinations) != 1:
             raise NotATree("neural training requires a single-destination tree")
         self.graph = graph
-        self.source_dim = source_dim
-        self.destination = graph.destinations[0]
-        source_set = set(graph.sources)
-        # Concatenated-input layout per non-source node: child -> slice.
-        self.input_slices: dict[int, dict[int, slice]] = {}
-        self.input_dims: dict[int, int] = {}
-        for v in graph.topo_order:
-            if graph.roles[v] is NodeRole.SOURCE:
-                continue
-            offset = 0
-            slices = {}
-            for c in graph.in_neighbors[v]:
-                width = source_dim if c in source_set else 1
-                slices[c] = slice(offset, offset + width)
-                offset += width
-            self.input_slices[v] = slices
-            self.input_dims[v] = offset
-
-        if weights is not None:
-            self.weights = {v: np.array(w, dtype=np.float64) for v, w in weights.items()}
-            for v, dim in self.input_dims.items():
-                if len(self.weights[v]) != dim:
-                    raise ValueError(
-                        f"weight length {len(self.weights[v])} != input dim {dim} at node {graph.names[v]!r}"
-                    )
-        else:
+        self.destination = dest = graph.destinations[0]
+        units = [v for v in graph.topo_order if graph.roles[v] is not NodeRole.SOURCE]
+        if weights is None:
             rng = init_rng if init_rng is not None else np.random.default_rng(0)
-            self.weights = {
-                v: rng.uniform(-0.5, 0.5, size=dim) for v, dim in self.input_dims.items()
-            }
-        self.gradient_store: dict[int, dict[int, _StoredGradients]] = {
-            v: {} for v in self.input_dims
-        }
+            weights = {v: rng.uniform(-0.5, 0.5, size=len(graph.in_neighbors[v])) for v in units}
+        self.weights = {v: np.array(w, dtype=np.float64) for v, w in weights.items()}
+        for v in units:
+            name, dim = graph.names[v], len(graph.in_neighbors[v])
+            if v not in self.weights:
+                raise ValueError(f"no weights for unit {name!r}")
+            if len(self.weights[v]) != dim:
+                raise ValueError(
+                    f"weight length {len(self.weights[v])} != input dim {dim} at node {name!r}"
+                )
+        self.gradient_store: dict[int, dict[int, _StoredGradients]] = {v: {} for v in units}
+        self._sources = np.array(graph.sources)
+        # Upward: the plan's groups, then the destination on its own.
+        self._levels = [group[:2] for group in graph.level_plan]
+        self._levels.append((np.array([dest]), np.array([graph.in_neighbors[dest]])))
+        # Downward: unit-to-unit arcs (parent, child, the child's input slot
+        # at the parent), parents in reverse topological order and children
+        # in in_neighbors order; message-loss draws are consumed in this order.
+        self._arcs = [
+            (v, c, i)
+            for v in reversed(units)
+            for i, c in enumerate(graph.in_neighbors[v])
+            if c in self.gradient_store
+        ]
 
     # -- passes -----------------------------------------------------------
-
-    def input_vector(
-        self, v: int, activations: Mapping[int, np.ndarray]
-    ) -> np.ndarray:
-        x_in = np.zeros(self.input_dims[v])
-        for c, sl in self.input_slices[v].items():
-            if c in activations:
-                x_in[sl] = activations[c]
-        return x_in
 
     def upward(
         self,
@@ -176,37 +161,31 @@ class NeuralTreeNetwork:
     ) -> UpwardResult:
         """Forward evaluation; dropped nodes contribute activity 0.
 
-        Alive non-source nodes store (t, dx/dw, dx/dx_in) for the
-        matching downward pass; entries older than the staleness window
-        are evicted on arrival of a new generation.
+        Alive units store (t, dx/dw, dx/dx_in) for the matching downward
+        pass; entries older than the staleness window are evicted on
+        arrival of a new generation.
         """
-        g = self.graph
-        features = np.atleast_2d(np.asarray(features, dtype=np.float64))
-        if features.shape == (1, len(g.sources)) and self.source_dim == 1:
-            features = features.T
-        activations: dict[int, np.ndarray] = {}
-        for i, s in enumerate(g.sources):
-            if s not in dropped:
-                activations[s] = features[i]
-        roles, source = g.roles, NodeRole.SOURCE
-        for v in g.topo_order:
-            if roles[v] is source or v in dropped:
+        is_dropped = np.zeros(self.graph.n_nodes, dtype=bool)
+        is_dropped[list(dropped)] = True
+        activity = np.zeros(self.graph.n_nodes)
+        activity[self._sources] = features
+        activity[is_dropped] = 0.0
+        for nodes, children in self._levels:
+            alive = ~is_dropped[nodes]
+            nodes, inputs = nodes[alive], activity[children[alive]]
+            if not nodes.size:
                 continue
-            x_in = self.input_vector(v, activations)
-            x = float(sigmoid(self.weights[v] @ x_in))
-            activations[v] = np.array([x])
+            weights = np.stack([self.weights[v] for v in nodes.tolist()])
+            x = sigmoid(np.matmul(weights[:, None, :], inputs[:, :, None]))[:, 0, 0]
+            activity[nodes] = x
             if store:
-                slope = x * (1.0 - x)
-                self.gradient_store[v][generation] = _StoredGradients(
-                    activity=x,
-                    d_activity_d_weights=slope * x_in,
-                    d_activity_d_inputs=slope * self.weights[v],
-                )
-                self._evict_stale(v, generation)
-        prediction = float(activations[self.destination][0])
-        return UpwardResult(
-            activations=activations, prediction=prediction, dropped=frozenset(dropped)
-        )
+                for v, a, x_in in zip(nodes.tolist(), x.tolist(), inputs):
+                    slope = a * (1.0 - a)
+                    self.gradient_store[v][generation] = _StoredGradients(
+                        a, slope * x_in, slope * self.weights[v]
+                    )
+                    self._evict_stale(v, generation)
+        return UpwardResult(activity, float(activity[self.destination]), frozenset(dropped))
 
     def _evict_stale(self, v: int, generation: int) -> None:
         horizon = generation - STALENESS_WINDOW
@@ -224,54 +203,38 @@ class NeuralTreeNetwork:
     ) -> DownwardResult:
         """Backpropagate the log-loss gradient and update weights.
 
-        Each node that accumulated a loss gradient sends one gradient
-        contribution per non-source child (subject to loss draws), then
-        updates its weights from its stored upward tuple. Nodes whose
-        stored tuple was evicted skip their update (counted). All tuples
+        A gradient contribution goes down a unit-to-unit arc when the
+        parent received a gradient and the child stored this generation's
+        tuple (subject to loss draws); each unit that received one then
+        updates its weights from its stored tuple. Without a stored
+        prediction nothing is sent, and the skip is counted. All tuples
         for this generation are purged at completion.
         """
-        g = self.graph
+        store = self.gradient_store
         accumulated: dict[int, float] = {}
-        gradients: dict[int, np.ndarray] = {}
+        top = store[self.destination].get(generation)
+        if top is not None:
+            x = top.activity
+            accumulated[self.destination] = -target / x + (1.0 - target) / (1.0 - x)
         sent: list[tuple[int, int]] = []
         lost = 0
-        stale = 0
-        dest_store = self.gradient_store[self.destination].get(generation)
-        if dest_store is not None:
-            x = dest_store.activity
-            accumulated[self.destination] = -target / x + (1.0 - target) / (1.0 - x)
-        else:
-            stale += 1  # no stored prediction for this generation
-        roles, source = g.roles, NodeRole.SOURCE
-        order = [v for v in reversed(g.topo_order) if roles[v] is not source]
-        for v in order:
-            if v not in accumulated:
+        for v, c, i in self._arcs:
+            if v not in accumulated or generation not in store[c]:
                 continue
-            stored = self.gradient_store[v].get(generation)
-            if stored is None:
-                stale += 1
+            contribution = accumulated[v] * float(store[v][generation].d_activity_d_inputs[i])
+            sent.append((v, c))
+            if message_lost is not None and message_lost():
+                lost += 1
                 continue
-            d_loss = accumulated[v]
-            for c, sl in self.input_slices[v].items():
-                if roles[c] is source:
-                    continue
-                if c not in self.gradient_store or generation not in self.gradient_store[c]:
-                    continue  # child was dropped this generation
-                contribution = d_loss * float(stored.d_activity_d_inputs[sl][0])
-                sent.append((v, c))
-                if message_lost is not None and message_lost():
-                    lost += 1
-                    continue
-                accumulated[c] = accumulated.get(c, 0.0) + contribution
-            gradient = d_loss * stored.d_activity_d_weights
-            gradients[v] = gradient
+            accumulated[c] = accumulated.get(c, 0.0) + contribution
+        gradients: dict[int, np.ndarray] = {}
+        for v, d_loss in accumulated.items():
+            gradients[v] = gradient = d_loss * store[v][generation].d_activity_d_weights
             if apply_updates:
                 self.weights[v] = self.weights[v] - eta * gradient
-        for v in self.gradient_store:
-            self.gradient_store[v].pop(generation, None)
-        return DownwardResult(
-            gradients=gradients, lost_messages=lost, stale_skips=stale, sent=tuple(sent)
-        )
+        for tuples in store.values():
+            tuples.pop(generation, None)
+        return DownwardResult(gradients, lost, int(top is None), tuple(sent))
 
     def predict(self, features: np.ndarray) -> float:
         return self.upward(features, generation=-1, store=False).prediction
@@ -331,15 +294,15 @@ def nn_train(
     lost_counts: list[int] = []
     arc_messages: Counter[tuple[int, int]] = Counter()
     g = network.graph
-    upward_arcs = [(v, g.out_neighbors[v][0]) for v in g.topo_order if v != network.destination]
+    alive_steps = np.zeros(g.n_nodes, dtype=np.int64)
     stale = 0
     t = 0
     for _ in range(epochs):
         masks = draw_dropped(g, failures, dropout_rng, len(dataset))
+        alive_steps += (~masks).sum(axis=0)
         for sample, mask in zip(dataset, masks):
             dropped = frozenset(np.flatnonzero(mask).tolist())
             up = network.upward(sample.features, generation=t, dropped=dropped)
-            arc_messages.update(arc for arc in upward_arcs if arc[0] not in dropped)
             losses.append(log_loss(up.prediction, sample.target))
             down = network.downward(
                 sample.target, generation=t, eta=eta_fn(t), message_lost=message_lost
@@ -350,6 +313,12 @@ def nn_train(
             lost_counts.append(down.lost_messages)
             stale += down.stale_skips
             t += 1
+    # one activity message per alive non-destination node and step
+    arc_messages.update({
+        (v, g.out_neighbors[v][0]): steps
+        for v, steps in enumerate(alive_steps.tolist())
+        if steps and v != network.destination
+    })
     return TrainResult(
         losses=tuple(losses),
         dropped_per_step=tuple(dropped_counts),

@@ -1,6 +1,7 @@
 """Consensus averaging: exactness, CLT band, determinism."""
 
 import numpy as np
+import pytest
 
 from nfcsim.graph import build_graph, balanced_tree_topology, star_topology
 from nfcsim.learning import ConsensusState, consensus_run, consensus_step
@@ -91,3 +92,12 @@ def test_vector_estimates_supported():
     assert final.shape == (4,)
     direct = np.mean([s.mean(axis=0) for s in samples], axis=0)
     assert np.allclose(final, direct, rtol=1e-12)
+
+
+def test_too_few_samples_name_both_counts():
+    g = build_graph(star_topology(4))
+    with pytest.raises(ValueError, match="needs 5 samples, got 3"):
+        consensus_run(g, [np.ones(4)] * 3, 5)
+    with pytest.raises(ValueError, match="needs 2 samples, got 0"):
+        consensus_run(g, iter([]), 2)
+    assert consensus_run(g, iter([]), 0).means == ()

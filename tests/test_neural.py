@@ -33,7 +33,7 @@ def test_zero_weights_give_half_activities():
         net.weights[v][:] = 0.0
     up = net.upward(np.array([0.3, -0.7, 1.1, 0.0]), generation=0, store=False)
     for v in net.graph.atomics + net.graph.destinations:
-        assert up.activations[v][0] == 0.5
+        assert up.activations[v] == 0.5
     assert up.prediction == 0.5
 
 
@@ -52,7 +52,7 @@ def test_forward_matches_reference_to_1e15():
         up = net.upward(x, generation=0, store=False)
         acts = ref.forward(x)
         for v, a in acts.items():
-            assert abs(float(up.activations[v][0]) - float(a[0])) <= 1e-15
+            assert abs(float(up.activations[v]) - float(a[0])) <= 1e-15
 
 
 def test_saturated_activity_zeroes_stored_gradients():
@@ -96,6 +96,16 @@ def test_gradient_check_zero_weights():
         net.weights[v][:] = 0.0
     sample = TrainingSample(features=np.array([0.5, -0.5, 1.0, 0.25]), label=-1)
     assert gradient_check(net, sample) < 1e-4
+
+
+def test_weights_must_cover_every_unit():
+    g = build_graph(star_topology(2))
+    with pytest.raises(ValueError, match="no weights for unit 'a0'"):
+        NeuralTreeNetwork(g, weights={})
+    with pytest.raises(ValueError, match="no weights for unit 'd0'"):
+        NeuralTreeNetwork(g, weights={g.atomics[0]: np.zeros(2)})
+    with pytest.raises(ValueError, match="weight length 1 != input dim 2 at node 'a0'"):
+        NeuralTreeNetwork(g, weights={g.atomics[0]: np.zeros(1), g.destinations[0]: np.zeros(1)})
 
 
 def test_single_edge_gradient_matches_closed_form():
@@ -263,14 +273,6 @@ def test_failure_model_validation():
         FailureModel(node_dropout_p=1.5)
     with pytest.raises(ValueError):
         FailureModel(message_loss_p=-0.1)
-
-
-def test_vector_source_features():
-    g = build_graph(star_topology(2))
-    net = NeuralTreeNetwork(g, source_dim=2, init_rng=np.random.default_rng(17))
-    assert len(net.weights[g.atomics[0]]) == 4
-    sample = TrainingSample(features=np.array([[0.5, -1.0], [0.25, 2.0]]), label=1)
-    assert gradient_check(net, sample) < 1e-4
 
 
 def test_train_arc_message_accounting():

@@ -12,9 +12,14 @@ audit events of a generation-by-generation oracle.
 The recovery experiment runs blocks of trials through one batched rank
 kernel; a trial-by-trial oracle built on the packet API and full row
 reduction must give the same successes, pass by pass.
+
+Neural training runs its upward pass on the level plan; a node-by-node
+walk in topological order must give the same losses, counters, arc
+messages and final weights, bit for bit.
 """
 
 import math
+from collections import Counter
 from itertools import compress
 from unittest import mock
 
@@ -35,7 +40,14 @@ from nfcsim.engine import (
 from nfcsim.field import FieldSpec, matrix_rank
 from nfcsim.graph import NodeRole, TopologyConfig, build_graph, random_tree_topology, star_topology
 from nfcsim.learning.consensus import ConsensusState, consensus_step
-from nfcsim.learning.neural import FailureModel
+from nfcsim.learning.neural import (
+    FailureModel,
+    NeuralTreeNetwork,
+    TrainingSample,
+    log_loss,
+    nn_train,
+    sigmoid,
+)
 from nfcsim.rng import substream
 from nfcsim.rlnc import (
     DecoderState,
@@ -270,6 +282,88 @@ def test_blocked_forwarding_on_a_dag_matches_the_barrier_walk(
     )
     g = build_graph(topology)
     assert_matches_oracle(s, g, g.n_nodes)
+
+
+def oracle_train(g, weights, dataset, epochs, eta, failures):
+    """Node by node: each unit assembles its input vector from the alive
+    children and stores its local gradients; parents in reverse topological
+    order send one contribution per alive unit child, in in_neighbors order."""
+    dropout_rng, loss_rng = failures.streams()
+    weights = {v: w.copy() for v, w in weights.items()}
+    dest = g.destinations[0]
+    units = [v for v in g.topo_order if g.roles[v] is not NodeRole.SOURCE]
+    losses, dropped_counts, lost_counts, stale, arcs = [], [], [], 0, Counter()
+    for t in range(epochs * len(dataset)):
+        sample = dataset[t % len(dataset)]
+        dropped = oracle_dropped(g, failures, dropout_rng)
+        activations = {s: x for s, x in zip(g.sources, sample.features.tolist()) if s not in dropped}
+        stored = {}
+        for v in units:
+            if v in dropped:
+                continue
+            x_in = np.zeros(len(g.in_neighbors[v]))
+            for i, c in enumerate(g.in_neighbors[v]):
+                if c in activations:
+                    x_in[i] = activations[c]
+            activations[v] = x = float(sigmoid(weights[v] @ x_in))
+            slope = x * (1.0 - x)
+            stored[v] = (slope * x_in, slope * weights[v])
+        arcs.update((v, g.out_neighbors[v][0]) for v in g.topo_order if v != dest and v not in dropped)
+        x = activations[dest]
+        losses.append(log_loss(x, sample.target))
+        accumulated = {dest: -sample.target / x + (1.0 - sample.target) / (1.0 - x)}
+        lost = 0
+        for v in reversed(units):
+            if v not in accumulated:
+                continue
+            if v not in stored:
+                stale += 1
+                continue
+            d_weights, d_inputs = stored[v]
+            for i, c in enumerate(g.in_neighbors[v]):
+                if c not in stored:  # a source, or dropped this step
+                    continue
+                contribution = accumulated[v] * float(d_inputs[i])
+                arcs[(c, v)] += 1
+                if failures.message_loss_p > 0.0 and loss_rng.random() < failures.message_loss_p:
+                    lost += 1
+                    continue
+                accumulated[c] = accumulated.get(c, 0.0) + contribution
+            weights[v] = weights[v] - eta(t) * (accumulated[v] * d_weights)
+        dropped_counts.append(len(dropped))
+        lost_counts.append(lost)
+    return losses, dropped_counts, lost_counts, stale, dict(arcs), weights
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 20),
+    atomic_share=st.floats(0.0, 1.0),
+    dropout_p=st.floats(0.0, 0.6),
+    loss_p=st.floats(0.0, 0.4),
+)
+def test_plan_training_matches_node_by_node_walk(seed, n_sources, atomic_share, dropout_p, loss_p):
+    rng = np.random.default_rng(seed)
+    g = build_graph(random_tree(rng, n_sources, round(atomic_share * n_sources)))
+    dataset = [
+        TrainingSample(features=rng.uniform(-2.0, 2.0, n_sources), label=int(rng.choice([-1, 1])))
+        for _ in range(5)
+    ]
+    failures = FailureModel(node_dropout_p=dropout_p, message_loss_p=loss_p, seed=seed ^ 2)
+    network = NeuralTreeNetwork(g, init_rng=np.random.default_rng(seed ^ 3))
+    eta = lambda t: 0.8 / (1.0 + 0.1 * t)
+    losses, dropped, lost, stale, arcs, weights = oracle_train(
+        g, network.weights, dataset, 3, eta, failures
+    )
+    result = nn_train(network, dataset, epochs=3, eta_schedule=eta, failures=failures)
+    assert np.array(result.losses).tobytes() == np.array(losses).tobytes()
+    assert list(result.dropped_per_step) == dropped
+    assert list(result.lost_per_step) == lost
+    assert result.stale_skips == stale
+    assert dict(result.arc_messages) == arcs
+    assert result.final_weights.keys() == weights.keys()
+    assert all(result.final_weights[v].tobytes() == w.tobytes() for v, w in weights.items())
 
 
 class ScriptedRng:
