@@ -180,7 +180,6 @@ class Metrics:
         self.arc_symbols: dict[tuple[int, int], int] = {}
         self.dropped_nodes = 0
         self.lost_messages = 0
-        self.stale_skips = 0
         self.wall_clock = 0.0
 
     def record(self, arc: tuple[int, int], symbols: int, messages: int = 1) -> None:
@@ -403,20 +402,11 @@ def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     """Distributed training; meters upward activities and downward
     gradient contributions (lost messages are transmitted, then lost)."""
     data_rng = substream(s.seed, 0)
-    dataset = separable_dataset(
-        g.n_sources, s.neural.samples, data_rng, margin=s.neural.margin
-    )
+    dataset = separable_dataset(g.n_sources, s.neural.samples, data_rng, margin=s.neural.margin)
     network = NeuralTreeNetwork(g, init_rng=substream(s.seed, 2))
-    result = nn_train(
-        network,
-        dataset,
-        epochs=s.neural.epochs,
-        eta_schedule=s.eta.at,
-        failures=s.failures,
-    )
+    result = nn_train(network, dataset, s.neural.epochs, s.eta.at, failures=s.failures)
     for arc, count in result.arc_messages.items():
         metrics.record(arc, MESSAGE_SYMBOLS, messages=count)
-    metrics.stale_skips += result.stale_skips
     metrics.lost_messages += sum(result.lost_per_step)
     rows = [
         _row(t, loss, dropped, lost)

@@ -2,13 +2,13 @@
 
 Every non-source node is a logistic unit sigma(w . x) over its
 children's activities; the destination's activity is the prediction.
-Training passes messages along the tree: the upward pass computes
-activities and each node stores the local gradients of its own activity,
-the downward pass propagates per-child gradient contributions, updates
-weights by stochastic gradient descent on the log-loss, and purges the
-stored tuples. Busy nodes are modeled as dropout (activity 0, flagged)
-and downward messages can be lost, which simply omits the corresponding
-summand of the child's accumulated gradient.
+Training passes messages along the tree: the upward pass returns every
+activity, and the downward pass reads each unit's local gradients off
+that result, propagates per-child gradient contributions and updates
+weights by stochastic gradient descent on the log-loss. Busy nodes are
+modeled as dropout (activity 0, flagged) and downward messages can be
+lost, which simply omits the corresponding summand of the child's
+accumulated gradient.
 """
 
 from __future__ import annotations
@@ -26,8 +26,6 @@ from nfcsim.rng import substream
 
 # External labels are -1/+1; the log-loss gradient seed wants 0/1.
 LABEL_MAPPING = {-1: 0.0, 1: 1.0}
-
-STALENESS_WINDOW = 8  # stored upward tuples older than this are evicted
 
 MESSAGE_SYMBOLS = 2  # one activity or gradient contribution + generation tag
 
@@ -80,15 +78,6 @@ class FailureModel:
         return substream(self.seed, 0), substream(self.seed, 1)
 
 
-@dataclass
-class _StoredGradients:
-    """What a node keeps from the upward pass until the downward pass."""
-
-    activity: float
-    d_activity_d_weights: np.ndarray  # x(1-x) * incoming activities
-    d_activity_d_inputs: np.ndarray  # x(1-x) * weights
-
-
 @dataclass(frozen=True)
 class UpwardResult:
     activations: np.ndarray  # (nodes,) activities; dropped nodes read 0
@@ -100,7 +89,6 @@ class UpwardResult:
 class DownwardResult:
     gradients: Mapping[int, np.ndarray]  # node -> dJ/dw actually assembled
     lost_messages: int
-    stale_skips: int
     sent: tuple[tuple[int, int], ...] = ()  # (sender, child) pairs, lost ones included
 
 
@@ -135,7 +123,7 @@ class NeuralTreeNetwork:
                 raise ValueError(
                     f"weight length {len(self.weights[v])} != input dim {dim} at node {name!r}"
                 )
-        self.gradient_store: dict[int, dict[int, _StoredGradients]] = {v: {} for v in units}
+        self._inputs = {v: np.array(graph.in_neighbors[v]) for v in units}
         self._sources = np.array(graph.sources)
         # Upward: the plan's groups, then the destination on its own.
         self._levels = [group[:2] for group in graph.level_plan]
@@ -147,24 +135,18 @@ class NeuralTreeNetwork:
             (v, c, i)
             for v in reversed(units)
             for i, c in enumerate(graph.in_neighbors[v])
-            if c in self.gradient_store
+            if c in self._inputs
         ]
 
     # -- passes -----------------------------------------------------------
 
     def upward(
-        self,
-        features: np.ndarray,
-        generation: int,
-        dropped: frozenset[int] | set[int] = frozenset(),
-        store: bool = True,
+        self, features: np.ndarray, dropped: frozenset[int] | set[int] = frozenset()
     ) -> UpwardResult:
-        """Forward evaluation; dropped nodes contribute activity 0.
-
-        Alive units store (t, dx/dw, dx/dx_in) for the matching downward
-        pass; entries older than the staleness window are evicted on
-        arrival of a new generation.
-        """
+        """Forward evaluation; dropped nodes contribute activity 0."""
+        if np.shape(features) != self._sources.shape:
+            n, shape = self._sources.size, np.shape(features)
+            raise ValueError(f"expected {n} source features, got shape {shape}")
         is_dropped = np.zeros(self.graph.n_nodes, dtype=bool)
         is_dropped[list(dropped)] = True
         activity = np.zeros(self.graph.n_nodes)
@@ -176,52 +158,37 @@ class NeuralTreeNetwork:
             if not nodes.size:
                 continue
             weights = np.stack([self.weights[v] for v in nodes.tolist()])
-            x = sigmoid(np.matmul(weights[:, None, :], inputs[:, :, None]))[:, 0, 0]
-            activity[nodes] = x
-            if store:
-                for v, a, x_in in zip(nodes.tolist(), x.tolist(), inputs):
-                    slope = a * (1.0 - a)
-                    self.gradient_store[v][generation] = _StoredGradients(
-                        a, slope * x_in, slope * self.weights[v]
-                    )
-                    self._evict_stale(v, generation)
+            activity[nodes] = sigmoid(np.matmul(weights[:, None, :], inputs[:, :, None]))[:, 0, 0]
         return UpwardResult(activity, float(activity[self.destination]), frozenset(dropped))
-
-    def _evict_stale(self, v: int, generation: int) -> None:
-        horizon = generation - STALENESS_WINDOW
-        store = self.gradient_store[v]
-        for t in [t for t in store if t <= horizon]:
-            del store[t]
 
     def downward(
         self,
+        up: UpwardResult,
         target: float,
-        generation: int,
         eta: float,
         message_lost: Callable[[], bool] | None = None,
         apply_updates: bool = True,
     ) -> DownwardResult:
-        """Backpropagate the log-loss gradient and update weights.
+        """Backpropagate the log-loss gradient of ``up``, computed with the
+        current weights, and update them.
 
         A gradient contribution goes down a unit-to-unit arc when the
-        parent received a gradient and the child stored this generation's
-        tuple (subject to loss draws); each unit that received one then
-        updates its weights from its stored tuple. Without a stored
-        prediction nothing is sent, and the skip is counted. All tuples
-        for this generation are purged at completion.
+        parent received a gradient and the child was alive in ``up``
+        (subject to loss draws); each unit that received one updates its
+        weights. A dropped destination made no prediction: nothing is sent.
         """
-        store = self.gradient_store
-        accumulated: dict[int, float] = {}
-        top = store[self.destination].get(generation)
-        if top is not None:
-            x = top.activity
-            accumulated[self.destination] = -target / x + (1.0 - target) / (1.0 - x)
+        if self.destination in up.dropped:
+            return DownwardResult({}, 0)
+        activity = up.activations
+        slope = (activity * (1.0 - activity)).tolist()
+        x = up.prediction
+        accumulated = {self.destination: -target / x + (1.0 - target) / (1.0 - x)}
         sent: list[tuple[int, int]] = []
         lost = 0
         for v, c, i in self._arcs:
-            if v not in accumulated or generation not in store[c]:
+            if v not in accumulated or c in up.dropped:
                 continue
-            contribution = accumulated[v] * float(store[v][generation].d_activity_d_inputs[i])
+            contribution = accumulated[v] * float(slope[v] * self.weights[v][i])
             sent.append((v, c))
             if message_lost is not None and message_lost():
                 lost += 1
@@ -229,15 +196,13 @@ class NeuralTreeNetwork:
             accumulated[c] = accumulated.get(c, 0.0) + contribution
         gradients: dict[int, np.ndarray] = {}
         for v, d_loss in accumulated.items():
-            gradients[v] = gradient = d_loss * store[v][generation].d_activity_d_weights
+            gradients[v] = gradient = d_loss * (slope[v] * activity[self._inputs[v]])
             if apply_updates:
                 self.weights[v] = self.weights[v] - eta * gradient
-        for tuples in store.values():
-            tuples.pop(generation, None)
-        return DownwardResult(gradients, lost, int(top is None), tuple(sent))
+        return DownwardResult(gradients, lost, tuple(sent))
 
     def predict(self, features: np.ndarray) -> float:
-        return self.upward(features, generation=-1, store=False).prediction
+        return self.upward(features).prediction
 
 
 def draw_dropped(
@@ -255,7 +220,8 @@ def draw_dropped(
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Per-step losses plus failure and message counters.
+    """Per-step losses, dropped-node and lost-message counts, the final
+    weights and the link usage.
 
     ``arc_messages`` tallies link usage per upward arc: one activity
     message per alive non-destination node per step, plus the gradient
@@ -266,7 +232,6 @@ class TrainResult:
     losses: tuple[float, ...]
     dropped_per_step: tuple[int, ...]
     lost_per_step: tuple[int, ...]
-    stale_skips: int
     final_weights: Mapping[int, np.ndarray]
     arc_messages: Mapping[tuple[int, int], int] = dc_field(default_factory=dict)
 
@@ -286,33 +251,25 @@ def nn_train(
     failures = failures or FailureModel()
     dropout_rng, loss_rng = failures.streams()
     eta_fn = eta_schedule if callable(eta_schedule) else (lambda t: eta_schedule)
-    message_lost = None
-    if failures.message_loss_p > 0.0:
-        message_lost = lambda: bool(loss_rng.random() < failures.message_loss_p)
+    loss_p = failures.message_loss_p
+    message_lost = (lambda: bool(loss_rng.random() < loss_p)) if loss_p > 0.0 else None
     losses: list[float] = []
     dropped_counts: list[int] = []
     lost_counts: list[int] = []
     arc_messages: Counter[tuple[int, int]] = Counter()
     g = network.graph
     alive_steps = np.zeros(g.n_nodes, dtype=np.int64)
-    stale = 0
-    t = 0
-    for _ in range(epochs):
+    for epoch in range(epochs):
         masks = draw_dropped(g, failures, dropout_rng, len(dataset))
         alive_steps += (~masks).sum(axis=0)
-        for sample, mask in zip(dataset, masks):
-            dropped = frozenset(np.flatnonzero(mask).tolist())
-            up = network.upward(sample.features, generation=t, dropped=dropped)
+        dropped_counts += masks.sum(axis=1).tolist()
+        for t, (sample, mask) in enumerate(zip(dataset, masks), start=epoch * len(dataset)):
+            up = network.upward(sample.features, dropped=frozenset(np.flatnonzero(mask).tolist()))
             losses.append(log_loss(up.prediction, sample.target))
-            down = network.downward(
-                sample.target, generation=t, eta=eta_fn(t), message_lost=message_lost
-            )
+            down = network.downward(up, sample.target, eta=eta_fn(t), message_lost=message_lost)
             # each gradient contribution travels its upward arc backwards
             arc_messages.update((child, sender) for sender, child in down.sent)
-            dropped_counts.append(len(dropped))
             lost_counts.append(down.lost_messages)
-            stale += down.stale_skips
-            t += 1
     # one activity message per alive non-destination node and step
     arc_messages.update({
         (v, g.out_neighbors[v][0]): steps
@@ -323,7 +280,6 @@ def nn_train(
         losses=tuple(losses),
         dropped_per_step=tuple(dropped_counts),
         lost_per_step=tuple(lost_counts),
-        stale_skips=stale,
         final_weights={v: w.copy() for v, w in network.weights.items()},
         arc_messages=arc_messages,
     )
@@ -331,20 +287,14 @@ def nn_train(
 
 def dataset_loss(network: NeuralTreeNetwork, dataset: Sequence[TrainingSample]) -> float:
     """Mean log-loss over a dataset without failures or updates."""
-    return float(
-        np.mean([log_loss(network.predict(s.features), s.target) for s in dataset])
-    )
+    return float(np.mean([log_loss(network.predict(s.features), s.target) for s in dataset]))
 
 
-def gradient_check(
-    network: NeuralTreeNetwork,
-    sample: TrainingSample,
-    step: float = 1e-5,
-) -> float:
+def gradient_check(network: NeuralTreeNetwork, sample: TrainingSample, step: float = 1e-5) -> float:
     """Max relative error of message-passing gradients vs central
     finite differences of the log-loss, over every weight."""
-    network.upward(sample.features, generation=0)
-    down = network.downward(sample.target, generation=0, eta=0.0, apply_updates=False)
+    up = network.upward(sample.features)
+    down = network.downward(up, sample.target, eta=0.0, apply_updates=False)
     worst = 0.0
     for v, w in network.weights.items():
         analytic = down.gradients[v]

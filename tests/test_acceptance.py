@@ -170,8 +170,8 @@ def test_criterion_05_backprop_equivalence():
         grads = ref.gradients(x, target)
         shadow = {v: shadow[v] - eta * grads[v] for v in shadow}
         net.weights = saved
-        net.upward(x, generation=t)
-        net.downward(target, generation=t, eta=eta)
+        up = net.upward(x)
+        net.downward(up, target, eta=eta)
         for v in shadow:
             worst_step = max(worst_step, float(np.max(np.abs(net.weights[v] - shadow[v]))))
     elapsed = time.perf_counter() - started

@@ -1,5 +1,7 @@
 """Distributed training against a centralized reference implementation."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,7 @@ def test_zero_weights_give_half_activities():
     net = build_7_node()
     for v in net.weights:
         net.weights[v][:] = 0.0
-    up = net.upward(np.array([0.3, -0.7, 1.1, 0.0]), generation=0, store=False)
+    up = net.upward(np.array([0.3, -0.7, 1.1, 0.0]))
     for v in net.graph.atomics + net.graph.destinations:
         assert up.activations[v] == 0.5
     assert up.prediction == 0.5
@@ -49,38 +51,49 @@ def test_forward_matches_reference_to_1e15():
     rng = np.random.default_rng(70)
     for _ in range(10):
         x = rng.uniform(-2, 2, size=4)
-        up = net.upward(x, generation=0, store=False)
+        up = net.upward(x)
         acts = ref.forward(x)
         for v, a in acts.items():
             assert abs(float(up.activations[v]) - float(a[0])) <= 1e-15
 
 
 def test_saturated_activity_zeroes_stored_gradients():
-    g = build_graph(star_topology(2))
+    # s0 -> a0 -> a1 -> d0 with a1 saturated: its slope a(1-a) is exactly 0,
+    # so its own gradient and its contribution to a0 both vanish
+    g = build_graph(chain_topology(2))
+    a0, a1 = g.atomics
     dest = g.destinations[0]
-    atomic = g.atomics[0]
     net = NeuralTreeNetwork(
-        g, weights={atomic: np.array([60.0, 60.0]), dest: np.array([1.0])}
+        g, weights={a0: np.array([1.0]), a1: np.array([100.0]), dest: np.array([1.0])}
     )
-    net.upward(np.array([1.0, 1.0]), generation=0)
-    stored = net.gradient_store[atomic][0]
-    assert stored.activity == 1.0
-    assert np.all(stored.d_activity_d_weights == 0.0)
-    assert np.all(stored.d_activity_d_inputs == 0.0)
+    up = net.upward(np.array([1.0]))
+    assert up.activations[a1] == 1.0
+    down = net.downward(up, 1.0, eta=0.0, apply_updates=False)
+    assert np.all(down.gradients[a1] == 0.0)
+    assert np.all(down.gradients[a0] == 0.0)
+    assert np.all(down.gradients[dest] != 0.0)
 
 
 def test_stored_gradient_plug_in_values():
-    g = build_graph(star_topology(2))
-    atomic = g.atomics[0]
+    # every unit sits at w . x = 0, so each activity is 0.5, each slope 0.25,
+    # the seed for target 1 is -2 and every value below is exact
+    g = build_graph(balanced_tree_topology(4))
     dest = g.destinations[0]
-    net = NeuralTreeNetwork(
-        g, weights={atomic: np.array([1.0, 2.0]), dest: np.array([1.0])}
-    )
-    a, b = 2.0, -1.0  # chosen so w . x = 0 and the activity is exactly 0.5
-    net.upward(np.array([a, b]), generation=0)
-    stored = net.gradient_store[atomic][0]
-    assert np.allclose(stored.d_activity_d_weights, [0.25 * a, 0.25 * b])
-    assert np.allclose(stored.d_activity_d_inputs, [0.25, 0.5])
+    left, right = g.in_neighbors[dest]
+    weights = {left: np.array([1.0, 2.0]), right: np.array([0.0, 0.0]), dest: np.array([2.0, -2.0])}
+    net = NeuralTreeNetwork(g, weights=weights)
+    features = np.zeros(4)
+    a, b = 2.0, -1.0
+    features[g.sources.index(g.in_neighbors[left][0])] = a
+    features[g.sources.index(g.in_neighbors[left][1])] = b
+    features[g.sources.index(g.in_neighbors[right][1])] = 4.0
+    up = net.upward(features)
+    assert up.activations[left] == up.activations[right] == up.prediction == 0.5
+    down = net.downward(up, 1.0, eta=0.0, apply_updates=False)
+    # dJ/dw = seed * 0.25 * inputs; contributions -2 * 0.25 * (2, -2) = (-1, 1)
+    assert down.gradients[dest].tolist() == [-2.0 * 0.25 * 0.5, -2.0 * 0.25 * 0.5]
+    assert down.gradients[left].tolist() == [-1.0 * 0.25 * a, -1.0 * 0.25 * b]
+    assert down.gradients[right].tolist() == [0.0, 1.0 * 0.25 * 4.0]
 
 
 def test_gradient_check_random_weights():
@@ -115,8 +128,8 @@ def test_single_edge_gradient_matches_closed_form():
     net = NeuralTreeNetwork(g, weights={dest: np.array([w])})
     x_in = 1.7
     target = 1.0
-    net.upward(np.array([x_in]), generation=0)
-    down = net.downward(target, generation=0, eta=0.0, apply_updates=False)
+    up = net.upward(np.array([x_in]))
+    down = net.downward(up, target, eta=0.0, apply_updates=False)
     x = float(sigmoid(w * x_in))
     expected = (-target / x) * x * (1 - x) * x_in
     assert abs(down.gradients[dest][0] - expected) <= 1e-10
@@ -130,8 +143,8 @@ def test_distributed_gradients_match_reference():
         x = rng.uniform(-1.5, 1.5, size=4)
         target = float(trial % 2)
         expected = ref.gradients(x, target)
-        net.upward(x, generation=trial)
-        down = net.downward(target, generation=trial, eta=0.0, apply_updates=False)
+        up = net.upward(x)
+        down = net.downward(up, target, eta=0.0, apply_updates=False)
         for v, grad in expected.items():
             assert np.allclose(down.gradients[v], grad, atol=1e-12)
 
@@ -141,8 +154,8 @@ def test_top_layer_seed_value():
     g = build_graph(chain_topology(0))
     dest = g.destinations[0]
     net = NeuralTreeNetwork(g, weights={dest: np.array([1.0])})
-    net.upward(np.array([0.0]), generation=0)  # activity sigma(0) = 0.5
-    down = net.downward(1.0, generation=0, eta=1.0)
+    up = net.upward(np.array([0.0]))  # activity sigma(0) = 0.5
+    down = net.downward(up, 1.0, eta=1.0)
     # dJ/dw = seed * x(1-x) * x_in = -2 * 0.25 * 0 = 0 here; check via grads
     assert down.gradients[dest].tolist() == [0.0]
 
@@ -163,8 +176,7 @@ def test_distributed_updates_match_centralized_sgd_100_steps():
         shadow = {v: shadow[v] - eta * grads[v] for v in shadow}
         net.weights = saved
         # distributed step
-        net.upward(x, generation=t)
-        net.downward(target, generation=t, eta=eta)
+        net.downward(net.upward(x), target, eta=eta)
         for v in shadow:
             assert np.allclose(net.weights[v], shadow[v], atol=1e-10)
 
@@ -184,55 +196,50 @@ def test_message_loss_one_freezes_everything_below_top():
             assert np.array_equal(w, before[v])
 
 
-def test_purge_contract():
-    net = build_7_node()
-    net.upward(np.array([1.0, 2.0, 3.0, 4.0]), generation=5)
-    assert all(5 in net.gradient_store[v] for v in net.gradient_store)
-    net.downward(1.0, generation=5, eta=0.1)
-    assert all(5 not in net.gradient_store[v] for v in net.gradient_store)
-
-
-def test_purge_even_when_messages_lost():
-    net = build_7_node()
-    net.upward(np.zeros(4), generation=0)
-    net.downward(1.0, generation=0, eta=0.1, message_lost=lambda: True)
-    assert all(0 not in net.gradient_store[v] for v in net.gradient_store)
-
-
-def test_staleness_eviction_and_skip_count():
-    net = build_7_node()
-    for t in range(9):  # window is 8: generation 0 evicted at t=8
-        net.upward(np.zeros(4), generation=t)
-    assert all(0 not in net.gradient_store[v] for v in net.gradient_store)
-    before = {v: w.copy() for v, w in net.weights.items()}
-    down = net.downward(1.0, generation=0, eta=0.5)
-    assert down.stale_skips >= 1
-    for v, w in net.weights.items():
-        assert np.array_equal(w, before[v])
-
-
 def test_all_hidden_dropped_constant_loss():
     g = build_graph(balanced_tree_topology(4))
     net = NeuralTreeNetwork(g, init_rng=np.random.default_rng(8))
     dropped = frozenset(set(g.sources) | set(g.atomics))
     data = separable_dataset(4, 6, np.random.default_rng(6))
     losses = []
-    for t, sample in enumerate(data):
-        up = net.upward(sample.features, generation=t, dropped=dropped)
+    for sample in data:
+        up = net.upward(sample.features, dropped=dropped)
         assert up.prediction == 0.5  # all-dropped prediction
         losses.append(log_loss(up.prediction, sample.target))
-        net.downward(sample.target, generation=t, eta=0.5)
+        net.downward(up, sample.target, eta=0.5)
     assert np.allclose(losses, np.log(2.0))
 
 
 def test_dropped_source_equals_zero_feature():
     net = build_7_node(11)
     x = np.array([0.8, -0.2, 0.4, 1.0])
-    dropped_run = net.upward(x, generation=0, dropped={net.graph.sources[1]}, store=False)
+    dropped_run = net.upward(x, dropped={net.graph.sources[1]})
     x_zeroed = x.copy()
     x_zeroed[1] = 0.0
-    zeroed_run = net.upward(x_zeroed, generation=1, store=False)
+    zeroed_run = net.upward(x_zeroed)
     assert dropped_run.prediction == zeroed_run.prediction
+
+
+def test_dropped_destination_sends_and_updates_nothing():
+    net = build_7_node(12)
+    before = {v: w.copy() for v, w in net.weights.items()}
+    up = net.upward(np.array([0.8, -0.2, 0.4, 1.0]), dropped={net.destination})
+    assert up.prediction == 0.0
+    down = net.downward(up, 1.0, eta=0.5, message_lost=lambda: True)
+    assert down.gradients == {} and down.sent == () and down.lost_messages == 0
+    assert all(np.array_equal(w, before[v]) for v, w in net.weights.items())
+
+
+def test_features_must_match_source_count():
+    net = build_7_node()
+    for features in (np.array([0.7]), np.zeros(5), np.zeros((4, 1))):
+        with pytest.raises(
+            ValueError, match=re.escape(f"expected 4 source features, got shape {features.shape}")
+        ):
+            net.upward(features)
+    data = [TrainingSample(features=np.array([0.3]), label=1)]
+    with pytest.raises(ValueError, match=r"expected 4 source features, got shape \(1,\)"):
+        nn_train(net, data, epochs=1, eta_schedule=0.5)
 
 
 def test_training_reduces_loss_without_failures():

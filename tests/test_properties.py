@@ -15,7 +15,8 @@ reduction must give the same successes, pass by pass.
 
 Neural training runs its upward pass on the level plan; a node-by-node
 walk in topological order must give the same losses, counters, arc
-messages and final weights, bit for bit.
+messages and final weights, bit for bit. A downward pass reads only the
+upward result it is handed, so later upward passes cannot change it.
 """
 
 import math
@@ -353,17 +354,53 @@ def test_plan_training_matches_node_by_node_walk(seed, n_sources, atomic_share, 
     failures = FailureModel(node_dropout_p=dropout_p, message_loss_p=loss_p, seed=seed ^ 2)
     network = NeuralTreeNetwork(g, init_rng=np.random.default_rng(seed ^ 3))
     eta = lambda t: 0.8 / (1.0 + 0.1 * t)
-    losses, dropped, lost, stale, arcs, weights = oracle_train(
+    losses, dropped, lost, _, arcs, weights = oracle_train(
         g, network.weights, dataset, 3, eta, failures
     )
     result = nn_train(network, dataset, epochs=3, eta_schedule=eta, failures=failures)
     assert np.array(result.losses).tobytes() == np.array(losses).tobytes()
     assert list(result.dropped_per_step) == dropped
     assert list(result.lost_per_step) == lost
-    assert result.stale_skips == stale
     assert dict(result.arc_messages) == arcs
     assert result.final_weights.keys() == weights.keys()
     assert all(result.final_weights[v].tobytes() == w.tobytes() for v, w in weights.items())
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 20),
+    atomic_share=st.floats(0.0, 1.0),
+    dropout_p=st.floats(0.0, 0.6),
+    later_passes=st.integers(1, 3),
+)
+def test_downward_reads_only_the_upward_result_it_is_given(
+    seed, n_sources, atomic_share, dropout_p, later_passes
+):
+    rng = np.random.default_rng(seed)
+    g = build_graph(random_tree(rng, n_sources, round(atomic_share * n_sources)))
+    network = NeuralTreeNetwork(g, init_rng=np.random.default_rng(seed ^ 3))
+    failures = FailureModel(node_dropout_p=dropout_p)
+
+    def upward():
+        dropped = frozenset(oracle_dropped(g, failures, rng))
+        return network.upward(rng.uniform(-2.0, 2.0, n_sources), dropped=dropped)
+
+    def downward(up):
+        loss_rng = substream(seed, 4)
+        lost = lambda: bool(loss_rng.random() < 0.3)
+        return network.downward(up, 1.0, eta=0.5, message_lost=lost, apply_updates=False)
+
+    up_1 = upward()
+    right_after = downward(up_1)
+    for _ in range(later_passes):
+        upward()
+    later = downward(up_1)
+    assert later.sent == right_after.sent
+    assert later.lost_messages == right_after.lost_messages
+    assert later.gradients.keys() == right_after.gradients.keys()
+    for v, gradient in right_after.gradients.items():
+        assert later.gradients[v].tobytes() == gradient.tobytes()
 
 
 class ScriptedRng:
