@@ -229,55 +229,52 @@ def eval_aafc(
 
 # -- nomographic presets --------------------------------------------------
 
-def _scaled_pre(transform: Callable[[np.ndarray], np.ndarray], h: float):
-    def pre(x: np.ndarray) -> np.ndarray:
-        return transform(x) / h
-
-    return pre
+def _nomographic(
+    n_inputs: int,
+    channel_coefficients: Sequence[float] | None,
+    transform: Callable[[np.ndarray], np.ndarray],
+    post: Callable[[np.ndarray], np.ndarray],
+) -> Nomographic:
+    """pre_s(x) = transform(x) / h_s, so the channel's gains cancel."""
+    h = tuple(channel_coefficients or [1.0] * n_inputs)
+    pres = tuple((lambda x, hs=hs: transform(x) / hs) for hs in h)
+    return Nomographic(pres, h, post)
 
 
 def nomographic_mean(n_inputs: int, channel_coefficients: Sequence[float] | None = None) -> Nomographic:
     """Arithmetic mean: pre_s(x) = x / h_s, post(r) = r / n."""
-    h = tuple(channel_coefficients or [1.0] * n_inputs)
-    pres = tuple(_scaled_pre(lambda x: x, hs) for hs in h)
-    return Nomographic(pres, h, lambda r: r / n_inputs)
+    return _nomographic(n_inputs, channel_coefficients, lambda x: x, lambda r: r / n_inputs)
 
 
 def nomographic_sum(n_inputs: int, channel_coefficients: Sequence[float] | None = None) -> Nomographic:
     """Plain superposition sum with identity post-processing."""
-    h = tuple(channel_coefficients or [1.0] * n_inputs)
-    pres = tuple(_scaled_pre(lambda x: x, hs) for hs in h)
-    return Nomographic(pres, h, lambda r: r)
+    return _nomographic(n_inputs, channel_coefficients, lambda x: x, lambda r: r)
 
 
 def nomographic_euclidean_norm(
     n_inputs: int, channel_coefficients: Sequence[float] | None = None
 ) -> Nomographic:
     """sqrt(sum_s x_s^2): pre_s(x) = x^2 / h_s, post(r) = sqrt(r)."""
-    h = tuple(channel_coefficients or [1.0] * n_inputs)
-    pres = tuple(_scaled_pre(np.square, hs) for hs in h)
 
     def post(r: np.ndarray) -> np.ndarray:
         if np.any(r < 0):
             raise DomainError("square root of a negative superposition")
         return np.sqrt(r)
 
-    return Nomographic(pres, h, post)
+    return _nomographic(n_inputs, channel_coefficients, np.square, post)
 
 
 def nomographic_geometric_mean(
     n_inputs: int, channel_coefficients: Sequence[float] | None = None
 ) -> Nomographic:
     """(prod_s x_s)^(1/n): pre_s(x) = ln(x) / h_s, post(r) = exp(r / n)."""
-    h = tuple(channel_coefficients or [1.0] * n_inputs)
 
     def log_pre(x: np.ndarray) -> np.ndarray:
         if np.any(x <= 0):
             raise DomainError("geometric mean undefined for non-positive inputs")
         return np.log(x)
 
-    pres = tuple(_scaled_pre(log_pre, hs) for hs in h)
-    return Nomographic(pres, h, lambda r: np.exp(r / n_inputs))
+    return _nomographic(n_inputs, channel_coefficients, log_pre, lambda r: np.exp(r / n_inputs))
 
 
 # -- network configuration -------------------------------------------------

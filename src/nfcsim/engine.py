@@ -20,7 +20,7 @@ from typing import Callable, Iterator, Mapping
 import numpy as np
 
 from nfcsim.afc import FunctionAssignment, block_sizes, decompose_average, install_functions
-from nfcsim.errors import MismatchedScenarios, ScenarioError
+from nfcsim.errors import DomainMismatch, MismatchedScenarios, ScenarioError
 from nfcsim.field import FieldSpec
 from nfcsim.graph import NfcGraph, NodeRole, TopologyConfig, build_graph
 from nfcsim.learning.consensus import ConsensusState, consensus_step
@@ -266,17 +266,12 @@ def _row(t: int, value: object, dropped: int, lost: int = 0) -> dict[str, object
 def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     """Raw delivery: each alive source sends one packet, which every alive
     node relays hop by hop to the root. Only the counts matter, so a
-    node's count is summed over the level plan (one node at a time on a
-    dag), one block of generations at a time: 1 for an alive source,
-    its children's total for an alive atomic node."""
+    node's count is summed over the level plan, one block of generations
+    at a time: 1 for an alive source, its children's total for an alive
+    atomic node."""
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
     events: list[tuple] | None = [] if audit else None
-    if g.mode == "tree":
-        groups = [group[:2] for group in g.level_plan]
-    else:
-        atomics = [v for v in g.topo_order if g.roles[v] is NodeRole.ATOMIC]
-        groups = [(np.array([v]), np.array([g.in_neighbors[v]], dtype=np.intp)) for v in atomics]
     is_source = np.array([role is NodeRole.SOURCE for role in g.roles])
     sent = np.zeros(g.n_nodes, dtype=np.int64)
     rows: list[dict[str, object]] = []
@@ -284,7 +279,7 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
         metrics.dropped_nodes += int(dropped.sum())
         count = (is_source & ~dropped).astype(np.int64)
-        for nodes, children in groups:
+        for nodes, children, _ in g.level_plan:
             count[:, nodes] = ~dropped[:, nodes] * count[:, children].sum(axis=2)
         sent += count.sum(axis=0)
         delivered = count[:, list(g.in_neighbors[dest])].sum(axis=1).tolist()
@@ -317,7 +312,8 @@ def _evaluated_generations(
     through the installed assignment in one pass; each generation then
     records its audit events when ``events`` is a list and yields
     (dropped count, destination output). Every arc that carried a message
-    is metered once, after the last block.
+    is metered once, after the last block. A node's packet width is fixed
+    for the whole run, so the block split never decides whether it fails.
     """
     network = install_functions(g, assignment)
     data_rng = substream(s.seed, 0)
@@ -335,9 +331,11 @@ def _evaluated_generations(
         else:
             values = data_rng.normal(s.data.mean, s.data.std, size=(size, *shape))
         block = network.evaluate_block(values, dropped)
-        sent += block.emitted.sum(axis=0)
         for v in np.flatnonzero(block.emitted.any(axis=0)).tolist():
+            if sent[v] and width[v] != block.packets[v].shape[-1]:  # as within one block
+                raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
             width[v] = block.packets[v].shape[-1]
+        sent += block.emitted.sum(axis=0)
         for gone, row, output in zip(dropped.tolist(), block.emitted.tolist(), block.outputs[dest]):
             if events is not None:
                 events.extend(("deliver", v, g.out_neighbors[v][0], t) for v in g.topo_order if row[v])
@@ -407,6 +405,7 @@ def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     result = nn_train(network, dataset, s.neural.epochs, s.eta.at, failures=s.failures)
     for arc, count in result.arc_messages.items():
         metrics.record(arc, MESSAGE_SYMBOLS, messages=count)
+    metrics.dropped_nodes += sum(result.dropped_per_step)
     metrics.lost_messages += sum(result.lost_per_step)
     rows = [
         _row(t, loss, dropped, lost)

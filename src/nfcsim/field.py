@@ -148,8 +148,6 @@ class FieldSpec:
     def add(self, a: int, b: int) -> int:
         return a ^ b
 
-    sub = add  # characteristic 2
-
     def mul(self, a: int, b: int) -> int:
         return int(self._exp[self._log[a] + self._log[b]])
 
@@ -175,10 +173,6 @@ class FieldSpec:
         return self._exp[self._log[x] + self._log[y]]
 
     def scale(self, c: int, x: np.ndarray) -> np.ndarray:
-        if c == 0:
-            return np.zeros_like(x)
-        if c == 1:
-            return x.copy()
         return self.mul_arrays(np.asarray(c, dtype=self.dtype), x)
 
     def inv_arrays(self, x: np.ndarray) -> np.ndarray:
@@ -200,8 +194,7 @@ class FieldSpec:
         coeffs = np.asarray(coeffs, dtype=self.dtype)[..., None]
         if rows.shape[-2] == 0:
             return np.zeros(rows.shape[:-2] + rows.shape[-1:], dtype=self.dtype)
-        prods = coeffs & rows if self.m == 1 else self.mul_arrays(coeffs, rows)
-        return np.bitwise_xor.reduce(prods, axis=-2)
+        return np.bitwise_xor.reduce(self.mul_arrays(coeffs, rows), axis=-2)
 
     def random_elements(self, rng: np.random.Generator, shape) -> np.ndarray:
         """Uniform draws over the whole field, zero included."""

@@ -19,7 +19,6 @@ import numpy as np
 from nfcsim.errors import (
     CycleDetected,
     DanglingReference,
-    NotATree,
     RoleConflict,
     TreeViolation,
 )
@@ -121,21 +120,23 @@ class NfcGraph:
 
     @cached_property
     def level_plan(self) -> tuple[LevelGroup, ...]:
-        """The tree compiled once: atomic nodes grouped by (height, arity),
-        lowest first, so a group reads only sources and earlier groups."""
-        if self.mode != "tree":
-            raise NotATree("a level plan needs a tree-mode graph")
+        """The graph compiled once: atomic nodes grouped by (height, arity),
+        lowest first, so a group reads only sources and earlier groups. A
+        childless atomic node (dag mode only) has height 1 and arity 0."""
         height = [0] * self.n_nodes  # 0 for sources
         groups: dict[tuple[int, int], list[tuple]] = {}  # members: (node, children, slots)
         slot = 0
         for v in self.topo_order:
             kids = self.in_neighbors[v]
             if self.roles[v] is NodeRole.ATOMIC:
-                height[v] = 1 + max(height[c] for c in kids)
+                height[v] = 1 + max((height[c] for c in kids), default=0)
                 member = (v, kids, range(slot, slot + len(kids)))
                 groups.setdefault((height[v], len(kids)), []).append(member)
                 slot += len(kids)
-        return tuple(LevelGroup(*map(np.array, zip(*groups[key]))) for key in sorted(groups))
+        return tuple(
+            LevelGroup(*(np.array(column, dtype=np.intp) for column in zip(*groups[key])))
+            for key in sorted(groups)
+        )
 
     @property
     def n_sources(self) -> int:
@@ -336,9 +337,14 @@ def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, s
         flow += bottleneck
 
 
-def _check_destination(g: NfcGraph, dest: int) -> None:
+def _source_cut(g: NfcGraph, dest: int, source_capacity: int) -> int:
+    """Max flow into dest over unit arcs, each source fed ``source_capacity``."""
     if g.roles[dest] is not NodeRole.DESTINATION:
         raise RoleConflict(f"{g.names[dest]!r} is not a destination")
+    super_source = g.n_nodes
+    arcs = [(u, v, 1) for u, v in g.arcs]
+    arcs += [(super_source, s, source_capacity) for s in g.sources]
+    return _max_flow(g.n_nodes + 1, arcs, super_source, dest)
 
 
 def min_cut(g: NfcGraph, dest: int) -> int:
@@ -348,12 +354,7 @@ def min_cut(g: NfcGraph, dest: int) -> int:
     source by infinite-capacity arcs (Edmonds-Karp). Returns 0 when no
     source reaches dest.
     """
-    _check_destination(g, dest)
-    super_source = g.n_nodes
-    infinite = len(g.arcs) + 1
-    arcs = [(u, v, 1) for u, v in g.arcs]
-    arcs += [(super_source, s, infinite) for s in g.sources]
-    return _max_flow(g.n_nodes + 1, arcs, super_source, dest)
+    return _source_cut(g, dest, source_capacity=len(g.arcs) + 1)
 
 
 def message_min_cut(g: NfcGraph, dest: int) -> int:
@@ -364,11 +365,7 @@ def message_min_cut(g: NfcGraph, dest: int) -> int:
     generation), so a source with no path to dest contributes nothing
     instead of inflating the cut.
     """
-    _check_destination(g, dest)
-    super_source = g.n_nodes
-    arcs = [(u, v, 1) for u, v in g.arcs]
-    arcs += [(super_source, s, 1) for s in g.sources]
-    return _max_flow(g.n_nodes + 1, arcs, super_source, dest)
+    return _source_cut(g, dest, source_capacity=1)
 
 
 # -- topology generators -------------------------------------------------

@@ -179,6 +179,15 @@ class _Checker:
         return values
 
 
+# The topology keys each generator reads; a generated topology is a tree.
+_GENERATOR_KEYS = {
+    "star": {"sources"},
+    "balanced_tree": {"sources", "branching"},
+    "chain": {"relays"},
+    "explicit": {"nodes", "children", "mode"},
+}
+
+
 def _build_topology(checker: _Checker) -> TopologyConfig | None:
     topo = checker.section(("topology",))
     if topo is None:
@@ -194,6 +203,15 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
     if generator is None:
         checker.fail(("topology",), "needs a generator or explicit nodes")
         return None
+    if generator not in _GENERATOR_KEYS:
+        checker.fail(("topology", "generator"), f"unknown generator {generator!r}")
+        return None
+    unread = _SECTION_KEYS[("topology",)] - _GENERATOR_KEYS[generator] - {"generator"}
+    for key in [key for key in topo if key in unread]:  # unknown keys are already reported
+        if key != "mode":
+            checker.fail(("topology", key), f"not read by generator {generator!r}")
+        elif mode != "tree":
+            checker.fail(("topology", key), f"generator {generator!r} builds a tree; mode must be 'tree'")
     if generator == "star":
         n = checker.value(("topology", "sources"), int, required=True)
         if n is None or n < 1:
@@ -205,6 +223,9 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
         branching = checker.value(("topology", "branching"), int, default=2)
         if n is None:
             return None
+        if branching < 2:
+            checker.fail(("topology", "branching"), "must be >= 2")
+            return None
         try:
             return balanced_tree_topology(n, branching)
         except ValueError as exc:
@@ -212,27 +233,27 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
             return None
     if generator == "chain":
         relays = checker.value(("topology", "relays"), int, default=1)
-        return chain_topology(relays)
-    if generator == "explicit":
-        nodes = checker.value(("topology", "nodes"), dict, required=True)
-        children = checker.value(("topology", "children"), dict, default={})
-        if nodes is None:
+        if relays < 0:
+            checker.fail(("topology", "relays"), "must be a non-negative integer")
             return None
-        roles = {}
-        for name, role in nodes.items():
-            if role not in _ROLES:
-                checker.fail(("topology", "nodes", name), f"unknown role {role!r}")
-                return None
-            roles[str(name)] = _ROLES[role]
-        child_map = {}
-        for parent, kids in (children or {}).items():
-            if not isinstance(kids, list):
-                checker.fail(("topology", "children", parent), "must be a list of node names")
-                return None
-            child_map[str(parent)] = [str(k) for k in kids]
-        return TopologyConfig(roles=roles, children=child_map, mode=mode)
-    checker.fail(("topology", "generator"), f"unknown generator {generator!r}")
-    return None
+        return chain_topology(relays)
+    nodes = checker.value(("topology", "nodes"), dict, required=True)
+    children = checker.value(("topology", "children"), dict, default={})
+    if nodes is None:
+        return None
+    roles = {}
+    for name, role in nodes.items():
+        if role not in _ROLES:
+            checker.fail(("topology", "nodes", name), f"unknown role {role!r}")
+            return None
+        roles[str(name)] = _ROLES[role]
+    child_map = {}
+    for parent, kids in (children or {}).items():
+        if not isinstance(kids, list):
+            checker.fail(("topology", "children", parent), "must be a list of node names")
+            return None
+        child_map[str(parent)] = [str(k) for k in kids]
+    return TopologyConfig(roles=roles, children=child_map, mode=mode)
 
 
 def parse_scenario_text(

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from nfcsim.errors import RoleConflict
 from nfcsim.graph import NfcGraph, NodeRole, message_min_cut
@@ -72,17 +72,10 @@ def max_target(arity: int = 2, alphabet: int = 2) -> TargetFunction:
 
 
 def identity_target(arity: int = 2, alphabet: int = 2) -> TargetFunction:
-    """Deliver all source symbols: B = A^N, encoded as a base-|A| integer."""
-
-    def encode(*xs: int) -> int:
-        idx = 0
-        for x in xs:
-            idx = idx * alphabet + x
-        return idx
-
-    return TargetFunction.from_callable(
-        "identity", encode, arity, alphabet, alphabet**arity
-    )
+    """Deliver all source symbols: B = A^N, encoded as a base-|A| integer,
+    which in lexicographic input order is the input's table index."""
+    size = alphabet**arity
+    return TargetFunction("identity", arity, alphabet, size, tuple(range(size)))
 
 
 TARGET_PRESETS: dict[str, Callable[[int, int], TargetFunction]] = {
@@ -186,10 +179,6 @@ def _arc_order(g: NfcGraph) -> list[tuple[int, int]]:
     return order
 
 
-def _vector_space(q: int, length: int) -> list[tuple[int, ...]]:
-    return list(itertools.product(range(q), repeat=length))
-
-
 def candidate_bound(instance: SolvabilityInstance) -> int:
     """Upper bound on candidate assignments, computable before search."""
     g = instance.graph
@@ -256,8 +245,6 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     ]
     source_pos = {s: i for i, s in enumerate(sources)}
     arc_order = _arc_order(g)
-    out_vectors = _vector_space(q, length)
-    zero_vec = out_vectors[0]
 
     # Per-pattern value of each assigned arc, filled during the DFS.
     arc_values: dict[tuple[int, int], list[tuple[int, ...]]] = {}
@@ -309,6 +296,19 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
         }
         return Witness(arc_inputs=arc_inputs, arc_tables=named_tables, decoders=decoders)
 
+    def mappings(u: int, classes: list[tuple]) -> Iterator[dict[tuple, tuple[int, ...]]]:
+        """The arc's candidate tables over its input classes, in search order."""
+        if instance.function_class == "all":
+            out_vectors = itertools.product(range(q), repeat=length)
+            for outputs in itertools.product(out_vectors, repeat=len(classes)):
+                yield dict(zip(classes, outputs))
+            return
+        is_source = g.roles[u] is NodeRole.SOURCE
+        dim = len(key_vector(classes[0], is_source))
+        for entries in itertools.product(range(q), repeat=length * dim):
+            matrix = tuple(entries[r * dim : (r + 1) * dim] for r in range(length))
+            yield {key: _linear_apply(matrix, key_vector(key, is_source)) for key in classes}
+
     def rec(i: int) -> Witness | None:
         if i == len(arc_order):
             decoders = destinations_consistent()
@@ -317,31 +317,12 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
             return build_witness(decoders)
         u, v = arc_order[i]
         keys = [input_key(u, p) for p in range(n_patterns)]
-        classes = sorted(set(keys))
-        if instance.function_class == "linear":
-            is_source = g.roles[u] is NodeRole.SOURCE
-            dim = len(key_vector(classes[0], is_source))
-            for entries in itertools.product(range(q), repeat=length * dim):
-                matrix = tuple(
-                    entries[r * dim : (r + 1) * dim] for r in range(length)
-                )
-                mapping = {
-                    key: _linear_apply(matrix, key_vector(key, is_source))
-                    for key in classes
-                }
-                arc_values[(u, v)] = [mapping[key] for key in keys]
-                arc_tables[(u, v)] = mapping
-                found = rec(i + 1)
-                if found is not None:
-                    return found
-        else:
-            for outputs in itertools.product(out_vectors, repeat=len(classes)):
-                mapping = dict(zip(classes, outputs))
-                arc_values[(u, v)] = [mapping[key] for key in keys]
-                arc_tables[(u, v)] = mapping
-                found = rec(i + 1)
-                if found is not None:
-                    return found
+        for mapping in mappings(u, sorted(set(keys))):
+            arc_values[(u, v)] = [mapping[key] for key in keys]
+            arc_tables[(u, v)] = mapping
+            found = rec(i + 1)
+            if found is not None:
+                return found
         del arc_values[(u, v)]
         arc_tables.pop((u, v), None)
         return None

@@ -369,6 +369,42 @@ def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, te
     assert "Traceback" not in result.output
 
 
+FORWARDING_HEADER = "schema_version: 1\napplication: forwarding\ngenerations: 1\ntopology:\n"
+
+
+@pytest.mark.parametrize(
+    "topology, line, path, message",
+    [
+        ("  generator: chain\n  relays: -3\n", 6, "topology.relays", "must be a non-negative integer"),
+        ("  generator: star\n  sources: 2\n  branching: 3\n", 7, "topology.branching",
+         "not read by generator 'star'"),
+        ("  generator: balanced_tree\n  sources: 4\n  relays: 2\n", 7, "topology.relays",
+         "not read by generator 'balanced_tree'"),
+        ("  generator: chain\n  sources: 3\n", 6, "topology.sources", "not read by generator 'chain'"),
+        ("  generator: star\n  sources: 2\n  mode: dag\n", 7, "topology.mode",
+         "generator 'star' builds a tree; mode must be 'tree'"),
+        ("  generator: chain\n  nodes: {s0: source}\n", 6, "topology.nodes",
+         "not read by generator 'chain'"),
+        ("  generator: balanced_tree\n  sources: 4\n  branching: 1\n", 7, "topology.branching",
+         "must be >= 2"),
+    ],
+    ids=["negative_relays", "branching_on_star", "relays_on_balanced_tree", "sources_on_chain",
+         "dag_mode_on_star", "nodes_on_chain", "branching_below_2"],
+)
+def test_topology_keys_a_generator_does_not_read_exit_2(runner, tmp_path, topology, line, path, message):
+    scenario = write(tmp_path, "topology.yaml", FORWARDING_HEADER + topology)
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert f"line {line}: {path}: {message}" in result.output
+
+
+def test_generated_topology_accepts_explicit_tree_mode(runner, tmp_path):
+    text = FORWARDING_HEADER + "  generator: star\n  sources: 2\n  mode: tree\n"
+    scenario = write(tmp_path, "topology.yaml", text)
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 0, result.output
+
+
 NEURAL_TWO_SOURCES = """\
 schema_version: 1
 application: neural

@@ -352,3 +352,28 @@ def test_summary_line_content():
     line = result.summary_line()
     assert "application=consensus" in line
     assert "final_estimate=" in line
+
+
+@pytest.mark.parametrize("generations_per_block", [1, 2])
+def test_width_change_fails_under_any_block_split(generations_per_block):
+    """a0 takes Max over whichever child arrived: s0's 2-symbol packet in
+    one generation and s1's 1-symbol packet in the other."""
+    from unittest import mock
+
+    from nfcsim import afc
+    from nfcsim.afc import AppendCount, FunctionAssignment, Max
+    from nfcsim.errors import DomainMismatch
+    from nfcsim.graph import NodeRole, TopologyConfig
+
+    roles = {"s0": NodeRole.SOURCE, "s1": NodeRole.SOURCE, "a0": NodeRole.ATOMIC,
+             "d0": NodeRole.DESTINATION}
+    scenario = Scenario(
+        topology=TopologyConfig(roles=roles, children={"a0": ["s0", "s1"], "d0": ["a0"]}),
+        application="custom",
+        generations=2,
+        failures=FailureModel(node_dropout_p=0.5, seed=6),
+        assignment=FunctionAssignment({"s0": AppendCount(), "a0": Max()}),
+    )
+    with mock.patch.object(afc, "BLOCK_ELEMENTS", generations_per_block * 4):
+        with pytest.raises(DomainMismatch, match="node 'a0' emits packets of unequal widths"):
+            run_scenario(scenario)

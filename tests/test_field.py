@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfcsim.errors import RankDeficient, ZeroInverse
 from nfcsim.field import (
@@ -327,3 +328,30 @@ def test_combine_and_solve_round_trip_gf65536():
         solved = gaussian_solve(f, a, b)
         assert solved.rank == 8
         assert np.array_equal(solved.solution, x)
+
+
+FIELDS = {m: FieldSpec(m) for m in range(1, 17)}
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    m=st.integers(1, 16),
+    batch=st.lists(st.integers(1, 3), max_size=2),
+    p=st.integers(0, 5),
+    w=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_combine_is_a_scalar_mul_xor_reduction(m, batch, p, w, seed):
+    """Every m, GF(2) included, combines through the same table gather."""
+    f = FIELDS[m]
+    rng = np.random.default_rng(seed)
+    coeffs = f.random_elements(rng, (*batch, p))
+    rows = f.random_elements(rng, (*batch, p, w))
+    combined = f.combine(coeffs, rows)
+    assert combined.dtype == f.dtype and combined.shape == (*batch, w)
+    for index in itertools.product(*map(range, batch)):
+        for j in range(w):
+            acc = 0
+            for i in range(p):
+                acc ^= mul_oracle(int(coeffs[index][i]), int(rows[index][i, j]), f.reduction_polynomial)
+            assert combined[index][j] == acc

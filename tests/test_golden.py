@@ -12,6 +12,8 @@ import pytest
 from click.testing import CliRunner
 
 from nfcsim.cli import main
+from nfcsim.engine import run_scenario
+from nfcsim.scenario import load_scenario_file
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -50,3 +52,12 @@ def test_compare_outputs_byte_identical(tmp_path):
     assert result.output == (golden / "stdout.txt").read_text()
     assert sorted(p.name for p in out.iterdir()) == ["compare.csv"]
     assert (out / "compare.csv").read_bytes() == (golden / "compare.csv").read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+def test_failure_counters_sum_the_trajectory(name):
+    loaded = load_scenario_file(DATA / name / "scenario.yaml")
+    result = run_scenario(loaded.scenario)
+    _, rows = result.tables.get("trajectory", ((), []))
+    assert result.metrics.dropped_nodes == sum(row["dropped_nodes"] for row in rows)
+    assert result.metrics.lost_messages == sum(row["lost_messages"] for row in rows)

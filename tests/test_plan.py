@@ -32,6 +32,7 @@ from nfcsim.afc import (
 from nfcsim.errors import DanglingReference, DomainMismatch, NotATree
 from nfcsim.field import FieldSpec
 from nfcsim.graph import NodeRole, TopologyConfig, balanced_tree_topology, build_graph
+from nfcsim.learning.neural import NeuralTreeNetwork
 
 GF16 = FieldSpec(4)
 
@@ -262,24 +263,46 @@ def test_install_functions_rejects_dag():
         install_functions(dag_graph(), FunctionAssignment({"a0": Sum()}))
 
 
-def test_level_plan_rejects_dag():
+def test_neural_network_rejects_dag():
     with pytest.raises(NotATree):
-        dag_graph().level_plan
+        NeuralTreeNetwork(dag_graph())
+
+
+def random_dag(rng: np.random.Generator, n_sources: int, n_atomics: int) -> TopologyConfig:
+    """A dag-mode graph in which atomic a0 has no children and source s0
+    has a parent in every other atomic node and the destination; each of
+    those also takes up to three more nodes declared before it."""
+    roles = {f"s{i}": NodeRole.SOURCE for i in range(n_sources)}
+    children: dict[str, list[str]] = {"a0": []}
+    roles["a0"] = NodeRole.ATOMIC
+    for name in [f"a{i}" for i in range(1, n_atomics)] + ["d0"]:
+        earlier = list(roles)[1:]
+        count = int(rng.integers(0, min(3, len(earlier)) + 1))
+        children[name] = ["s0"] + [earlier[i] for i in rng.choice(len(earlier), size=count, replace=False)]
+        roles[name] = NodeRole.DESTINATION if name == "d0" else NodeRole.ATOMIC
+    return TopologyConfig(roles=roles, children=children, mode="dag")
 
 
 @settings(max_examples=60, deadline=None)
-@given(seed=st.integers(0, 2**32 - 1), n_sources=st.integers(1, 24), atomic_share=st.floats(0.0, 1.0))
-def test_level_plan_covers_each_atomic_once_after_its_children(seed, n_sources, atomic_share):
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 24),
+    atomic_share=st.floats(0.0, 1.0),
+    dag=st.booleans(),
+)
+def test_level_plan_covers_each_atomic_once_after_its_children(seed, n_sources, atomic_share, dag):
     rng = np.random.default_rng(seed)
-    g = build_graph(random_tree(rng, n_sources, max(1, round(atomic_share * n_sources))))
+    n_atomics = max(1, round(atomic_share * n_sources))
+    g = build_graph(random_dag(rng, n_sources, n_atomics + 1) if dag else random_tree(rng, n_sources, n_atomics))
     height = dict.fromkeys(g.sources, 0)
     keys = []
     for group in g.level_plan:
         k, arity = group.children.shape
         assert group.nodes.shape == (k,) and group.slots.shape == (k, arity)
+        assert all(column.dtype == np.intp for column in group)
         for v, kids in zip(group.nodes.tolist(), group.children.tolist()):
             assert tuple(kids) == g.in_neighbors[v]
-            height[v] = 1 + max(height[c] for c in kids)  # KeyError if a child comes later
+            height[v] = 1 + max((height[c] for c in kids), default=0)  # KeyError if a child comes later
             keys.append((height[v], arity))
     assert keys == sorted(keys)
     assert sorted(height) == sorted(g.sources + g.atomics)

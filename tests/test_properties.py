@@ -58,7 +58,7 @@ from nfcsim.rlnc import (
     source_encode,
     trial_rng,
 )
-from test_plan import random_assignment, random_tree, reference
+from test_plan import random_assignment, random_dag, random_tree, reference
 
 FIELDS = {m: FieldSpec(m) for m in (1, 4, 8, 12, 16)}
 
@@ -279,6 +279,31 @@ def test_blocked_forwarding_on_a_dag_matches_the_barrier_walk(
         seed=seed,
         generations=generations,
         packet_length=2,
+        failures=FailureModel(node_dropout_p=dropout_p, seed=seed),
+    )
+    g = build_graph(topology)
+    assert_matches_oracle(s, g, g.n_nodes)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 6),
+    n_atomics=st.integers(2, 6),
+    dropout_p=st.floats(0.0, 0.6),
+    generations=st.integers(0, 16),
+)
+def test_forwarding_past_a_childless_node_matches_the_barrier_walk(
+    seed, n_sources, n_atomics, dropout_p, generations
+):
+    """On the level plan a childless atomic node relays nothing, and a
+    source with several parents is counted once under each."""
+    topology = random_dag(np.random.default_rng(seed), n_sources, n_atomics)
+    s = Scenario(
+        topology=topology,
+        application="forwarding",
+        seed=seed,
+        generations=generations,
         failures=FailureModel(node_dropout_p=dropout_p, seed=seed),
     )
     g = build_graph(topology)

@@ -1,5 +1,7 @@
 """Witness search, min-cut criterion, and their agreement."""
 
+import itertools
+
 import pytest
 
 from nfcsim.graph import NodeRole, TopologyConfig, build_graph, chain_topology, star_topology
@@ -172,3 +174,18 @@ def test_multi_generation_identity_needs_wider_packets():
         SolvabilityInstance(STAR2, identity_target(2, 2), 2, generation_length=2)
     )
     assert verdict.solvable == "no"
+
+
+@pytest.mark.parametrize("arity", [1, 2, 3])
+@pytest.mark.parametrize("alphabet", [2, 3])
+def test_identity_target_is_the_base_alphabet_encoding(arity, alphabet):
+    def encode(*xs: int) -> int:
+        idx = 0
+        for x in xs:
+            idx = idx * alphabet + x
+        return idx
+
+    target = identity_target(arity, alphabet)
+    assert target == TargetFunction.from_callable("identity", encode, arity, alphabet, alphabet**arity)
+    for combo in itertools.product(range(alphabet), repeat=arity):
+        assert target(combo) == encode(*combo)
