@@ -106,12 +106,12 @@ def capacity(scenario_file: str, out: str | None, quiet: bool):
     request = loaded.capacity
     graph = build_graph(loaded.topology)
     target = TARGET_PRESETS[request.target](graph.n_sources, request.alphabet)
-    identity = linear_identity_check(graph)
-    click.echo(
-        f"linear identity delivery: {'solvable' if identity.solvable else 'not solvable'}"
-        f" ({identity.detail})"
-    )
     try:
+        identity = linear_identity_check(graph)
+        click.echo(
+            f"linear identity delivery: {'solvable' if identity.solvable else 'not solvable'}"
+            f" ({identity.detail})"
+        )
         sweep = capacity_lower_bound(
             graph,
             target,

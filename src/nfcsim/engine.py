@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping
+from operator import attrgetter
+from typing import Callable, Collection, Iterator, Mapping
 
 import numpy as np
 
@@ -37,10 +38,6 @@ from nfcsim.learning.neural import (
 from nfcsim.rlnc import run_recovery_experiment
 from nfcsim.rng import substream
 
-# "custom" runs a caller-supplied FunctionAssignment; the file-based CLI
-# drives the four named applications.
-APPLICATIONS = ("forwarding", "rlnc", "consensus", "neural", "custom")
-
 TRAJECTORY_COLUMNS = ("generation", "value", "dropped_nodes", "lost_messages")
 ARC_COLUMNS = ("src", "dst", "messages", "symbols")
 
@@ -58,7 +55,9 @@ class DataModel:
 
 @dataclass(frozen=True)
 class EtaSchedule:
-    kind: str = "constant"  # "constant" | "harmonic"
+    KINDS = ("constant", "harmonic")  # not a field: the allowed values of kind
+
+    kind: str = "constant"
     value: float = 0.5
 
     def at(self, t: int) -> float:
@@ -93,51 +92,40 @@ class Scenario:
     assignment: FunctionAssignment | None = None  # custom application only
 
     def validation_errors(self) -> list[str]:
-        problems: list[str] = []
-        if self.application not in APPLICATIONS:
-            problems.append(f"unknown application {self.application!r}")
-            return problems
-        if self.packet_length < 1:
-            problems.append("packet_length must be >= 1")
-        if self.data.std < 0:
-            problems.append("data.std must be >= 0")
-        if self.application == "rlnc":
-            if self.field is None:
-                problems.append("rlnc requires a field section (digital domain)")
-            if self.n_prime is None or self.n_prime < 0:
-                problems.append("rlnc requires n_prime >= 0")
-            if not self.trials:
-                problems.append("rlnc requires trials >= 1")
-            if self.failures.node_dropout_p or self.failures.message_loss_p:
-                problems.append("rlnc scenarios run without failure injection")
-        if self.application in ("consensus", "neural") and self.field is not None:
-            problems.append(f"{self.application} runs on the real domain, not a field")
-        if self.application == "forwarding" and self.field is not None:
-            problems.append("forwarding moves packets without reading them; it takes no field")
-        if self.application in ("forwarding", "consensus", "custom") and self.generations < 0:
-            problems.append("generations must be >= 0")
-        if self.application in ("rlnc", "neural") and self.generations:
-            problems.append(f"{self.application} does not read generations; it must stay 0")
-        # Forwarding accepts data: the benchmark copies it into its forwarding twin.
-        for section, default, readers in (
-            ("eta", EtaSchedule(), ("neural",)),
-            ("neural", NeuralParams(), ("neural",)),
-            ("data", DataModel(), ("forwarding", "consensus", "custom")),
-        ):
-            if self.application not in readers and getattr(self, section) != default:
-                problems.append(f"{self.application} does not read {section}; it must keep its defaults")
-        for key in ("n_prime", "trials"):
-            if self.application != "rlnc" and getattr(self, key) is not None:
-                problems.append(f"{self.application} does not read {key}; only rlnc does")
-        if self.eta.kind == "harmonic" and self.eta.value != EtaSchedule().value:
-            problems.append("eta.value is not read under kind harmonic; it must keep its default")
-        if self.application == "neural":
-            if self.neural.samples < 1 or self.neural.epochs < 1:
-                problems.append("neural requires samples >= 1 and epochs >= 1")
-            if self.packet_length != 1:
-                problems.append("neural scenarios use scalar activities (packet_length 1)")
+        name, app = self.application, APPLICATION_TABLE.get(self.application)
+        if app is None:
+            return [f"unknown application {name!r}"]
+        default = Scenario(self.topology, name)
+        problems = [
+            f"{name} does not read {key}; it must keep its default"
+            for key in SCENARIO_KEYS
+            if key not in app.reads and attrgetter(key)(self) != attrgetter(key)(default)
+        ]
+        roles = list(self.topology.roles.values())
+        destinations = roles.count(NodeRole.DESTINATION)
+        rlnc, neural = name == "rlnc", name == "neural"
+        problems += [message for failed, message in (
+            (self.topology.mode not in app.modes, f"{name} does not run on mode {self.topology.mode!r}"),
+            (destinations != 1, f"the topology must have exactly one destination, not {destinations}"),
+            (self.packet_length < 1, "packet_length must be >= 1"),
+            (self.data.std < 0, "data.std must be >= 0"),
+            (self.generations < 0, "generations must be >= 0"),
+            (self.eta.kind not in EtaSchedule.KINDS, f"eta.kind must be one of {EtaSchedule.KINDS}"),
+            (self.eta.kind == "harmonic" and self.eta.value != default.eta.value,
+             "eta.value is not read under kind harmonic; it must keep its default"),
+            (rlnc and self.field is None, "rlnc requires a field section (digital domain)"),
+            (rlnc and (self.n_prime is None or self.n_prime < 0), "rlnc requires n_prime >= 0"),
+            (rlnc and not self.trials, "rlnc requires trials >= 1"),
+            (neural and min(self.neural.samples, self.neural.epochs) < 1,
+             "neural requires samples >= 1 and epochs >= 1"),
+            (neural and self.packet_length != 1,
+             "neural scenarios use scalar activities (packet_length 1)"),
+            (name == "custom" and self.assignment is None,
+             "custom application requires a FunctionAssignment"),
+        ) if failed]
+        if neural:
             # |sum of n uniform(-1, 1) features| < n: no sample could clear the margin
-            n_sources = list(self.topology.roles.values()).count(NodeRole.SOURCE)
+            n_sources = roles.count(NodeRole.SOURCE)
             margin = self.neural.margin
             if margin >= n_sources:
                 problems.append(f"neural.margin must be below the source count {n_sources}")
@@ -147,11 +135,6 @@ class Scenario:
                     f" {acceptance:.2g} of samples over {n_sources} sources,"
                     f" below {MIN_MARGIN_ACCEPTANCE:g}"
                 )
-        if self.application == "custom" and self.assignment is None:
-            problems.append("custom application requires a FunctionAssignment")
-        lossless = ("forwarding", "consensus", "custom")
-        if self.application in lossless and self.failures.message_loss_p:
-            problems.append(f"{self.application} does not model message loss")
         return problems
 
     def validate(self) -> None:
@@ -417,13 +400,29 @@ def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, None
 
 
-_RUNNERS: dict[str, Callable] = {
-    "forwarding": _run_forwarding,
-    "consensus": _run_consensus,
-    "rlnc": _run_rlnc,
-    "neural": _run_neural,
-    "custom": _run_custom,
+@dataclass(frozen=True)
+class Application:
+    runner: Callable  # (scenario, graph, metrics, audit) -> (headline, tables, audit events)
+    reads: Collection[str]  # the SCENARIO_KEYS it reads; the others must keep their defaults
+    modes: tuple[str, ...] = ("tree",)  # the topology modes it runs on
+
+
+_DROPOUT = "failures.node_dropout_p"
+
+APPLICATION_TABLE = {
+    # Forwarding counts packets without reading them, but it keeps data: the
+    # benchmark (bench/workloads.py) copies the scenario's data into its twin.
+    "forwarding": Application(_run_forwarding, {"generations", "data", _DROPOUT}, ("tree", "dag")),
+    "rlnc": Application(_run_rlnc, {"field", "n_prime", "trials"}),
+    "consensus": Application(_run_consensus, {"generations", "data", _DROPOUT}),
+    "neural": Application(_run_neural, {"eta", "neural", _DROPOUT, "failures.message_loss_p"}),
+    # A caller-supplied assignment on the real domain or a field; the CLI drives the other four.
+    "custom": Application(_run_custom, {"generations", "field", "data", _DROPOUT, "assignment"}),
 }
+APPLICATIONS = tuple(APPLICATION_TABLE)
+# Every key some application reads, as an attribute path on Scenario.
+# failures.seed is none: the parser defaults it to the scenario seed.
+SCENARIO_KEYS = sorted(set().union(*(app.reads for app in APPLICATION_TABLE.values())))
 
 
 def run_scenario(s: Scenario, audit: bool = False) -> ScenarioResult:
@@ -437,7 +436,7 @@ def run_scenario(s: Scenario, audit: bool = False) -> ScenarioResult:
     g = build_graph(s.topology)
     metrics = Metrics()
     started = time.perf_counter()
-    headline, tables, events = _RUNNERS[s.application](s, g, metrics, audit)
+    headline, tables, events = APPLICATION_TABLE[s.application].runner(s, g, metrics, audit)
     metrics.wall_clock = time.perf_counter() - started
     tables["arcs"] = (ARC_COLUMNS, metrics.arc_rows(g))
     return ScenarioResult(
@@ -476,17 +475,15 @@ def compare_costs(nfc: ScenarioResult, forwarding: ScenarioResult) -> CostReport
         raise MismatchedScenarios("scenarios cover different generation counts")
     nfc_total = nfc.metrics.total_symbols
     fwd_total = forwarding.metrics.total_symbols
-    rows = []
-    arcs = sorted(set(nfc.metrics.arc_symbols) | set(forwarding.metrics.arc_symbols))
-    for arc in arcs:
-        rows.append(
-            {
-                "src": nfc.graph.names[arc[0]],
-                "dst": nfc.graph.names[arc[1]],
-                "nfc_symbols": nfc.metrics.arc_symbols.get(arc, 0),
-                "forwarding_symbols": forwarding.metrics.arc_symbols.get(arc, 0),
-            }
-        )
+    rows = [
+        {
+            "src": nfc.graph.names[arc[0]],
+            "dst": nfc.graph.names[arc[1]],
+            "nfc_symbols": nfc.metrics.arc_symbols.get(arc, 0),
+            "forwarding_symbols": forwarding.metrics.arc_symbols.get(arc, 0),
+        }
+        for arc in sorted(set(nfc.metrics.arc_symbols) | set(forwarding.metrics.arc_symbols))
+    ]
     ratio = fwd_total / nfc_total if nfc_total else float("inf")
     return CostReport(
         ratio=ratio, nfc_total=nfc_total, forwarding_total=fwd_total, arc_rows=rows

@@ -336,8 +336,8 @@ def parse_scenario_text(
     failures = FailureModel(**probabilities)
     data_model = DataModel(**checker.read("data"))
     eta = EtaSchedule(**checker.read("eta"))
-    if eta.kind not in ("constant", "harmonic"):
-        checker.fail(("eta", "kind"), "must be 'constant' or 'harmonic'")
+    if eta.kind not in EtaSchedule.KINDS:
+        checker.fail(("eta", "kind"), "must be " + " or ".join(map(repr, EtaSchedule.KINDS)))
     neural = NeuralParams(**checker.read("neural"))
 
     capacity = None

@@ -264,7 +264,7 @@ failures:
         path = write(tmp_path, f"{application}_loss.yaml", text)
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
-        assert f"{application} does not model message loss" in result.output
+        assert f"{application} does not read failures.message_loss_p; it must keep its default" in result.output
 
 
 def test_compare_rejects_forwarding(runner, tmp_path):
@@ -276,14 +276,7 @@ def test_compare_rejects_forwarding(runner, tmp_path):
     assert result.exit_code == 2
 
 
-def test_run_runtime_failure_exit_4(runner, tmp_path):
-    # schema-valid, but coded recovery needs a tree with a single root
-    text = """\
-schema_version: 1
-application: rlnc
-field: {m: 1}
-n_prime: 2
-trials: 10
+TWO_ROOT_DAG = """\
 topology:
   mode: dag
   nodes:
@@ -295,10 +288,47 @@ topology:
     d0: [s0, s1]
     d1: [s0]
 """
-    path = write(tmp_path, "two_roots.yaml", text)
-    result = runner.invoke(main, ["run", str(path)])
-    assert result.exit_code == 4
-    assert "runtime failure" in result.output
+
+ONE_ROOT_DAG = """\
+topology:
+  mode: dag
+  nodes: {s0: source, s1: source, a0: atomic, d0: destination}
+  children: {a0: [s0, s1], d0: [a0, s0]}
+"""
+
+
+@pytest.mark.parametrize(
+    "text, messages",
+    [
+        ("schema_version: 1\napplication: consensus\ngenerations: 2\n" + ONE_ROOT_DAG,
+         ["consensus does not run on mode 'dag'"]),
+        # Coded recovery needs a tree with a single root.
+        ("schema_version: 1\napplication: rlnc\nfield: {m: 1}\nn_prime: 2\ntrials: 10\n" + TWO_ROOT_DAG,
+         ["rlnc does not run on mode 'dag'", "the topology must have exactly one destination, not 2"]),
+        ("schema_version: 1\napplication: neural\nneural: {samples: 4, epochs: 1}\n" + ONE_ROOT_DAG,
+         ["neural does not run on mode 'dag'"]),
+        ("schema_version: 1\napplication: forwarding\ngenerations: 2\n" + TWO_ROOT_DAG,
+         ["the topology must have exactly one destination, not 2"]),
+    ],
+    ids=["dag_consensus", "dag_rlnc", "dag_neural", "two_destination_forwarding"],
+)
+def test_run_rejects_topologies_the_application_does_not_run_on(runner, tmp_path, text, messages):
+    path = write(tmp_path, "topology.yaml", text)
+    out = tmp_path / "out"
+    for args in (["validate", str(path)], ["run", str(path), "--out", str(out)]):
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert all(message in result.output for message in messages), result.output
+    assert not out.exists()
+
+
+def test_capacity_runtime_failure_exit_4(runner, tmp_path):
+    # schema-valid, but identity delivery is checked toward a single destination
+    path = write(tmp_path, "two_roots.yaml", "schema_version: 1\ncapacity: {target: identity}\n" + TWO_ROOT_DAG)
+    result = runner.invoke(main, ["capacity", str(path)])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("runtime failure: ")
+    assert "Traceback" not in result.output
 
 
 def test_custom_application_needs_library_use(runner, tmp_path):
@@ -355,10 +385,12 @@ capacity:
         (CAPACITY_STAR.replace("l_values: [1]", "l_values: [2, 0]"), 8, "capacity.l_values"),
         (CAPACITY_STAR.replace("k_values: [1]", "k_values: []"), 7, "capacity.k_values"),
         (CAPACITY_STAR.replace("l_values: [1]", "l_values: []"), 8, "capacity.l_values"),
+        (VALID_RLNC.replace("application: rlnc", "application: neural") + "eta:\n  kind: bogus\n",
+         13, "eta.kind"),
     ],
     ids=[
         "dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero",
-        "k_empty", "l_empty",
+        "k_empty", "l_empty", "eta_kind_unknown",
     ],
 )
 def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, text, line, path):
@@ -461,19 +493,20 @@ NEURAL_STAR = NEURAL_TWO_SOURCES.replace("5.0", "0.5")
     "text, message",
     [
         (CONSENSUS_STAR + "eta:\n  kind: constant\n  value: 0.9\n",
-         "consensus does not read eta; it must keep its defaults"),
-        (VALID_RLNC + "eta:\n  kind: harmonic\n", "rlnc does not read eta"),
-        (CONSENSUS_STAR + "neural:\n  epochs: 3\n", "consensus does not read neural"),
-        (VALID_RLNC + "generations: 5\n", "rlnc does not read generations; it must stay 0"),
-        (NEURAL_STAR + "generations: 5\n", "neural does not read generations"),
-        (CONSENSUS_STAR + "n_prime: 3\n", "consensus does not read n_prime; only rlnc does"),
-        (CONSENSUS_STAR + "trials: 7\n", "consensus does not read trials; only rlnc does"),
-        (VALID_RLNC + "data:\n  mean: 9.0\n", "rlnc does not read data; it must keep its defaults"),
-        (NEURAL_STAR + "data:\n  std: 2.0\n", "neural does not read data"),
+         "consensus does not read eta; it must keep its default"),
+        (VALID_RLNC + "eta:\n  kind: harmonic\n", "rlnc does not read eta; it must keep its default"),
+        (CONSENSUS_STAR + "neural:\n  epochs: 3\n",
+         "consensus does not read neural; it must keep its default"),
+        (VALID_RLNC + "generations: 5\n", "rlnc does not read generations; it must keep its default"),
+        (NEURAL_STAR + "generations: 5\n", "neural does not read generations; it must keep its default"),
+        (CONSENSUS_STAR + "n_prime: 3\n", "consensus does not read n_prime; it must keep its default"),
+        (CONSENSUS_STAR + "trials: 7\n", "consensus does not read trials; it must keep its default"),
+        (VALID_RLNC + "data:\n  mean: 9.0\n", "rlnc does not read data; it must keep its default"),
+        (NEURAL_STAR + "data:\n  std: 2.0\n", "neural does not read data; it must keep its default"),
         (NEURAL_STAR + "eta:\n  kind: harmonic\n  value: 0.9\n",
          "eta.value is not read under kind harmonic; it must keep its default"),
         (CONSENSUS_STAR.replace("consensus", "forwarding") + "field:\n  m: 4\n",
-         "forwarding moves packets without reading them; it takes no field"),
+         "forwarding does not read field; it must keep its default"),
     ],
     ids=["eta_on_consensus", "eta_on_rlnc", "neural_on_consensus", "generations_on_rlnc",
          "generations_on_neural", "n_prime_on_consensus", "trials_on_consensus", "data_on_rlnc",
@@ -508,7 +541,7 @@ def test_trials_flag_is_rlnc_only(runner, tmp_path):
     for command in ("run", "compare"):
         result = runner.invoke(main, [command, str(scenario), "--trials", "5"])
         assert result.exit_code == 2, result.output
-        assert "consensus does not read trials; only rlnc does" in result.output
+        assert "consensus does not read trials; it must keep its default" in result.output
     rlnc = write(tmp_path, "rlnc.yaml", VALID_RLNC)
     result = runner.invoke(main, ["run", str(rlnc), "--trials", "5", "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from nfcsim.engine import (
+    APPLICATION_TABLE,
+    APPLICATIONS,
     DataModel,
+    EtaSchedule,
     GenerationBarrier,
     NeuralParams,
     Scenario,
@@ -13,7 +16,13 @@ from nfcsim.engine import (
 )
 from nfcsim.errors import MismatchedScenarios, ScenarioError
 from nfcsim.field import FieldSpec
-from nfcsim.graph import balanced_tree_topology, chain_topology, star_topology
+from nfcsim.graph import (
+    NodeRole,
+    TopologyConfig,
+    balanced_tree_topology,
+    chain_topology,
+    star_topology,
+)
 from nfcsim.learning.neural import FailureModel
 from nfcsim.scenario import render_csv
 
@@ -185,7 +194,7 @@ def test_scenario_validation_errors():
     real_field = Scenario(
         topology=TREE64, application="consensus", field=FieldSpec(2), generations=1
     )
-    assert any("real domain" in p for p in real_field.validation_errors())
+    assert "consensus does not read field; it must keep its default" in real_field.validation_errors()
     rlnc_failures = Scenario(
         topology=star_topology(2),
         application="rlnc",
@@ -194,7 +203,50 @@ def test_scenario_validation_errors():
         trials=10,
         failures=FailureModel(node_dropout_p=0.5),
     )
-    assert any("failure" in p for p in rlnc_failures.validation_errors())
+    assert rlnc_failures.validation_errors() == [
+        "rlnc does not read failures.node_dropout_p; it must keep its default"
+    ]
+
+
+def test_validation_rejects_an_unknown_eta_kind():
+    def neural(kind):
+        return Scenario(topology=star_topology(2), application="neural", eta=EtaSchedule(kind=kind))
+
+    assert neural("bogus").validation_errors() == ["eta.kind must be one of ('constant', 'harmonic')"]
+    with pytest.raises(ScenarioError, match="eta.kind"):
+        run_scenario(neural("bogus"))
+    assert all(neural(kind).validation_errors() == [] for kind in EtaSchedule.KINDS)
+
+
+def test_validation_reads_the_application_table():
+    from nfcsim.afc import FunctionAssignment, Max
+
+    assignment = FunctionAssignment(functions={"a0": Max()})
+    ignored = Scenario(topology=TREE64, application="consensus", generations=1, assignment=assignment)
+    assert ignored.validation_errors() == ["consensus does not read assignment; it must keep its default"]
+    dag = TopologyConfig(
+        roles={"s0": NodeRole.SOURCE, "a0": NodeRole.ATOMIC, "d0": NodeRole.DESTINATION},
+        children={"a0": ["s0"], "d0": ["a0", "s0"]},
+        mode="dag",
+    )
+    for application, extra in (
+        ("consensus", {}),
+        ("rlnc", {"field": FieldSpec(1), "n_prime": 1, "trials": 1}),
+        ("neural", {}),
+    ):
+        scenario = Scenario(topology=dag, application=application, **extra)
+        assert scenario.validation_errors() == [f"{application} does not run on mode 'dag'"]
+    assert Scenario(topology=dag, application="forwarding", generations=2).validation_errors() == []
+    two_roots = TopologyConfig(
+        roles={"s0": NodeRole.SOURCE, "d0": NodeRole.DESTINATION, "d1": NodeRole.DESTINATION},
+        children={"d0": ["s0"], "d1": ["s0"]},
+        mode="dag",
+    )
+    assert Scenario(topology=two_roots, application="forwarding").validation_errors() == [
+        "the topology must have exactly one destination, not 2"
+    ]
+    assert APPLICATIONS == tuple(APPLICATION_TABLE)
+    assert APPLICATIONS == ("forwarding", "rlnc", "consensus", "neural", "custom")
 
 
 def test_validation_rejects_unreachable_margin_and_negative_std():
@@ -227,8 +279,9 @@ def test_message_loss_rejected_where_not_modelled(application):
         assignment=assignment if application == "custom" else None,
         failures=FailureModel(message_loss_p=0.5),
     )
-    assert f"{application} does not model message loss" in lossy.validation_errors()
-    with pytest.raises(ScenarioError, match="message loss"):
+    message = f"{application} does not read failures.message_loss_p; it must keep its default"
+    assert message in lossy.validation_errors()
+    with pytest.raises(ScenarioError, match="failures.message_loss_p"):
         run_scenario(lossy)
     dropout_only = Scenario(
         topology=topo,

@@ -17,6 +17,11 @@ Neural training runs its upward pass on the level plan; a node-by-node
 walk in topological order must give the same losses, counters, arc
 messages and final weights, bit for bit. A downward pass reads only the
 upward result it is handed, so later upward passes cannot change it.
+
+Validation reads the application table: on random trees and single- or
+multi-destination dags, a scenario it accepts runs without a simulator
+error, and each rejection names the application with a changed key it
+does not read, or the mode, or the destination count.
 """
 
 import math
@@ -30,14 +35,19 @@ from hypothesis import given, settings, strategies as st
 from nfcsim import afc, rlnc
 from nfcsim.afc import FunctionAssignment, Sum, decompose_average
 from nfcsim.engine import (
+    APPLICATION_TABLE,
     ARC_COLUMNS,
+    SCENARIO_KEYS,
     TRAJECTORY_COLUMNS,
     DataModel,
+    EtaSchedule,
     GenerationBarrier,
     Metrics,
+    NeuralParams,
     Scenario,
     run_scenario,
 )
+from nfcsim.errors import NfcSimError
 from nfcsim.field import FieldSpec, matrix_rank
 from nfcsim.graph import NodeRole, TopologyConfig, build_graph, random_tree_topology, star_topology
 from nfcsim.learning.consensus import ConsensusState, consensus_step
@@ -308,6 +318,78 @@ def test_forwarding_past_a_childless_node_matches_the_barrier_walk(
     )
     g = build_graph(topology)
     assert_matches_oracle(s, g, g.n_nodes)
+
+
+# A valid base per application, and a non-default value for every table key.
+VALID_BASE = {
+    "forwarding": {"generations": 3},
+    "rlnc": {"field": FIELDS[4], "n_prime": 2, "trials": 3},
+    "consensus": {"generations": 3},
+    "neural": {"neural": NeuralParams(samples=3, epochs=2)},
+}
+CHANGED = {
+    "generations": 4,
+    "field": FIELDS[1],
+    "n_prime": 1,
+    "trials": 2,
+    "data": DataModel(mean=1.0, std=2.0),
+    "eta": EtaSchedule(kind="harmonic"),
+    "neural": NeuralParams(samples=2, epochs=1),
+    "failures.node_dropout_p": 0.3,
+    "failures.message_loss_p": 0.3,
+    "assignment": FunctionAssignment(functions={}),
+}
+
+
+def random_topology(rng, n_sources, n_atomics, shape):
+    """A tree, a one-destination dag, or that dag with a second destination."""
+    if shape == "tree":  # atomic i adopts source i
+        return random_tree(rng, n_sources, min(n_atomics, n_sources))
+    dag = random_dag(rng, n_sources, n_atomics)
+    if shape == "dag":
+        return dag
+    earlier = [name for name in dag.roles if name != "d0"]
+    picked = rng.choice(len(earlier), size=int(rng.integers(1, min(3, len(earlier)) + 1)), replace=False)
+    return TopologyConfig(
+        roles={**dag.roles, "d1": NodeRole.DESTINATION},
+        children={**dag.children, "d1": [earlier[i] for i in picked]},
+        mode="dag",
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 5),
+    n_atomics=st.integers(1, 4),
+    shape=st.sampled_from(["tree", "dag", "two_destinations"]),
+    application=st.sampled_from(sorted(VALID_BASE)),
+    changed=st.lists(st.sampled_from(SCENARIO_KEYS), max_size=3, unique=True),
+)
+def test_validation_accepts_only_what_runs(seed, n_sources, n_atomics, shape, application, changed):
+    topology = random_topology(np.random.default_rng(seed), n_sources, n_atomics, shape)
+    keys = {**VALID_BASE[application], **{key: CHANGED[key] for key in changed}}
+    failures = {key.split(".")[1]: keys.pop(key) for key in list(keys) if key.startswith("failures.")}
+    s = Scenario(
+        topology=topology,
+        application=application,
+        seed=seed,
+        failures=FailureModel(**failures, seed=seed),
+        **keys,
+    )
+    problems = s.validation_errors()
+    if not problems:
+        try:
+            run_scenario(s)
+        except NfcSimError as exc:
+            raise AssertionError(f"accepted, then failed at run time: {exc}") from exc
+    unread = [key for key in changed if key not in APPLICATION_TABLE[application].reads]
+    for problem in problems:
+        assert problem in [
+            *(f"{application} does not read {key}; it must keep its default" for key in unread),
+            *([f"{application} does not run on mode 'dag'"] if shape != "tree" else []),
+            *(["the topology must have exactly one destination, not 2"] if shape == "two_destinations" else []),
+        ]
 
 
 def oracle_train(g, weights, dataset, epochs, eta, failures):
