@@ -91,36 +91,41 @@ class Scenario:
     neural: NeuralParams = NeuralParams()
     assignment: FunctionAssignment | None = None  # custom application only
 
-    def validation_errors(self) -> list[str]:
+    def keyed_errors(self) -> list[tuple[str, str]]:
+        """(key, problem) pairs; the key is the dotted path of the scenario
+        value the problem is about, so a parser can point at its line."""
         name, app = self.application, APPLICATION_TABLE.get(self.application)
         if app is None:
-            return [f"unknown application {name!r}"]
+            return [("application", f"unknown application {name!r}")]
+        # An application on a field draws field symbols, so it reads no data.
+        reads = set(app.reads) - {"data"} if self.field is not None and "field" in app.reads else app.reads
         default = Scenario(self.topology, name)
         problems = [
-            f"{name} does not read {key}; it must keep its default"
+            (key, f"{name} does not read {key}; it must keep its default")
             for key in SCENARIO_KEYS
-            if key not in app.reads and attrgetter(key)(self) != attrgetter(key)(default)
+            if key not in reads and attrgetter(key)(self) != attrgetter(key)(default)
         ]
         roles = list(self.topology.roles.values())
         destinations = roles.count(NodeRole.DESTINATION)
         rlnc, neural = name == "rlnc", name == "neural"
-        problems += [message for failed, message in (
-            (self.topology.mode not in app.modes, f"{name} does not run on mode {self.topology.mode!r}"),
-            (destinations != 1, f"the topology must have exactly one destination, not {destinations}"),
-            (self.packet_length < 1, "packet_length must be >= 1"),
-            (self.data.std < 0, "data.std must be >= 0"),
-            (self.generations < 0, "generations must be >= 0"),
-            (self.eta.kind not in EtaSchedule.KINDS, f"eta.kind must be one of {EtaSchedule.KINDS}"),
-            (self.eta.kind == "harmonic" and self.eta.value != default.eta.value,
+        problems += [(key, message) for failed, key, message in (
+            (self.topology.mode not in app.modes, "topology.mode",
+             f"{name} does not run on mode {self.topology.mode!r}"),
+            (destinations != 1, "topology", f"the topology must have exactly one destination, not {destinations}"),
+            (self.packet_length < 1, "packet_length", "packet_length must be >= 1"),
+            (self.data.std < 0, "data.std", "data.std must be >= 0"),
+            (self.generations < 0, "generations", "generations must be >= 0"),
+            (self.eta.kind not in EtaSchedule.KINDS, "eta.kind", f"eta.kind must be one of {EtaSchedule.KINDS}"),
+            (self.eta.kind == "harmonic" and self.eta.value != default.eta.value, "eta.value",
              "eta.value is not read under kind harmonic; it must keep its default"),
-            (rlnc and self.field is None, "rlnc requires a field section (digital domain)"),
-            (rlnc and (self.n_prime is None or self.n_prime < 0), "rlnc requires n_prime >= 0"),
-            (rlnc and not self.trials, "rlnc requires trials >= 1"),
-            (neural and min(self.neural.samples, self.neural.epochs) < 1,
+            (rlnc and self.field is None, "field", "rlnc requires a field section (digital domain)"),
+            (rlnc and (self.n_prime is None or self.n_prime < 0), "n_prime", "rlnc requires n_prime >= 0"),
+            (rlnc and not self.trials, "trials", "rlnc requires trials >= 1"),
+            (neural and min(self.neural.samples, self.neural.epochs) < 1, "neural",
              "neural requires samples >= 1 and epochs >= 1"),
-            (neural and self.packet_length != 1,
+            (neural and self.packet_length != 1, "packet_length",
              "neural scenarios use scalar activities (packet_length 1)"),
-            (name == "custom" and self.assignment is None,
+            (name == "custom" and self.assignment is None, "assignment",
              "custom application requires a FunctionAssignment"),
         ) if failed]
         if neural:
@@ -128,14 +133,15 @@ class Scenario:
             n_sources = roles.count(NodeRole.SOURCE)
             margin = self.neural.margin
             if margin >= n_sources:
-                problems.append(f"neural.margin must be below the source count {n_sources}")
+                problems.append(("neural.margin", f"neural.margin must be below the source count {n_sources}"))
             elif (acceptance := margin_acceptance(n_sources, margin)) < MIN_MARGIN_ACCEPTANCE:
-                problems.append(
-                    f"neural.margin {margin} is cleared by a fraction"
-                    f" {acceptance:.2g} of samples over {n_sources} sources,"
-                    f" below {MIN_MARGIN_ACCEPTANCE:g}"
-                )
+                problems.append(("neural.margin", f"neural.margin {margin} is cleared by a fraction"
+                                 f" {acceptance:.2g} of samples over {n_sources} sources,"
+                                 f" below {MIN_MARGIN_ACCEPTANCE:g}"))
         return problems
+
+    def validation_errors(self) -> list[str]:
+        return [problem for _, problem in self.keyed_errors()]
 
     def validate(self) -> None:
         problems = self.validation_errors()

@@ -42,6 +42,16 @@ SCHEMA_VERSION = 1
 
 _ROLES = {role.value: role for role in NodeRole}
 
+# libyaml's emitter where PyYAML was built with it, else the pure-Python one.
+# The two write the same bytes on every manifest the parser accepts, which is
+# why node names and the output path are held to short printable ASCII.
+_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+MAX_NAME_LENGTH = 64
+
+
+def _printable_ascii(text: str) -> bool:
+    return text.isascii() and text.isprintable()  # 0x20-0x7E only
+
 
 @dataclass(frozen=True)
 class Diagnostic:
@@ -243,10 +253,15 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
         return None
     roles = {}
     for name, role in nodes.items():
+        name = str(name)
+        if not (0 < len(name) <= MAX_NAME_LENGTH and _printable_ascii(name)):
+            checker.fail(("topology", "nodes", name),
+                         f"node name {name!r} must be 1 to {MAX_NAME_LENGTH} printable ASCII characters")
+            return None
         if role not in _ROLES:
             checker.fail(("topology", "nodes", name), f"unknown role {role!r}")
             return None
-        roles[str(name)] = _ROLES[role]
+        roles[name] = _ROLES[role]
     child_map = {}
     for parent, kids in (children or {}).items():
         if not isinstance(kids, list):
@@ -315,6 +330,8 @@ def parse_scenario_text(
     if trials_override is not None:
         trials = trials_override
     output = checker.value(("output",), str, default="results")
+    if not _printable_ascii(output):
+        checker.fail(("output",), "must be printable ASCII (use --out for other paths)")
 
     field_spec = None
     field_resolved = None
@@ -374,8 +391,8 @@ def parse_scenario_text(
             eta=eta,
             neural=neural,
         )
-        for problem in scenario.validation_errors():
-            checker.fail((), problem)
+        for key, problem in scenario.keyed_errors():
+            checker.fail(tuple(key.split(".")), problem)
         if checker.diagnostics:
             scenario = None
 
@@ -449,7 +466,7 @@ def render_manifest(loaded: LoadedScenario) -> str:
     # order defines node ids and therefore the rng draw order on replay.
     manifest = dict(loaded.resolved)
     manifest["tool_version"] = nfcsim.__version__
-    return yaml.safe_dump(manifest, sort_keys=False)
+    return yaml.dump(manifest, Dumper=_DUMPER, sort_keys=False)
 
 
 def write_outputs(

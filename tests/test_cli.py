@@ -264,7 +264,8 @@ failures:
         path = write(tmp_path, f"{application}_loss.yaml", text)
         result = runner.invoke(main, ["validate", str(path)])
         assert result.exit_code == 2
-        assert f"{application} does not read failures.message_loss_p; it must keep its default" in result.output
+        message = f"{application} does not read failures.message_loss_p; it must keep its default"
+        assert f"line 8: failures.message_loss_p: {message}" in result.output
 
 
 def test_compare_rejects_forwarding(runner, tmp_path):
@@ -454,7 +455,7 @@ def test_run_rejects_unreachable_neural_margin(runner, tmp_path):
     scenario = write(tmp_path, "margin.yaml", NEURAL_TWO_SOURCES)
     result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
-    assert "neural.margin must be below the source count 2" in result.output
+    assert "line 9: neural.margin: neural.margin must be below the source count 2" in result.output
 
 
 def test_run_rejects_margin_too_rare_to_sample(runner, tmp_path):
@@ -464,7 +465,7 @@ def test_run_rejects_margin_too_rare_to_sample(runner, tmp_path):
     result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
     assert time.perf_counter() - started < 1.0
     assert result.exit_code == 2, result.output
-    assert "neural.margin 7.0 is cleared by a fraction 1.9e-07 of samples" in result.output
+    assert "line 9: neural.margin: neural.margin 7.0 is cleared by a fraction 1.9e-07 of samples" in result.output
 
 
 def test_run_rejects_negative_data_std(runner, tmp_path):
@@ -474,7 +475,7 @@ def test_run_rejects_negative_data_std(runner, tmp_path):
     scenario = write(tmp_path, "std.yaml", text)
     result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
     assert result.exit_code == 2
-    assert "data.std must be >= 0" in result.output
+    assert "line 12: data.std: data.std must be >= 0" in result.output
 
 
 CONSENSUS_STAR = """\
@@ -490,35 +491,76 @@ NEURAL_STAR = NEURAL_TWO_SOURCES.replace("5.0", "0.5")
 
 
 @pytest.mark.parametrize(
-    "text, message",
+    "text, line, path, message",
     [
-        (CONSENSUS_STAR + "eta:\n  kind: constant\n  value: 0.9\n",
+        (CONSENSUS_STAR + "eta:\n  kind: constant\n  value: 0.9\n", 7, "eta",
          "consensus does not read eta; it must keep its default"),
-        (VALID_RLNC + "eta:\n  kind: harmonic\n", "rlnc does not read eta; it must keep its default"),
-        (CONSENSUS_STAR + "neural:\n  epochs: 3\n",
+        (VALID_RLNC + "eta:\n  kind: harmonic\n", 12, "eta", "rlnc does not read eta; it must keep its default"),
+        (CONSENSUS_STAR + "neural:\n  epochs: 3\n", 7, "neural",
          "consensus does not read neural; it must keep its default"),
-        (VALID_RLNC + "generations: 5\n", "rlnc does not read generations; it must keep its default"),
-        (NEURAL_STAR + "generations: 5\n", "neural does not read generations; it must keep its default"),
-        (CONSENSUS_STAR + "n_prime: 3\n", "consensus does not read n_prime; it must keep its default"),
-        (CONSENSUS_STAR + "trials: 7\n", "consensus does not read trials; it must keep its default"),
-        (VALID_RLNC + "data:\n  mean: 9.0\n", "rlnc does not read data; it must keep its default"),
-        (NEURAL_STAR + "data:\n  std: 2.0\n", "neural does not read data; it must keep its default"),
-        (NEURAL_STAR + "eta:\n  kind: harmonic\n  value: 0.9\n",
+        (VALID_RLNC + "generations: 5\n", 12, "generations",
+         "rlnc does not read generations; it must keep its default"),
+        (NEURAL_STAR + "generations: 5\n", 10, "generations",
+         "neural does not read generations; it must keep its default"),
+        (CONSENSUS_STAR + "n_prime: 3\n", 7, "n_prime", "consensus does not read n_prime; it must keep its default"),
+        (CONSENSUS_STAR + "trials: 7\n", 7, "trials", "consensus does not read trials; it must keep its default"),
+        (VALID_RLNC + "data:\n  mean: 9.0\n", 12, "data", "rlnc does not read data; it must keep its default"),
+        (NEURAL_STAR + "data:\n  std: 2.0\n", 10, "data", "neural does not read data; it must keep its default"),
+        (NEURAL_STAR + "eta:\n  kind: harmonic\n  value: 0.9\n", 12, "eta.value",
          "eta.value is not read under kind harmonic; it must keep its default"),
-        (CONSENSUS_STAR.replace("consensus", "forwarding") + "field:\n  m: 4\n",
+        (CONSENSUS_STAR.replace("consensus", "forwarding") + "field:\n  m: 4\n", 7, "field",
          "forwarding does not read field; it must keep its default"),
     ],
     ids=["eta_on_consensus", "eta_on_rlnc", "neural_on_consensus", "generations_on_rlnc",
          "generations_on_neural", "n_prime_on_consensus", "trials_on_consensus", "data_on_rlnc",
          "data_on_neural", "eta_value_under_harmonic", "field_on_forwarding"],
 )
-def test_run_rejects_values_the_application_does_not_read(runner, tmp_path, text, message):
+def test_run_rejects_values_the_application_does_not_read(runner, tmp_path, text, line, path, message):
     scenario = write(tmp_path, "inert.yaml", text)
     out = tmp_path / "out"
     result = runner.invoke(main, ["run", str(scenario), "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert message in result.output
+    assert f"line {line}: {path}: {message}" in result.output
     assert not out.exists()
+
+
+EXPLICIT_STAR = """\
+schema_version: 1
+application: consensus
+generations: 1
+topology:
+  nodes:
+    {name}: source
+    d0: destination
+  children:
+    d0: [{name}]
+"""
+
+
+@pytest.mark.parametrize(
+    "name",
+    ["''", '"s\\r0"', "s" * 65, "capteur_é"],
+    ids=["empty", "carriage_return", "65_characters", "non_ascii"],
+)
+def test_node_names_outside_short_printable_ascii_exit_2(runner, tmp_path, name):
+    scenario = write(tmp_path, "names.yaml", EXPLICIT_STAR.format(name=name))
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert "line 6: topology.nodes." in result.output
+    assert "must be 1 to 64 printable ASCII characters" in result.output
+
+
+def test_longest_printable_ascii_node_name_is_accepted(runner, tmp_path):
+    scenario = write(tmp_path, "names.yaml", EXPLICIT_STAR.format(name="'" + "~ #:" * 16 + "'"))
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 0, result.output
+
+
+def test_non_ascii_output_exit_2(runner, tmp_path):
+    scenario = write(tmp_path, "output.yaml", CONSENSUS_STAR + "output: résultats\n")
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert "line 7: output: must be printable ASCII" in result.output
 
 
 def test_explicit_defaults_are_accepted_on_every_application(runner, tmp_path):

@@ -293,6 +293,23 @@ def test_message_loss_rejected_where_not_modelled(application):
     assert dropout_only.validation_errors() == []
 
 
+def test_custom_on_a_field_rejects_data():
+    from nfcsim.afc import FunctionAssignment, Max
+    from nfcsim.graph import build_graph
+
+    topo = balanced_tree_topology(4)
+    assignment = FunctionAssignment(functions={a: Max() for a in build_graph(topo).atomics})
+
+    def custom(field, data):
+        return Scenario(topology=topo, application="custom", generations=2, field=field,
+                        data=data, assignment=assignment)
+
+    with pytest.raises(ScenarioError, match="custom does not read data; it must keep its default"):
+        run_scenario(custom(FieldSpec(4), DataModel(mean=9.0, std=5.0)))
+    assert custom(FieldSpec(4), DataModel()).validation_errors() == []
+    assert custom(None, DataModel(mean=9.0, std=5.0)).validation_errors() == []
+
+
 def test_determinism_identical_serialized_tables():
     for make in (lambda: forwarding_scenario(3, 8, seed=9),
                  lambda: consensus_scenario(3, 8, seed=9)):

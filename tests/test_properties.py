@@ -237,7 +237,7 @@ def blocked_case(rng, topology, g, case, seed, dropout_p, generations):
         generations=generations,
         packet_length=int(rng.integers(1, 4)),
         failures=FailureModel(node_dropout_p=dropout_p, seed=seed ^ 1),
-        data=DataModel(mean=2.0, std=3.0) if application != "forwarding" else DataModel(),
+        data=DataModel(mean=2.0, std=3.0) if case in ("consensus", "real") else DataModel(),
         **extra,
     )
 

@@ -3,23 +3,57 @@
 Documents are drawn with a non-default value in every field of every
 section dataclass (the eta value only under a constant schedule, the one
 that reads it), each section on an application that reads it, with and
-without a capacity section. Parsing a document, rendering its
+without a capacity section, on a star or on an explicit tree whose node
+names span the accepted alphabet. Parsing a document, rendering its
 manifest and parsing that manifest must give the same resolved echo,
 ``Scenario`` and ``CapacityRequest``, and the second manifest must be
-byte-identical to the first.
+byte-identical to the first. The manifest must also be the bytes that
+PyYAML's pure-Python emitter writes, so a host without libyaml writes
+the same manifests.
 """
 
 import yaml
 from hypothesis import given, settings, strategies as st
 
+import nfcsim
 from nfcsim.learning.neural import MIN_MARGIN_ACCEPTANCE, margin_acceptance
-from nfcsim.scenario import parse_scenario_text, render_manifest
+from nfcsim.scenario import MAX_NAME_LENGTH, parse_scenario_text, render_manifest
 from nfcsim.solvability import TARGET_PRESETS
 
 SEEDS = st.integers(0, 2**32 - 1)
 REALS = st.floats(-1e6, 1e6, allow_nan=False)
 PROBABILITIES = st.floats(0.0, 1.0).filter(bool)
 LENGTHS = st.lists(st.integers(1, 9), min_size=1, max_size=4).filter(lambda v: v != [1])
+PRINTABLE_ASCII = st.characters(min_codepoint=0x20, max_codepoint=0x7E)
+# Spellings YAML reads as something else unless quoted.
+YAML_SPECIAL = [
+    "null", "~", "true", "no", "y", "1", "0x1f", "1e3", ".inf", ".nan", "<<", "-", "- a", "---",
+    "...", "#c", "a #c", "'", '"', "' '", ":", "a: b", "? x", "&a", "*a", "!t", "|", ">", "%",
+    "@", "`", "[", "]", "{", "}", ",", "=", " ", " a", "a ", "  x  ",
+]
+NODE_NAMES = st.one_of(
+    st.text(PRINTABLE_ASCII, min_size=1, max_size=MAX_NAME_LENGTH), st.sampled_from(YAML_SPECIAL)
+)
+
+
+@st.composite
+def explicit_trees(draw, n_sources: int) -> dict:
+    """A tree-mode topology: sources, then atomics, then the destination.
+    Atomic i takes source i as a child; every other source and atomic
+    hangs under a random later non-source node."""
+    n_atomics = draw(st.integers(0, n_sources))
+    names = draw(st.lists(NODE_NAMES, min_size=n_sources + n_atomics + 1,
+                          max_size=n_sources + n_atomics + 1, unique=True))
+    sources, atomics, destination = names[:n_sources], names[n_sources:-1], names[-1]
+    children: dict[str, list[str]] = {parent: [] for parent in [*atomics, destination]}
+    for i, name in enumerate(sources):
+        parent = atomics[i] if i < n_atomics else draw(st.sampled_from([*atomics, destination]))
+        children[parent].append(name)
+    for i, name in enumerate(atomics):
+        children[draw(st.sampled_from([*atomics[i + 1:], destination]))].append(name)
+    roles = {**dict.fromkeys(sources, "source"), **dict.fromkeys(atomics, "atomic"),
+             destination: "destination"}
+    return {"mode": "tree", "nodes": roles, "children": children}
 
 
 @st.composite
@@ -30,10 +64,14 @@ def scenario_documents(draw) -> dict:
     doc: dict = {
         "schema_version": 1,
         "seed": seed,
-        "topology": {"generator": "star", "sources": n_sources},
+        "topology": draw(st.one_of(
+            st.just({"generator": "star", "sources": n_sources}), explicit_trees(n_sources)
+        )),
     }
     if application is not None:
         doc["application"] = application
+    if draw(st.booleans()):
+        doc["output"] = draw(st.text(PRINTABLE_ASCII, max_size=200))
     failures = {
         "node_dropout_p": draw(PROBABILITIES),
         "seed": draw(SEEDS.filter(lambda s: s != seed)),
@@ -79,10 +117,16 @@ def test_manifest_round_trip(doc):
     first = parse_scenario_text(yaml.safe_dump(doc, sort_keys=False))
     assert first.ok, first.diagnostics
     manifest = render_manifest(first)
+    pure_python = yaml.dump({**first.resolved, "tool_version": nfcsim.__version__},
+                            Dumper=yaml.SafeDumper, sort_keys=False)
+    assert manifest == pure_python
     echoed = yaml.safe_load(manifest)
     for section in ("failures", "data", "eta", "neural", "capacity"):
         for key, value in doc.get(section, {}).items():
             assert echoed[section][key] == value, (section, key)
+    assert echoed["output"] == doc.get("output", "results")
+    if "nodes" in doc["topology"]:
+        assert echoed["topology"] == {**doc["topology"], "generator": "explicit"}
 
     second = parse_scenario_text(manifest)
     assert second.ok, second.diagnostics
