@@ -150,11 +150,7 @@ class Scenario:
 
     @property
     def effective_generations(self) -> int:
-        if self.application == "rlnc":
-            return int(self.trials or 0)
-        if self.application == "neural":
-            return self.neural.samples * self.neural.epochs
-        return self.generations
+        return APPLICATION_TABLE[self.application].generations(self)
 
 
 class Metrics:
@@ -411,6 +407,7 @@ class Application:
     runner: Callable  # (scenario, graph, metrics, audit) -> (headline, tables, audit events)
     reads: Collection[str]  # the SCENARIO_KEYS it reads; the others must keep their defaults
     modes: tuple[str, ...] = ("tree",)  # the topology modes it runs on
+    generations: Callable = attrgetter("generations")  # (scenario) -> generations a run covers
 
 
 _DROPOUT = "failures.node_dropout_p"
@@ -419,9 +416,11 @@ APPLICATION_TABLE = {
     # Forwarding counts packets without reading them, but it keeps data: the
     # benchmark (bench/workloads.py) copies the scenario's data into its twin.
     "forwarding": Application(_run_forwarding, {"generations", "data", _DROPOUT}, ("tree", "dag")),
-    "rlnc": Application(_run_rlnc, {"field", "n_prime", "trials"}),
+    "rlnc": Application(_run_rlnc, {"field", "n_prime", "trials"},
+                        generations=lambda s: int(s.trials or 0)),  # one generation per trial
     "consensus": Application(_run_consensus, {"generations", "data", _DROPOUT}),
-    "neural": Application(_run_neural, {"eta", "neural", _DROPOUT, "failures.message_loss_p"}),
+    "neural": Application(_run_neural, {"eta", "neural", _DROPOUT, "failures.message_loss_p"},
+                          generations=lambda s: s.neural.samples * s.neural.epochs),  # one per step
     # A caller-supplied assignment on the real domain or a field; the CLI drives the other four.
     "custom": Application(_run_custom, {"generations", "field", "data", _DROPOUT, "assignment"}),
 }

@@ -114,16 +114,29 @@ _SECTION_KEYS = {
 }
 
 
+_STR_TAG = "tag:yaml.org,2002:str"
+
+
 def _line_index(root: yaml.Node) -> dict[tuple, int]:
-    """Map of key paths to 1-based line numbers, from the YAML node tree."""
+    """Map of key paths to 1-based line numbers, from the YAML node tree.
+
+    A key is indexed as the loader reads it (``yes`` as True), and a list
+    item by its position.
+    """
+    keys = yaml.constructor.SafeConstructor()
     lines: dict[tuple, int] = {}
     stack = [((), root)]
     while stack:
         path, node = stack.pop()
         if isinstance(node, yaml.MappingNode):
             for key_node, value_node in node.value:
-                lines[path + (key_node.value,)] = key_node.start_mark.line + 1
-                stack.append((path + (key_node.value,), value_node))
+                key = key_node.value if key_node.tag == _STR_TAG else keys.construct_object(key_node)
+                lines[path + (key,)] = key_node.start_mark.line + 1
+                stack.append((path + (key,), value_node))
+        elif isinstance(node, yaml.SequenceNode):
+            for i, item in enumerate(node.value):
+                lines[path + (i,)] = item.start_mark.line + 1
+                stack.append((path + (i,), item))
     return lines
 
 
@@ -251,9 +264,17 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
     children = checker.value(("topology", "children"), dict, default={})
     if nodes is None:
         return None
+    names = [(("topology", "nodes", name), name) for name in nodes]
+    for parent, kids in (children or {}).items():
+        names.append((("topology", "children", parent), parent))
+        if isinstance(kids, list):
+            names += [(("topology", "children", parent, i), kid) for i, kid in enumerate(kids)]
+    for path, name in names:
+        if not isinstance(name, str):
+            checker.fail(path, f"YAML reads this node name as {name!r}, not a string; quote the name")
+            return None
     roles = {}
     for name, role in nodes.items():
-        name = str(name)
         if not (0 < len(name) <= MAX_NAME_LENGTH and _printable_ascii(name)):
             checker.fail(("topology", "nodes", name),
                          f"node name {name!r} must be 1 to {MAX_NAME_LENGTH} printable ASCII characters")
@@ -267,7 +288,7 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
         if not isinstance(kids, list):
             checker.fail(("topology", "children", parent), "must be a list of node names")
             return None
-        child_map[str(parent)] = [str(k) for k in kids]
+        child_map[parent] = list(kids)
     return TopologyConfig(roles=roles, children=child_map, mode=mode)
 
 

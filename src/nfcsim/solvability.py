@@ -15,12 +15,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
+
+import numpy as np
 
 from nfcsim.errors import RoleConflict
 from nfcsim.graph import NfcGraph, NodeRole, message_min_cut
 
 PATTERN_LIMIT = 1 << 20  # full-input verification must stay enumerable
+BLOCK_ELEMENTS = 1 << 16  # candidate output codes tabulated at once, in search order
 
 
 @dataclass(frozen=True)
@@ -202,11 +205,16 @@ def candidate_bound(instance: SolvabilityInstance) -> int:
     return bound
 
 
-def _linear_apply(matrix: tuple[tuple[int, ...], ...], vec: tuple[int, ...]) -> tuple[int, ...]:
-    # GF(2): dot product is parity of the masked entries.
-    return tuple(
-        sum(m * x for m, x in zip(row, vec)) % 2 for row in matrix
-    )
+def _pack(parts, n_patterns: int) -> np.ndarray:
+    """Integer key per pattern that orders like the tuple of its (codes,
+    radix) parts; relabelled to ranks before a radix could overflow int64."""
+    key, span = np.zeros(n_patterns, dtype=np.int64), 1
+    for codes, radix in parts:
+        if span * radix > 1 << 62:
+            key, span = np.unique(key, return_inverse=True)[1], n_patterns
+        key = key * radix + codes
+        span *= radix
+    return key
 
 
 def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
@@ -214,8 +222,12 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
 
     Arc functions are enumerated in a fixed lexicographic order (by arc,
     then by truth table over the arc's reachable inputs), so the first
-    witness found is deterministic. Every witness is re-verified on all
-    |A|^(N*K) inputs before being reported.
+    witness found is deterministic. Each arc's candidates are tabulated
+    a block at a time as integer output codes per input pattern, and a
+    row is kept only if every destination can still decode from what it
+    can learn; after the last arc that is what it receives, so the first
+    row kept there completes the witness. Every witness is re-verified
+    on all |A|^(N*K) inputs before being reported.
     """
     g = instance.graph
     q = instance.alphabet_size
@@ -234,6 +246,9 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
             "unknown-capped", None, None,
             f"{bound} candidate assignments exceed cap {instance.candidate_cap}",
         )
+    if 2 * n_patterns**2 * q**length > 1 << 62:  # (key, target) codes must fit in int64
+        return SolvabilityVerdict("unknown-capped", None, None,
+                                  f"{q**length}-valued messages on {n_patterns} inputs exceed int64 codes")
 
     sources = list(g.sources)
     patterns = list(
@@ -243,96 +258,118 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
         tuple(target([sigma[s][gen] for s in range(len(sources))]) for gen in range(k))
         for sigma in patterns
     ]
+    target_ids: dict[tuple[int, ...], int] = {}
+    wants = np.array([target_ids.setdefault(t, len(target_ids)) for t in targets])
+    n_targets = len(target_ids)
+    spacing = 2 * n_targets  # key * spacing + target: codes under n_targets apart share a key
     source_pos = {s: i for i, s in enumerate(sources)}
+    index = np.arange(n_patterns, dtype=np.int64)
+    sigma_codes = {s: index // q ** (k * (len(sources) - 1 - i)) % q**k for s, i in source_pos.items()}
+    radix = q**length  # an arc message as a code: base-q digits, first symbol most significant
+    weights = radix // q ** np.arange(1, length + 1)  # the place value of each symbol
+    rows = max(1, BLOCK_ELEMENTS // n_patterns)
+    linear = instance.function_class == "linear"
     arc_order = _arc_order(g)
+    arc_values: dict[tuple[int, int], np.ndarray] = {}  # per-pattern code of each assigned arc
 
-    # Per-pattern value of each assigned arc, filled during the DFS.
-    arc_values: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-    arc_tables: dict[tuple[int, int], dict[tuple, tuple[int, ...]]] = {}
+    def known(arcs: list, srcs: list) -> list:
+        return [(arc_values[a], radix) for a in arcs] + [(sigma_codes[s], q**k) for s in srcs]
 
-    def input_key(u: int, pattern_idx: int) -> tuple:
-        incoming = tuple(
-            arc_values[(c, u)][pattern_idx] for c in g.in_neighbors[u]
-        )
-        if g.roles[u] is NodeRole.SOURCE:
-            return incoming + (patterns[pattern_idx][source_pos[u]],)
-        return incoming
+    # Once arcs 0..i are assigned, a destination can still learn the
+    # assigned arcs into nodes that still send toward it (or into it) and
+    # the symbols of sources that still send toward it. It must decode
+    # from those; after the last arc they are exactly what it receives.
+    reaches: dict[int, set[int]] = {}
+    for x in reversed(g.topo_order):
+        reaches[x] = {x} if g.roles[x] is NodeRole.DESTINATION else set()
+        reaches[x].update(*(reaches[y] for y in g.out_neighbors[x]))
+    last_out = {u: i for i, (u, _v) in enumerate(arc_order)}
 
-    def key_vector(key: tuple, is_source: bool) -> tuple[int, ...]:
-        flat: list[int] = []
-        parts = key[:-1] if is_source else key
-        for part in parts:
-            flat.extend(part)
-        if is_source:
-            flat.extend(key[-1])
-        return tuple(flat)
+    def feeds(x: int, d: int, i: int) -> bool:
+        return d in reaches[x] and last_out.get(x, len(arc_order)) > i
 
-    def destinations_consistent() -> dict[str, dict[tuple, tuple[int, ...]]] | None:
-        decoders: dict[str, dict[tuple, tuple[int, ...]]] = {}
-        for d in g.destinations:
-            mapping: dict[tuple, tuple[int, ...]] = {}
-            for p in range(n_patterns):
-                received = tuple(arc_values[(c, d)][p] for c in g.in_neighbors[d])
-                want = targets[p]
-                seen = mapping.get(received)
-                if seen is None:
-                    mapping[received] = want
-                elif seen != want:
-                    return None
-            decoders[g.names[d]] = mapping
-        return decoders
+    views = [  # per arc, per destination: (earlier arcs, sources, carries this arc)
+        [([a for a in arc_order[:i] if feeds(a[1], d, i)], [s for s in sources if feeds(s, d, i)],
+          feeds(arc_order[i][1], d, i)) for d in g.destinations]
+        for i in range(len(arc_order))
+    ]
 
-    def build_witness(decoders) -> Witness:
-        named_tables = {
-            (g.names[u], g.names[v]): dict(table)
-            for (u, v), table in arc_tables.items()
-        }
-        arc_inputs = {
-            (g.names[u], g.names[v]): tuple(
-                (g.names[c], g.names[u]) for c in g.in_neighbors[u]
-            )
-            + (("sigma",) if g.roles[u] is NodeRole.SOURCE else ())
-            for (u, v) in arc_order
-        }
-        return Witness(arc_inputs=arc_inputs, arc_tables=named_tables, decoders=decoders)
+    def decodable(pairs: np.ndarray) -> np.ndarray:
+        """Per row of (known key, target) codes: does each key meet one target only?
+        A row sort, linear in patterns: neighbours 1 to n_targets - 1 apart clash."""
+        pairs.sort()
+        gaps = pairs[..., 1:] - pairs[..., :-1] - 1
+        return (gaps.view(np.uint64) >= n_targets - 1).all(-1)
 
-    def mappings(u: int, classes: list[tuple]) -> Iterator[dict[tuple, tuple[int, ...]]]:
-        """The arc's candidate tables over its input classes, in search order."""
-        if instance.function_class == "all":
-            out_vectors = itertools.product(range(q), repeat=length)
-            for outputs in itertools.product(out_vectors, repeat=len(classes)):
-                yield dict(zip(classes, outputs))
-            return
-        is_source = g.roles[u] is NodeRole.SOURCE
-        dim = len(key_vector(classes[0], is_source))
-        for entries in itertools.product(range(q), repeat=length * dim):
-            matrix = tuple(entries[r * dim : (r + 1) * dim] for r in range(length))
-            yield {key: _linear_apply(matrix, key_vector(key, is_source)) for key in classes}
+    def candidates(width: int, start: int, stop: int) -> np.ndarray:
+        """Candidates [start, stop): for "all", the output code on each of `width`
+        input classes, digit j for class j, the first most significant; for
+        "linear", the L x width GF(2) matrix of its bits, the first most significant."""
+        cand = np.arange(start, stop, dtype=np.int64)[:, None]
+        if not linear:
+            return cand // radix ** np.arange(width - 1, -1, -1) % radix
+        bits = (cand >> np.arange(length * width - 1, -1, -1)) & 1
+        return bits.reshape(stop - start, length, width)
 
-    def rec(i: int) -> Witness | None:
-        if i == len(arc_order):
-            decoders = destinations_consistent()
-            if decoders is None:
-                return None
-            return build_witness(decoders)
-        u, v = arc_order[i]
-        keys = [input_key(u, p) for p in range(n_patterns)]
-        for mapping in mappings(u, sorted(set(keys))):
-            arc_values[(u, v)] = [mapping[key] for key in keys]
-            arc_tables[(u, v)] = mapping
-            found = rec(i + 1)
-            if found is not None:
-                return found
-        del arc_values[(u, v)]
-        arc_tables.pop((u, v), None)
-        return None
+    def rec(i: int) -> bool:
+        arc = u, v = arc_order[i]
+        own = [u] if u in sigma_codes else []
+        key = _pack(known([(c, u) for c in g.in_neighbors[u]], own), n_patterns)
+        if linear:  # the key is the input vector
+            width = length * len(g.in_neighbors[u]) + k * len(own)
+            vectors = (key >> np.arange(width - 1, -1, -1)[:, None]) & 1
+            count = q ** (length * width)
+        else:  # the key ranks the input class
+            classes = np.unique(key)
+            vectors, width = np.searchsorted(classes, key), len(classes)
+            count = radix**width
+        checks = []  # what each destination knows, a digit left free for this arc's code
+        for arcs, srcs, carried in views[i]:
+            fixed = _pack(known(arcs, srcs) + [(wants, (radix if carried else 1) * spacing)], n_patterns)
+            if carried:
+                checks.append(fixed)
+            elif not decodable(fixed):
+                return False
+        for start in range(0, count, rows):
+            table = candidates(width, start, min(count, start + rows))
+            block = weights @ (table @ vectors & 1) if linear else table[:, vectors]
+            ok = np.ones(len(block), dtype=bool)
+            for fixed in checks:
+                ok &= decodable(fixed + block * spacing)
+            for hit in np.flatnonzero(ok):
+                arc_values[arc] = block[hit]
+                if i == len(arc_order) - 1 or rec(i + 1):
+                    return True
+        return False
 
-    witness = rec(0)
-    if witness is None:
+    if not (rec(0) if arc_order else all(decodable(wants.copy()) for _ in g.destinations)):
         return SolvabilityVerdict(
             "no", None, None,
             f"exhausted {instance.function_class} assignments without a witness",
         )
+    symbols = {
+        arc: [tuple(c // q ** (length - 1 - j) % q for j in range(length)) for c in codes.tolist()]
+        for arc, codes in arc_values.items()
+    }
+    arc_tables = {}
+    for u, v in arc_order:
+        table = {}
+        for p, pattern in enumerate(patterns):
+            key = tuple(symbols[(c, u)][p] for c in g.in_neighbors[u])
+            table[key + ((pattern[source_pos[u]],) if u in source_pos else ())] = symbols[(u, v)][p]
+        arc_tables[(g.names[u], g.names[v])] = dict(sorted(table.items()))
+    decoders = {}
+    for d in g.destinations:
+        decoder: dict[tuple, tuple[int, ...]] = {}
+        for p, want in enumerate(targets):
+            decoder.setdefault(tuple(symbols[(c, d)][p] for c in g.in_neighbors[d]), want)
+        decoders[g.names[d]] = decoder
+    arc_inputs = {
+        (g.names[u], g.names[v]): tuple((g.names[c], g.names[u]) for c in g.in_neighbors[u])
+        + (("sigma",) if g.roles[u] is NodeRole.SOURCE else ())
+        for (u, v) in arc_order
+    }
+    witness = Witness(arc_inputs=arc_inputs, arc_tables=arc_tables, decoders=decoders)
     if not verify_witness(instance, witness):
         raise AssertionError("search produced a witness that fails verification")
     return SolvabilityVerdict(

@@ -8,6 +8,7 @@ import yaml
 from click.testing import CliRunner
 
 from nfcsim.cli import main
+from nfcsim.scenario import load_scenario_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -548,6 +549,45 @@ def test_node_names_outside_short_printable_ascii_exit_2(runner, tmp_path, name)
     assert result.exit_code == 2, result.output
     assert "line 6: topology.nodes." in result.output
     assert "must be 1 to 64 printable ASCII characters" in result.output
+
+
+@pytest.mark.parametrize(
+    "name, read_as",
+    [("yes", "True"), ("0x10", "16"), ("1.50", "1.5"), ("null", "None")],
+    ids=["bool", "hex_int", "float", "null"],
+)
+def test_node_names_yaml_reads_as_non_strings_exit_2(runner, tmp_path, name, read_as):
+    scenario = write(tmp_path, "names.yaml", EXPLICIT_STAR.format(name=name))
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 2, result.output
+    assert (
+        f"line 6: topology.nodes.{read_as}: "
+        f"YAML reads this node name as {read_as}, not a string; quote the name"
+    ) in result.output
+
+
+def test_unquoted_child_names_exit_2(runner, tmp_path):
+    entry = EXPLICIT_STAR.format(name="'yes'").replace("['yes']", "[yes]")
+    result = runner.invoke(main, ["validate", str(write(tmp_path, "entry.yaml", entry))])
+    assert result.exit_code == 2, result.output
+    assert "line 9: topology.children.d0.0: YAML reads this node name as True" in result.output
+    parent = (
+        "schema_version: 1\napplication: consensus\ngenerations: 1\ntopology:\n"
+        "  nodes:\n    s0: source\n    '0x10': atomic\n    d0: destination\n"
+        "  children:\n    0x10: [s0]\n    d0: ['0x10']\n"
+    )
+    result = runner.invoke(main, ["validate", str(write(tmp_path, "parent.yaml", parent))])
+    assert result.exit_code == 2, result.output
+    assert "line 10: topology.children.16: YAML reads this node name as 16" in result.output
+
+
+@pytest.mark.parametrize("name", ["yes", "0x10", "1.50", "null"])
+def test_quoted_yaml_special_node_names_are_accepted(runner, tmp_path, name):
+    scenario = write(tmp_path, "names.yaml", EXPLICIT_STAR.format(name=f"'{name}'"))
+    result = runner.invoke(main, ["validate", str(scenario)])
+    assert result.exit_code == 0, result.output
+    loaded = load_scenario_file(scenario)
+    assert loaded.scenario.topology.roles[name].value == "source"
 
 
 def test_longest_printable_ascii_node_name_is_accepted(runner, tmp_path):

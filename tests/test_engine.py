@@ -218,6 +218,20 @@ def test_validation_rejects_an_unknown_eta_kind():
     assert all(neural(kind).validation_errors() == [] for kind in EtaSchedule.KINDS)
 
 
+def test_effective_generations_reads_the_application_table():
+    """rlnc runs a generation per trial and neural one per training step;
+    the others run the scenario's generations."""
+    counts = {"rlnc": 5, "neural": 4 * 3}
+    for application, app in APPLICATION_TABLE.items():
+        scenario = Scenario(
+            topology=TREE64, application=application, generations=7, trials=5,
+            neural=NeuralParams(samples=4, epochs=3),
+        )
+        assert scenario.effective_generations == counts.get(application, 7)
+        assert app.generations(scenario) == scenario.effective_generations
+    assert Scenario(topology=TREE64, application="rlnc").effective_generations == 0
+
+
 def test_validation_reads_the_application_table():
     from nfcsim.afc import FunctionAssignment, Max
 

@@ -3,7 +3,9 @@
 Each directory under ``tests/data`` holds a ``scenario.yaml`` and every
 file an earlier ``nfcsim run`` of it wrote; a fresh run must write the
 same set of files with the same bytes. ``compare_dropout_tree8`` holds
-what ``nfcsim compare`` wrote instead, with its standard output.
+what ``nfcsim compare`` wrote instead, with its standard output, and
+``capacity_star`` and ``capacity_xor`` what ``nfcsim capacity`` wrote,
+with its standard output and exit code.
 """
 
 from pathlib import Path
@@ -54,7 +56,23 @@ def test_compare_outputs_byte_identical(tmp_path):
     assert (out / "compare.csv").read_bytes() == (golden / "compare.csv").read_bytes()
 
 
-@pytest.mark.parametrize("name", sorted(p.name for p in DATA.iterdir()))
+@pytest.mark.parametrize("name", ["capacity_star", "capacity_xor"])
+def test_capacity_outputs_byte_identical(name, tmp_path):
+    golden = DATA / name
+    out = tmp_path / name
+    result = CliRunner().invoke(
+        main, ["capacity", str(golden / "scenario.yaml"), "--out", str(out), "--quiet"]
+    )
+    assert result.exit_code == int((golden / "exit_code.txt").read_text()), result.output
+    assert result.output == (golden / "stdout.txt").read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["capacity.csv", "capacity_report.txt"]
+    for file_name in ("capacity.csv", "capacity_report.txt"):
+        assert (out / file_name).read_bytes() == (golden / file_name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", sorted(p.name for p in DATA.iterdir() if not (p / "capacity.csv").exists())
+)
 def test_failure_counters_sum_the_trajectory(name):
     loaded = load_scenario_file(DATA / name / "scenario.yaml")
     result = run_scenario(loaded.scenario)

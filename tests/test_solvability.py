@@ -2,10 +2,20 @@
 
 import itertools
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from nfcsim.graph import NodeRole, TopologyConfig, build_graph, chain_topology, star_topology
+from nfcsim.graph import (
+    NodeRole,
+    TopologyConfig,
+    build_graph,
+    chain_topology,
+    random_tree_topology,
+    star_topology,
+)
 from nfcsim.solvability import (
+    TARGET_PRESETS,
     CapacitySweep,
     SolvabilityInstance,
     TargetFunction,
@@ -18,13 +28,14 @@ from nfcsim.solvability import (
     verify_witness,
     xor_target,
 )
+from reference_search import reference_search
 
 S, A, D = NodeRole.SOURCE, NodeRole.ATOMIC, NodeRole.DESTINATION
 STAR2 = build_graph(star_topology(2))
 
 
-def two_source_topologies(n_relays: int):
-    """Every DAG on {s0, s1, relays..., d0} drawn from the candidate arcs."""
+def two_source_candidate_arcs(n_relays: int) -> list[tuple[str, str]]:
+    """The arcs a DAG on {s0, s1, relays..., d0} may draw from."""
     relay_names = [f"a{i}" for i in range(n_relays)]
     candidates: list[tuple[str, str]] = []
     for s in ("s0", "s1"):
@@ -36,15 +47,26 @@ def two_source_topologies(n_relays: int):
             candidates.append((relay_names[i], relay_names[j]))
     for r in relay_names:
         candidates.append((r, "d0"))
-    roles = {"s0": S, "s1": S, **{r: A for r in relay_names}, "d0": D}
-    graphs = []
-    for mask in range(1 << len(candidates)):
-        arcs = [candidates[i] for i in range(len(candidates)) if (mask >> i) & 1]
-        children: dict[str, list[str]] = {}
-        for child, parent in arcs:
+    return candidates
+
+
+def two_source_dag(n_relays: int, mask: int):
+    """The DAG whose arcs are the candidate arcs selected by the mask bits."""
+    candidates = two_source_candidate_arcs(n_relays)
+    roles = {"s0": S, "s1": S, **{f"a{i}": A for i in range(n_relays)}, "d0": D}
+    children: dict[str, list[str]] = {}
+    for i, (child, parent) in enumerate(candidates):
+        if (mask >> i) & 1:
             children.setdefault(parent, []).append(child)
-        graphs.append(build_graph(TopologyConfig(roles=roles, children=children, mode="dag")))
-    return graphs
+    return build_graph(TopologyConfig(roles=roles, children=children, mode="dag"))
+
+
+def two_source_topologies(n_relays: int):
+    """Every DAG on {s0, s1, relays..., d0} drawn from the candidate arcs."""
+    return [
+        two_source_dag(n_relays, mask)
+        for mask in range(1 << len(two_source_candidate_arcs(n_relays)))
+    ]
 
 
 def test_xor_on_star_is_solvable_with_verified_witness():
@@ -189,3 +211,84 @@ def test_identity_target_is_the_base_alphabet_encoding(arity, alphabet):
     assert target == TargetFunction.from_callable("identity", encode, arity, alphabet, alphabet**arity)
     for combo in itertools.product(range(alphabet), repeat=arity):
         assert target(combo) == encode(*combo)
+
+
+def assert_same_verdict(got, want, instance):
+    """Same verdict, detail and ratio; a witness with the same tables and
+    decoders in the same iteration order, and it verifies."""
+    assert (got.solvable, got.detail, got.achieved_ratio) == (
+        want.solvable, want.detail, want.achieved_ratio
+    )
+    assert (got.witness is None) == (want.witness is None)
+    if want.witness is not None:
+        for name in ("arc_inputs", "arc_tables", "decoders"):
+            got_map, want_map = getattr(got.witness, name), getattr(want.witness, name)
+            assert list(got_map) == list(want_map)
+            if name != "arc_inputs":
+                assert [list(m.items()) for m in got_map.values()] == [
+                    list(m.items()) for m in want_map.values()
+                ]
+            else:
+                assert got_map == want_map
+        assert verify_witness(instance, got.witness)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    shape=st.one_of(
+        st.tuples(st.just("tree"), st.integers(1, 3), st.integers(0, 2**32 - 1)),
+        st.tuples(st.just("dag"), st.integers(1, 2), st.integers(0, 2**9 - 1)),
+    ),
+    target_name=st.sampled_from(sorted(TARGET_PRESETS)),
+    function_class=st.sampled_from(["all", "linear"]),
+    k=st.integers(1, 2),
+    length=st.integers(1, 2),
+)
+def test_search_matches_the_per_candidate_reference(shape, target_name, function_class, k, length):
+    kind, size, seed = shape
+    if kind == "tree":
+        g = build_graph(random_tree_topology(np.random.default_rng(seed), size, max_depth=3))
+    else:
+        g = two_source_dag(size, seed % (1 << len(two_source_candidate_arcs(size))))
+    instance = SolvabilityInstance(
+        g, TARGET_PRESETS[target_name](g.n_sources, 2), 2, generation_length=k,
+        packet_length=length, candidate_cap=3000, function_class=function_class,
+    )
+    assert_same_verdict(brute_force_search(instance), reference_search(instance), instance)
+
+
+@pytest.mark.parametrize(
+    "roles, children",
+    [
+        ({"s0": S, "d0": D}, {}),  # no arcs at all
+        ({"s0": S, "a0": A, "d0": D}, {"d0": ["s0", "a0"]}),  # an atomic without inputs
+        ({"s0": S, "s1": S, "a0": A, "d0": D, "d1": D},
+         {"a0": ["s0", "s1"], "d0": ["a0", "s0"], "d1": ["a0", "s1"]}),  # two destinations
+        ({"s0": S, "s1": S, "a0": A, "a1": A, "d0": D},
+         {"a0": ["s0"], "a1": ["s1"], "d0": ["a0"]}),  # a relay that reaches no destination
+        ({"s0": S, **{f"a{i}": A for i in range(32)}, "d0": D},
+         {"d0": ["s0", *(f"a{i}" for i in range(32))]}),  # 4^33 received tuples at L=2
+    ],
+    ids=["no_arcs", "atomic_without_inputs", "two_destinations", "dead_end_relay", "wide_destination"],
+)
+@pytest.mark.parametrize("function_class", ["all", "linear"])
+@pytest.mark.parametrize("target_name", sorted(TARGET_PRESETS))
+def test_search_matches_the_reference_on_edge_graphs(roles, children, function_class, target_name):
+    g = build_graph(TopologyConfig(roles=roles, children=children, mode="dag"))
+    for length in (1, 2):
+        instance = SolvabilityInstance(
+            g, TARGET_PRESETS[target_name](g.n_sources, 2), 2, packet_length=length,
+            candidate_cap=20_000, function_class=function_class,
+        )
+        assert_same_verdict(brute_force_search(instance), reference_search(instance), instance)
+
+
+def test_messages_too_wide_for_int64_codes_are_capped():
+    # No source sends, so the only arc is a constant one with 2^60 possible messages.
+    g = build_graph(TopologyConfig(roles={"s0": S, "a0": A, "d0": D}, children={"d0": ["a0"]}, mode="dag"))
+    instance = SolvabilityInstance(g, xor_target(1, 2), 2, packet_length=60, function_class="linear")
+    verdict = brute_force_search(instance)
+    assert verdict.solvable == "unknown-capped"
+    assert verdict.detail == f"{2**60}-valued messages on 2 inputs exceed int64 codes"
+    narrower = SolvabilityInstance(g, xor_target(1, 2), 2, packet_length=59, function_class="linear")
+    assert_same_verdict(brute_force_search(narrower), reference_search(narrower), narrower)
