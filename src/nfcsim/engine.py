@@ -13,6 +13,7 @@ identical results, byte for byte.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
@@ -108,6 +109,8 @@ class Scenario:
         roles = list(self.topology.roles.values())
         destinations = roles.count(NodeRole.DESTINATION)
         rlnc, neural = name == "rlnc", name == "neural"
+        problems += [(key, f"{key} must be a finite number")
+                     for key in FLOAT_KEYS if not math.isfinite(attrgetter(key)(self))]
         problems += [(key, message) for failed, key, message in (
             (self.topology.mode not in app.modes, "topology.mode",
              f"{name} does not run on mode {self.topology.mode!r}"),
@@ -128,7 +131,7 @@ class Scenario:
             (name == "custom" and self.assignment is None, "assignment",
              "custom application requires a FunctionAssignment"),
         ) if failed]
-        if neural:
+        if neural and math.isfinite(self.neural.margin):
             # |sum of n uniform(-1, 1) features| < n: no sample could clear the margin
             n_sources = roles.count(NodeRole.SOURCE)
             margin = self.neural.margin
@@ -428,6 +431,9 @@ APPLICATIONS = tuple(APPLICATION_TABLE)
 # Every key some application reads, as an attribute path on Scenario.
 # failures.seed is none: the parser defaults it to the scenario seed.
 SCENARIO_KEYS = sorted(set().union(*(app.reads for app in APPLICATION_TABLE.values())))
+# The float values a scenario holds (FailureModel checks its own probabilities);
+# YAML reads .nan and .inf as floats, and validation rejects both.
+FLOAT_KEYS = ("data.mean", "data.std", "eta.value", "neural.margin")
 
 
 def run_scenario(s: Scenario, audit: bool = False) -> ScenarioResult:

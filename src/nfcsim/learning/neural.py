@@ -15,12 +15,14 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
+from itertools import chain
 from math import comb, factorial
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from nfcsim.errors import NotATree
+from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import substream
 
@@ -82,30 +84,39 @@ class FailureModel:
 class UpwardResult:
     activations: np.ndarray  # (nodes,) activities; dropped nodes read 0
     prediction: float
-    dropped: frozenset[int]
+    is_dropped: np.ndarray  # (nodes,) boolean
+    inputs: tuple[np.ndarray, ...]  # per level, the (k, arity) activities its units read
+
+    @property
+    def dropped(self) -> np.ndarray:
+        """Ids of the dropped nodes."""
+        return np.flatnonzero(self.is_dropped)
 
 
 @dataclass(frozen=True)
 class DownwardResult:
-    gradients: Mapping[int, np.ndarray]  # node -> dJ/dw actually assembled
+    blocks: tuple  # per level: (nodes, (k, 1) received mask, (k, arity) dJ/dw)
     lost_messages: int
     sent: tuple[tuple[int, int], ...] = ()  # (sender, child) pairs, lost ones included
+
+    @cached_property
+    def gradients(self) -> dict[int, np.ndarray]:
+        """node -> dJ/dw actually assembled, for each unit that received a gradient."""
+        return {v: g for nodes, got, grads in self.blocks
+                for v, g in zip(nodes[got[:, 0]].tolist(), grads[got[:, 0]])}
 
 
 class NeuralTreeNetwork:
     """Logistic units on a rooted tree; leaves are the data sources.
 
     Every non-source node is a unit whose weight vector holds one entry
-    per child, in ``in_neighbors`` order. The upward pass runs on the
-    graph's level plan, one stacked product per group.
+    per child, in ``in_neighbors`` order. Each group of the graph's level
+    plan, then the destination, keeps its units' weights as one
+    (k, arity) block; ``weights[v]`` is a row view into it.
     """
 
-    def __init__(
-        self,
-        graph: NfcGraph,
-        init_rng: np.random.Generator | None = None,
-        weights: Mapping[int, np.ndarray] | None = None,
-    ):
+    def __init__(self, graph: NfcGraph, init_rng: np.random.Generator | None = None,
+                 weights: Mapping[int, np.ndarray] | None = None):
         if graph.mode != "tree" or len(graph.destinations) != 1:
             raise NotATree("neural training requires a single-destination tree")
         self.graph = graph
@@ -114,100 +125,111 @@ class NeuralTreeNetwork:
         if weights is None:
             rng = init_rng if init_rng is not None else np.random.default_rng(0)
             weights = {v: rng.uniform(-0.5, 0.5, size=len(graph.in_neighbors[v])) for v in units}
-        self.weights = {v: np.array(w, dtype=np.float64) for v, w in weights.items()}
         for v in units:
             name, dim = graph.names[v], len(graph.in_neighbors[v])
-            if v not in self.weights:
+            if v not in weights:
                 raise ValueError(f"no weights for unit {name!r}")
-            if len(self.weights[v]) != dim:
-                raise ValueError(
-                    f"weight length {len(self.weights[v])} != input dim {dim} at node {name!r}"
-                )
-        self._inputs = {v: np.array(graph.in_neighbors[v]) for v in units}
+            if len(weights[v]) != dim:
+                raise ValueError(f"weight length {len(weights[v])} != input dim {dim} at node {name!r}")
         self._sources = np.array(graph.sources)
-        # Upward: the plan's groups, then the destination on its own.
-        self._levels = [group[:2] for group in graph.level_plan]
-        self._levels.append((np.array([dest]), np.array([graph.in_neighbors[dest]])))
-        # Downward: unit-to-unit arcs (parent, child, the child's input slot
-        # at the parent), parents in reverse topological order and children
-        # in in_neighbors order; message-loss draws are consumed in this order.
-        self._arcs = [
-            (v, c, i)
-            for v in reversed(units)
-            for i, c in enumerate(graph.in_neighbors[v])
-            if c in self._inputs
-        ]
+        # Per level, lowest first: nodes, (k, arity) children, weight block, its (k, 1, arity)
+        # view, the nodes as a (k, 1) column, and whether some child is a unit.
+        self._levels, rows = [], {}
+        plan = [group[:2] for group in graph.level_plan] + [([dest], [graph.in_neighbors[dest]])]
+        for nodes, children in plan:
+            nodes, children = np.array(nodes), np.array(children)
+            block = np.array([weights[v] for v in nodes.tolist()], dtype=np.float64)
+            rows.update(zip(nodes.tolist(), block))
+            feeds = any(graph.roles[c] is not NodeRole.SOURCE for c in children.flat)
+            self._levels.append((nodes, children, block, block[:, None, :], nodes[:, None], feeds))
+        self._weights = {v: rows[v] for v in units}
+        # Each unit's unit children with their (sender, child) arc, parents in reverse topological
+        # order and children in in_neighbors order: the order the loss draws are consumed in.
+        self._walk = [(v, kids) for v in reversed(units)
+                      if (kids := [(c, (v, c)) for c in graph.in_neighbors[v] if c in rows])]
+
+    @property
+    def weights(self) -> dict[int, np.ndarray]:
+        return self._weights
+
+    @weights.setter
+    def weights(self, values: Mapping[int, np.ndarray]) -> None:
+        for v, w in values.items():  # written into the blocks, which the passes read
+            self._weights[v][:] = w
 
     # -- passes -----------------------------------------------------------
 
-    def upward(
-        self, features: np.ndarray, dropped: frozenset[int] | set[int] = frozenset()
-    ) -> UpwardResult:
-        """Forward evaluation; dropped nodes contribute activity 0."""
+    def upward(self, features: np.ndarray,
+               dropped: np.ndarray | Collection[int] = ()) -> UpwardResult:
+        """Forward evaluation; dropped nodes contribute activity 0. ``dropped``
+        is a boolean row over the nodes (a ``draw_dropped`` row) or node ids."""
         if np.shape(features) != self._sources.shape:
-            n, shape = self._sources.size, np.shape(features)
-            raise ValueError(f"expected {n} source features, got shape {shape}")
-        is_dropped = np.zeros(self.graph.n_nodes, dtype=bool)
-        is_dropped[list(dropped)] = True
+            raise ValueError(f"expected {self._sources.size} source features, got shape {np.shape(features)}")
+        if not (isinstance(dropped, np.ndarray) and dropped.dtype == bool):
+            ids, dropped = list(dropped), np.zeros(self.graph.n_nodes, dtype=bool)
+            dropped[ids] = True
         activity = np.zeros(self.graph.n_nodes)
         activity[self._sources] = features
-        activity[is_dropped] = 0.0
-        for nodes, children in self._levels:
-            alive = ~is_dropped[nodes]
-            nodes, inputs = nodes[alive], activity[children[alive]]
-            if not nodes.size:
-                continue
-            weights = np.stack([self.weights[v] for v in nodes.tolist()])
-            activity[nodes] = sigmoid(np.matmul(weights[:, None, :], inputs[:, :, None]))[:, 0, 0]
-        return UpwardResult(activity, float(activity[self.destination]), frozenset(dropped))
+        activity[dropped] = 0.0
+        inputs = []
+        for nodes, children, _, stacked, _, _ in self._levels:
+            inputs.append(x := activity[children])
+            out = sigmoid(np.matmul(stacked, x[:, :, None]))[:, 0, 0]
+            out[dropped[nodes]] = 0.0
+            activity[nodes] = out
+        return UpwardResult(activity, float(activity[self.destination]), dropped, tuple(inputs))
 
-    def downward(
-        self,
-        up: UpwardResult,
-        target: float,
-        eta: float,
-        message_lost: Callable[[], bool] | None = None,
-        apply_updates: bool = True,
-    ) -> DownwardResult:
-        """Backpropagate the log-loss gradient of ``up``, computed with the
-        current weights, and update them.
-
-        A gradient contribution goes down a unit-to-unit arc when the
-        parent received a gradient and the child was alive in ``up``
-        (subject to loss draws); each unit that received one updates its
-        weights. A dropped destination made no prediction: nothing is sent.
-        """
-        if self.destination in up.dropped:
-            return DownwardResult({}, 0)
+    def downward(self, up: UpwardResult, target: float, eta: float,
+                 message_lost: Callable[[], bool] | None = None,
+                 apply_updates: bool = True) -> DownwardResult:
+        """Backpropagate the log-loss gradient of ``up`` with the current
+        weights, and update them. A gradient contribution goes down a
+        unit-to-unit arc when the parent received a gradient and the child
+        was alive in ``up`` (subject to loss draws); each unit that received
+        one updates its weights. A dropped destination sends nothing."""
+        dest = self.destination
+        if up.is_dropped[dest]:
+            return DownwardResult((), 0)
+        # The walk: which units receive a gradient, one loss draw per sent arc.
+        dropped = up.is_dropped.tobytes()
+        received = bytearray(len(dropped))
+        received[dest] = True
+        sent, lost = [], 0
+        for parent, kids in self._walk:
+            if received[parent]:
+                for c, arc in kids:
+                    if not dropped[c]:
+                        sent.append(arc)
+                        if message_lost is not None and message_lost():
+                            lost += 1
+                        else:
+                            received[c] = True
+        # Top-down by level: each unit's dL/da goes into every child (only one
+        # that received it reads it); then the rows that received one update.
+        received = np.frombuffer(received, dtype=bool)
         activity = up.activations
-        slope = (activity * (1.0 - activity)).tolist()
+        slope = activity * (1.0 - activity)
         x = up.prediction
-        accumulated = {self.destination: -target / x + (1.0 - target) / (1.0 - x)}
-        sent: list[tuple[int, int]] = []
-        lost = 0
-        for v, c, i in self._arcs:
-            if v not in accumulated or c in up.dropped:
-                continue
-            contribution = accumulated[v] * float(slope[v] * self.weights[v][i])
-            sent.append((v, c))
-            if message_lost is not None and message_lost():
-                lost += 1
-                continue
-            accumulated[c] = accumulated.get(c, 0.0) + contribution
-        gradients: dict[int, np.ndarray] = {}
-        for v, d_loss in accumulated.items():
-            gradients[v] = gradient = d_loss * (slope[v] * activity[self._inputs[v]])
+        accumulated = np.zeros(activity.size)
+        accumulated[dest] = -target / x + (1.0 - target) / (1.0 - x)
+        blocks = []
+        for (nodes, children, block, _, column, feeds), x_in in zip(self._levels[::-1], up.inputs[::-1]):
+            d_loss, s = accumulated[column], slope[column]
+            if feeds:  # 0.0 + turns a -0.0 contribution into +0.0, as a sum from 0.0 does
+                accumulated[children] = 0.0 + d_loss * (s * block)
+            gradient = d_loss * (s * x_in)
+            got = received[column]
             if apply_updates:
-                self.weights[v] = self.weights[v] - eta * gradient
-        return DownwardResult(gradients, lost, tuple(sent))
+                np.subtract(block, eta * gradient, out=block, where=got)
+            blocks.append((nodes, got, gradient))
+        return DownwardResult(tuple(blocks), lost, tuple(sent))
 
     def predict(self, features: np.ndarray) -> float:
         return self.upward(features).prediction
 
 
-def draw_dropped(
-    g: NfcGraph, failures: FailureModel, rng: np.random.Generator, generations: int
-) -> np.ndarray:
+def draw_dropped(g: NfcGraph, failures: FailureModel, rng: np.random.Generator,
+                 generations: int) -> np.ndarray:
     """A block's (generations, nodes) Bernoulli dropout mask over every
     non-destination node: one uniform draw per node in id order, generation
     after generation, so a block draws what its generations would one by one."""
@@ -220,14 +242,10 @@ def draw_dropped(
 
 @dataclass(frozen=True)
 class TrainResult:
-    """Per-step losses, dropped-node and lost-message counts, the final
-    weights and the link usage.
-
-    ``arc_messages`` tallies link usage per upward arc: one activity
-    message per alive non-destination node per step, plus the gradient
-    contributions travelling back down the same link (lost ones were
-    still transmitted).
-    """
+    """Per-step losses, dropped-node and lost-message counts, copies of the
+    final weights, and ``arc_messages``: per upward arc, one activity message
+    per alive non-destination node and step plus the gradient contributions
+    sent back down it (lost ones were still transmitted)."""
 
     losses: tuple[float, ...]
     dropped_per_step: tuple[int, ...]
@@ -236,27 +254,20 @@ class TrainResult:
     arc_messages: Mapping[tuple[int, int], int] = dc_field(default_factory=dict)
 
 
-def nn_train(
-    network: NeuralTreeNetwork,
-    dataset: Sequence[TrainingSample],
-    epochs: int,
-    eta_schedule: float | Callable[[int], float],
-    failures: FailureModel | None = None,
-) -> TrainResult:
-    """Run upward/downward cycles over the dataset for some epochs.
-
-    The generation counter runs across epochs; identical seeds give
-    identical trajectories.
-    """
+def nn_train(network: NeuralTreeNetwork, dataset: Sequence[TrainingSample], epochs: int,
+             eta_schedule: float | Callable[[int], float],
+             failures: FailureModel | None = None) -> TrainResult:
+    """Run upward/downward cycles over the dataset for some epochs. The generation
+    counter runs across epochs; identical seeds give identical trajectories."""
     failures = failures or FailureModel()
     dropout_rng, loss_rng = failures.streams()
     eta_fn = eta_schedule if callable(eta_schedule) else (lambda t: eta_schedule)
     loss_p = failures.message_loss_p
-    message_lost = (lambda: bool(loss_rng.random() < loss_p)) if loss_p > 0.0 else None
-    losses: list[float] = []
-    dropped_counts: list[int] = []
-    lost_counts: list[int] = []
-    arc_messages: Counter[tuple[int, int]] = Counter()
+    # loss_rng.random() < loss_p per call, drawn a block at a time: the same values
+    draws = chain.from_iterable(iter(lambda: (loss_rng.random(1024) < loss_p).tolist(), None))
+    message_lost = draws.__next__ if loss_p > 0.0 else None
+    losses, dropped_counts, lost_counts = [], [], []
+    sent: Counter[tuple[int, int]] = Counter()  # per compiled (sender, child) arc
     g = network.graph
     alive_steps = np.zeros(g.n_nodes, dtype=np.int64)
     for epoch in range(epochs):
@@ -264,25 +275,21 @@ def nn_train(
         alive_steps += (~masks).sum(axis=0)
         dropped_counts += masks.sum(axis=1).tolist()
         for t, (sample, mask) in enumerate(zip(dataset, masks), start=epoch * len(dataset)):
-            up = network.upward(sample.features, dropped=frozenset(np.flatnonzero(mask).tolist()))
+            up = network.upward(sample.features, mask)
+            if up.prediction in (0.0, 1.0):
+                raise DomainError(f"step {t}: the prediction saturated to exactly {up.prediction},"
+                                  " where the log-loss is infinite; a smaller eta may avoid it")
             losses.append(log_loss(up.prediction, sample.target))
             down = network.downward(up, sample.target, eta=eta_fn(t), message_lost=message_lost)
-            # each gradient contribution travels its upward arc backwards
-            arc_messages.update((child, sender) for sender, child in down.sent)
+            sent.update(down.sent)
             lost_counts.append(down.lost_messages)
-    # one activity message per alive non-destination node and step
-    arc_messages.update({
-        (v, g.out_neighbors[v][0]): steps
-        for v, steps in enumerate(alive_steps.tolist())
-        if steps and v != network.destination
-    })
-    return TrainResult(
-        losses=tuple(losses),
-        dropped_per_step=tuple(dropped_counts),
-        lost_per_step=tuple(lost_counts),
-        final_weights={v: w.copy() for v, w in network.weights.items()},
-        arc_messages=arc_messages,
-    )
+    # each gradient contribution travels its upward arc backwards, and each
+    # alive non-destination node sends one activity message per step
+    arc_messages = Counter({(child, sender): n for (sender, child), n in sent.items()})
+    arc_messages.update({(v, g.out_neighbors[v][0]): steps for v, steps in enumerate(alive_steps.tolist())
+                         if steps and v != network.destination})
+    final_weights = {v: w.copy() for v, w in network.weights.items()}
+    return TrainResult(tuple(losses), tuple(dropped_counts), tuple(lost_counts), final_weights, arc_messages)
 
 
 def dataset_loss(network: NeuralTreeNetwork, dataset: Sequence[TrainingSample]) -> float:
@@ -326,26 +333,19 @@ def margin_acceptance(n_sources: int, margin: float) -> float:
         return 0.0
     a, b = float(margin).as_integer_ratio()
     top = n_sources * b - a  # x = top / 2b
-    tail = sum(
-        (-1) ** k * comb(n_sources, k) * (top - 2 * k * b) ** n_sources
-        for k in range(top // (2 * b) + 1)
-    )
+    tail = sum((-1) ** k * comb(n_sources, k) * (top - 2 * k * b) ** n_sources
+               for k in range(top // (2 * b) + 1))
     return 2 * tail / ((2 * b) ** n_sources * factorial(n_sources))
 
 
-def separable_dataset(
-    n_sources: int,
-    n_samples: int,
-    rng: np.random.Generator,
-    margin: float = 0.5,
-) -> list[TrainingSample]:
+def separable_dataset(n_sources: int, n_samples: int, rng: np.random.Generator,
+                      margin: float = 0.5) -> list[TrainingSample]:
     """Linearly separable toy set: label is the sign of the feature sum,
     with a margin band around zero rejected."""
     samples: list[TrainingSample] = []
     while len(samples) < n_samples:
         x = rng.uniform(-1.0, 1.0, size=n_sources)
         total = float(x.sum())
-        if abs(total) < margin:
-            continue
-        samples.append(TrainingSample(features=x, label=1 if total > 0 else -1))
+        if abs(total) >= margin:
+            samples.append(TrainingSample(features=x, label=1 if total > 0 else -1))
     return samples

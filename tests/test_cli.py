@@ -647,3 +647,42 @@ def test_shipped_scenario_manifest_replays_byte_identical(runner, tmp_path, name
     assert written == sorted(path.name for path in replay.iterdir())
     for output in written:
         assert (first / output).read_bytes() == (replay / output).read_bytes(), output
+
+
+@pytest.mark.parametrize(
+    "text, line, path",
+    [
+        (NEURAL_TWO_SOURCES.replace("5.0", ".nan"), 9, "neural.margin"),
+        (NEURAL_STAR + "eta:\n  value: .nan\n", 11, "eta.value"),
+        (CONSENSUS_STAR + "data:\n  std: .nan\n", 8, "data.std"),
+        (CONSENSUS_STAR + "data:\n  mean: .inf\n", 8, "data.mean"),
+    ],
+    ids=["margin_nan", "eta_nan", "std_nan", "mean_inf"],
+)
+def test_run_rejects_non_finite_values_exit_2_line_addressed(runner, tmp_path, text, line, path):
+    scenario = write(tmp_path, "non_finite.yaml", text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"line {line}: {path}: {path} must be a finite number" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
+SATURATING_NEURAL = """\
+schema_version: 1
+application: neural
+seed: 3
+topology: {generator: balanced_tree, sources: 8}
+eta: {kind: constant, value: 200.0}
+neural: {samples: 16, epochs: 20, margin: 0.5}
+"""
+
+
+def test_run_saturated_prediction_exit_4(runner, tmp_path):
+    scenario = write(tmp_path, "saturating.yaml", SATURATING_NEURAL)
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 4, result.output
+    assert result.output.startswith("runtime failure: step 1: ")
+    assert "the log-loss is infinite" in result.output
+    assert "Traceback" not in result.output

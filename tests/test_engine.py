@@ -279,6 +279,22 @@ def test_validation_rejects_unreachable_margin_and_negative_std():
         run_scenario(noisy)
 
 
+@pytest.mark.parametrize(
+    "application, changes, key",
+    [
+        ("neural", {"neural": NeuralParams(margin=float("nan"))}, "neural.margin"),
+        ("neural", {"eta": EtaSchedule(value=float("inf"))}, "eta.value"),
+        ("consensus", {"generations": 1, "data": DataModel(std=float("nan"))}, "data.std"),
+        ("consensus", {"generations": 1, "data": DataModel(mean=float("-inf"))}, "data.mean"),
+    ],
+)
+def test_validation_rejects_non_finite_values(application, changes, key):
+    s = Scenario(topology=star_topology(2), application=application, **changes)
+    assert s.keyed_errors() == [(key, f"{key} must be a finite number")]
+    with pytest.raises(ScenarioError, match=f"{key} must be a finite number"):
+        s.validate()
+
+
 @pytest.mark.parametrize("application", ["consensus", "custom"])
 def test_message_loss_rejected_where_not_modelled(application):
     from nfcsim.afc import FunctionAssignment, Max

@@ -5,6 +5,8 @@ import re
 import numpy as np
 import pytest
 
+import nfcsim.engine as engine
+from nfcsim.errors import DomainError
 from nfcsim.graph import build_graph, balanced_tree_topology, chain_topology, star_topology
 from nfcsim.learning import (
     FailureModel,
@@ -12,6 +14,7 @@ from nfcsim.learning import (
     TrainingSample,
     dataset_loss,
     gradient_check,
+    neural,
     nn_train,
 )
 from nfcsim.learning.neural import (
@@ -305,3 +308,91 @@ def test_margin_acceptance_irwin_hall_tail():
     rng = np.random.default_rng(20)
     sums = np.abs(rng.uniform(-1.0, 1.0, size=(20_000, 64)).sum(axis=1))
     assert margin_acceptance(64, 0.5) == pytest.approx((sums >= 0.5).mean(), abs=0.01)
+
+
+def test_saturated_prediction_raises_domain_error_naming_the_step():
+    # sigmoid(40) rounds to exactly 1.0: the log-loss and its gradient seed are infinite
+    g = build_graph(chain_topology(0))
+    net = NeuralTreeNetwork(g, weights={g.destinations[0]: np.array([40.0])})
+    data = [TrainingSample(features=np.array([0.0]), label=1),
+            TrainingSample(features=np.array([1.0]), label=-1)]
+    with pytest.raises(DomainError, match=r"^step 1: .*exactly 1\.0, where the log-loss is infinite"):
+        nn_train(net, data, epochs=1, eta_schedule=0.5)
+
+
+def test_weights_are_row_views_of_the_level_blocks():
+    net, fresh = build_7_node(21), build_7_node(21)
+    x = np.array([0.4, -0.9, 0.3, 0.7])
+    v = net.destination
+    net.weights[v][1] += 0.25  # an in-place edit reaches the network
+    assert net.predict(x) != fresh.predict(x)
+    edited = NeuralTreeNetwork(net.graph, weights={u: w.copy() for u, w in net.weights.items()})
+    assert net.predict(x) == edited.predict(x)
+    # assignment writes through, and later in-place edits still reach the network
+    net.weights = {u: w.copy() for u, w in fresh.weights.items()}
+    assert net.predict(x) == fresh.predict(x)
+    net.weights[v][:] = 0.0
+    assert net.predict(x) == 0.5
+    # gradient_check perturbs through the views and restores every weight
+    before = {u: w.copy() for u, w in fresh.weights.items()}
+    assert gradient_check(fresh, TrainingSample(features=x, label=1)) < 1e-4
+    assert all(fresh.weights[u].tobytes() == w.tobytes() for u, w in before.items())
+
+
+def test_final_weights_are_copies():
+    net = build_7_node(22)
+    data = separable_dataset(4, 4, np.random.default_rng(23))
+    result = nn_train(net, data, epochs=1, eta_schedule=0.5)
+    for v, w in result.final_weights.items():
+        assert np.array_equal(w, net.weights[v]) and not np.shares_memory(w, net.weights[v])
+        w[:] = 7.0
+    assert not any(np.any(w == 7.0) for w in net.weights.values())
+
+
+def recording(fn, log):
+    """fn, logging each result, as the bench tracer wraps a traced name."""
+
+    def wrapper(*args, **kwargs):
+        log.append(fn(*args, **kwargs))
+        return log[-1]
+
+    return wrapper
+
+
+def test_nn_train_keeps_the_surface_the_bench_tracer_wraps(monkeypatch):
+    # bench/tracing.py wraps NeuralTreeNetwork.upward/downward on the class and
+    # engine.nn_train as a module global, and reads len(up.dropped) and len(down.sent).
+    ups, downs, runs = [], [], []
+    monkeypatch.setattr(NeuralTreeNetwork, "upward", recording(NeuralTreeNetwork.upward, ups))
+    monkeypatch.setattr(NeuralTreeNetwork, "downward", recording(NeuralTreeNetwork.downward, downs))
+    g = build_graph(balanced_tree_topology(8))
+    net = NeuralTreeNetwork(g, init_rng=np.random.default_rng(24))
+    data = separable_dataset(8, 6, np.random.default_rng(25))
+    failures = FailureModel(node_dropout_p=0.3, message_loss_p=0.4, seed=26)
+    result = nn_train(net, data, epochs=3, eta_schedule=0.5, failures=failures)
+    assert len(ups) == len(downs) == len(result.losses) == 18
+    assert [len(up.dropped) for up in ups] == list(result.dropped_per_step)
+    assert [down.lost_messages for down in downs] == list(result.lost_per_step)
+    assert all(down.lost_messages <= len(down.sent) for down in downs)
+    alive = sum(g.n_nodes - 1 - len(up.dropped) for up in ups)  # one activity message each
+    assert sum(len(down.sent) for down in downs) == sum(result.arc_messages.values()) - alive
+    assert sum(result.lost_per_step) > 0 and sum(result.dropped_per_step) > 0
+
+    assert engine.nn_train is neural.nn_train
+    monkeypatch.setattr(engine, "nn_train", recording(neural.nn_train, runs))
+    scenario = engine.Scenario(topology=balanced_tree_topology(4), application="neural",
+                               neural=engine.NeuralParams(samples=2, epochs=1))
+    engine.run_scenario(scenario)
+    assert len(runs) == 1 and len(ups) == 18 + 2
+
+
+def test_upward_takes_a_dropout_row_or_node_ids():
+    net = build_7_node(27)
+    x = np.array([0.8, -0.2, 0.4, 1.0])
+    ids = [net.graph.sources[1], net.graph.atomics[0]]
+    row = np.zeros(net.graph.n_nodes, dtype=bool)
+    row[ids] = True
+    runs = [net.upward(x, dropped) for dropped in (row, set(ids), np.array(ids), tuple(ids))]
+    for up in runs:
+        assert up.activations.tobytes() == runs[0].activations.tobytes()
+        assert up.dropped.tolist() == sorted(ids) and up.is_dropped.tolist() == row.tolist()
