@@ -32,6 +32,11 @@ def is_real_packet(p: Packet) -> bool:
     return np.issubdtype(np.asarray(p).dtype, np.floating)
 
 
+@np.errstate(over="ignore")  # exp(-z) overflows to inf only where the limit 0.0 is exact
+def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 class AtomicFunction:
     """Base marker for installable atomic functions.
 
@@ -194,8 +199,7 @@ def eval_dafc(
     if isinstance(spec, NeuronUnit):
         if not real:
             raise DomainMismatch("NeuronUnit operates on real packets")
-        z = np.asarray(spec.weights, dtype=np.float64) @ stacked
-        return 1.0 / (1.0 + np.exp(-z))
+        return sigmoid(np.asarray(spec.weights, dtype=np.float64) @ stacked)
     if isinstance(spec, Nomographic):
         raise DomainMismatch("Nomographic functions are evaluated by eval_aafc")
     raise TypeError(f"unknown atomic function {type(spec).__name__}")

@@ -115,6 +115,10 @@ class Scenario:
             (self.topology.mode not in app.modes, "topology.mode",
              f"{name} does not run on mode {self.topology.mode!r}"),
             (destinations != 1, "topology", f"the topology must have exactly one destination, not {destinations}"),
+            (self.seed < 0, "seed", "seed must be >= 0"),
+            # failures.seed defaults to the seed, whose own row then reports it
+            (self.failures.seed < 0 and self.failures.seed != self.seed, "failures.seed",
+             "failures.seed must be >= 0"),
             (self.packet_length < 1, "packet_length", "packet_length must be >= 1"),
             (self.data.std < 0, "data.std", "data.std must be >= 0"),
             (self.generations < 0, "generations", "generations must be >= 0"),
@@ -204,7 +208,6 @@ class ScenarioResult:
     metrics: Metrics
     headline: Mapping[str, object]
     tables: Mapping[str, tuple[tuple[str, ...], list[dict[str, object]]]]
-    audit_events: list[tuple] | None = None  # barrier events, when run with audit=True
 
     def summary_line(self) -> str:
         parts = [f"application={self.scenario.application}"]
@@ -221,27 +224,23 @@ class GenerationBarrier:
 
     A node may evaluate generation t only once every non-dropped child's
     generation-t batch is buffered (an alive child with nothing to relay
-    still completes the generation with an empty batch); ``events``
-    records delivery and evaluation order for auditing.
+    still completes the generation with an empty batch). No engine path
+    uses it; it stays for the bench probe on ``deliver`` and the
+    forwarding oracle of the property tests.
     """
 
-    def __init__(self, audit: bool = False):
+    def __init__(self):
         self.buffers: dict[tuple[int, int], dict[int, list[object]]] = {}
-        self.events: list[tuple] | None = [] if audit else None
 
     def deliver(self, child: int, node: int, generation: int, messages: list[object]) -> None:
         slot = self.buffers.setdefault((node, generation), {})
         slot.setdefault(child, []).extend(messages)
-        if self.events is not None:
-            self.events.append(("deliver", child, node, generation))
 
     def ready(self, node: int, generation: int, expected: set[int]) -> bool:
         slot = self.buffers.get((node, generation), {})
         return expected.issubset(slot.keys())
 
     def take(self, node: int, generation: int) -> dict[int, list[object]]:
-        if self.events is not None:
-            self.events.append(("evaluate", node, generation))
         return self.buffers.pop((node, generation), {})
 
 
@@ -251,7 +250,7 @@ def _row(t: int, value: object, dropped: int, lost: int = 0) -> dict[str, object
 
 # -- application runners ----------------------------------------------------
 
-def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
+def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Raw delivery: each alive source sends one packet, which every alive
     node relays hop by hop to the root. Only the counts matter, so a
     node's count is summed over the level plan, one block of generations
@@ -259,7 +258,6 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     atomic node."""
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
-    events: list[tuple] | None = [] if audit else None
     is_source = np.array([role is NodeRole.SOURCE for role in g.roles])
     sent = np.zeros(g.n_nodes, dtype=np.int64)
     rows: list[dict[str, object]] = []
@@ -271,37 +269,26 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
             count[:, nodes] = ~dropped[:, nodes] * count[:, children].sum(axis=2)
         sent += count.sum(axis=0)
         delivered = count[:, list(g.in_neighbors[dest])].sum(axis=1).tolist()
-        for b, gone in enumerate(dropped.tolist()):
-            t = len(rows)
-            rows.append(_row(t, delivered[b], sum(gone)))
-            if events is not None:
-                for v in [v for v in g.topo_order if not gone[v]]:  # the destination takes last
-                    if g.roles[v] is NodeRole.ATOMIC:
-                        events.append(("evaluate", v, t))
-                    events.extend(("deliver", v, w, t) for w in g.out_neighbors[v])
-                events.append(("evaluate", dest, t))
+        for value, gone in zip(delivered, dropped.sum(axis=1).tolist()):
+            rows.append(_row(len(rows), value, gone))
     for v in g.topo_order:
         for w in g.out_neighbors[v] if sent[v] else ():
             metrics.record((v, w), s.packet_length, messages=int(sent[v]))
     headline = {"delivered_packets": sum(row["value"] for row in rows)}
-    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, events
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}
 
 
 def _evaluated_generations(
-    s: Scenario,
-    g: NfcGraph,
-    assignment: FunctionAssignment,
-    metrics: Metrics,
-    events: list[tuple] | None,
+    s: Scenario, g: NfcGraph, assignment: FunctionAssignment, metrics: Metrics
 ) -> Iterator[tuple[int, object]]:
     """The metered generation loop shared by consensus and custom.
 
     Each block of generations draws its dropout and source data and runs
     through the installed assignment in one pass; each generation then
-    records its audit events when ``events`` is a list and yields
-    (dropped count, destination output). Every arc that carried a message
-    is metered once, after the last block. A node's packet width is fixed
-    for the whole run, so the block split never decides whether it fails.
+    yields (dropped count, destination output). Every arc that carried a
+    message is metered once, after the last block. A node's packet width
+    is fixed for the whole run, so the block split never decides whether
+    it fails.
     """
     network = install_functions(g, assignment)
     data_rng = substream(s.seed, 0)
@@ -310,7 +297,6 @@ def _evaluated_generations(
     shape = (g.n_sources, s.packet_length)
     sent = np.zeros(g.n_nodes, dtype=np.int64)
     width = np.zeros(g.n_nodes, dtype=np.int64)
-    t = 0
     for size in block_sizes(s.generations, g.n_nodes * s.packet_length):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
         metrics.dropped_nodes += int(dropped.sum())
@@ -324,38 +310,31 @@ def _evaluated_generations(
                 raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
             width[v] = block.packets[v].shape[-1]
         sent += block.emitted.sum(axis=0)
-        for gone, row, output in zip(dropped.tolist(), block.emitted.tolist(), block.outputs[dest]):
-            if events is not None:
-                events.extend(("deliver", v, g.out_neighbors[v][0], t) for v in g.topo_order if row[v])
-                events.append(("evaluate", dest, t))
-            yield sum(gone), output
-            t += 1
+        yield from zip(dropped.sum(axis=1).tolist(), block.outputs[dest])
     for v in g.topo_order:
         if sent[v]:
             metrics.record((v, g.out_neighbors[v][0]), int(width[v]), messages=int(sent[v]))
 
 
-def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
+def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Average decomposition feeding the harmonic-step estimator."""
-    events: list[tuple] | None = [] if audit else None
     state = ConsensusState(estimate=np.zeros(s.packet_length), generation=0)
     rows: list[dict[str, object]] = []
-    generations = _evaluated_generations(s, g, decompose_average(g), metrics, events)
+    generations = _evaluated_generations(s, g, decompose_average(g), metrics)
     for t, (dropped, delivered) in enumerate(generations):
         if not isinstance(delivered, list):
             state = consensus_step(state, np.asarray(delivered))
         rows.append(_row(t, float(state.estimate[0]), dropped))
     headline = {"final_estimate": float(state.estimate[0])}
-    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, events
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}
 
 
-def _run_custom(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
+def _run_custom(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Caller-supplied assignment; the last delivered value is the headline."""
     assert s.assignment is not None
-    events: list[tuple] | None = [] if audit else None
     last_value = float("nan")
     rows: list[dict[str, object]] = []
-    generations = _evaluated_generations(s, g, s.assignment, metrics, events)
+    generations = _evaluated_generations(s, g, s.assignment, metrics)
     for t, (dropped, delivered) in enumerate(generations):
         if isinstance(delivered, list):
             delivered = delivered[0] if delivered else None
@@ -363,10 +342,10 @@ def _run_custom(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
         if delivered is not None:
             value = last_value = float(np.asarray(delivered).ravel()[0])
         rows.append(_row(t, value, dropped))
-    return {"final_value": last_value}, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, events
+    return {"final_value": last_value}, {"trajectory": (TRAJECTORY_COLUMNS, rows)}
 
 
-def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
+def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Coded recovery experiment; each trial is one data generation."""
     assert s.field is not None and s.n_prime is not None and s.trials is not None
     stats = run_recovery_experiment(
@@ -381,10 +360,10 @@ def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
     for arc in g.arcs:
         metrics.record(arc, per_message, messages=stats.messages_per_arc)
     headline = {"probability": stats.probability}
-    return headline, {"stats": (stats.CSV_COLUMNS, [stats.csv_row()])}, None
+    return headline, {"stats": (stats.CSV_COLUMNS, [stats.csv_row()])}
 
 
-def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
+def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Distributed training; meters upward activities and downward
     gradient contributions (lost messages are transmitted, then lost)."""
     data_rng = substream(s.seed, 0)
@@ -402,12 +381,12 @@ def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics, audit: bool):
         )
     ]
     headline = {"final_loss": float(np.mean(result.losses[-len(dataset):]))}
-    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}, None
+    return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}
 
 
 @dataclass(frozen=True)
 class Application:
-    runner: Callable  # (scenario, graph, metrics, audit) -> (headline, tables, audit events)
+    runner: Callable  # (scenario, graph, metrics) -> (headline, tables)
     reads: Collection[str]  # the SCENARIO_KEYS it reads; the others must keep their defaults
     modes: tuple[str, ...] = ("tree",)  # the topology modes it runs on
     generations: Callable = attrgetter("generations")  # (scenario) -> generations a run covers
@@ -436,28 +415,16 @@ SCENARIO_KEYS = sorted(set().union(*(app.reads for app in APPLICATION_TABLE.valu
 FLOAT_KEYS = ("data.mean", "data.std", "eta.value", "neural.margin")
 
 
-def run_scenario(s: Scenario, audit: bool = False) -> ScenarioResult:
-    """Execute a validated scenario deterministically.
-
-    ``audit=True`` additionally records barrier events (delivery and
-    evaluation order) where the application routes messages generation
-    by generation; the audit never changes results.
-    """
+def run_scenario(s: Scenario) -> ScenarioResult:
+    """Execute a validated scenario deterministically."""
     s.validate()
     g = build_graph(s.topology)
     metrics = Metrics()
     started = time.perf_counter()
-    headline, tables, events = APPLICATION_TABLE[s.application].runner(s, g, metrics, audit)
+    headline, tables = APPLICATION_TABLE[s.application].runner(s, g, metrics)
     metrics.wall_clock = time.perf_counter() - started
     tables["arcs"] = (ARC_COLUMNS, metrics.arc_rows(g))
-    return ScenarioResult(
-        scenario=s,
-        graph=g,
-        metrics=metrics,
-        headline=headline,
-        tables=tables,
-        audit_events=events,
-    )
+    return ScenarioResult(scenario=s, graph=g, metrics=metrics, headline=headline, tables=tables)
 
 
 # -- cost comparison ---------------------------------------------------------

@@ -22,6 +22,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
+from nfcsim.afc import sigmoid
 from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import substream
@@ -34,10 +35,6 @@ MESSAGE_SYMBOLS = 2  # one activity or gradient contribution + generation tag
 # separable_dataset draws 1 / acceptance samples per kept one; below this
 # floor a margin makes data generation effectively never finish.
 MIN_MARGIN_ACCEPTANCE = 1e-3
-
-
-def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def log_loss(prediction: float, target: float) -> float:

@@ -97,6 +97,11 @@ def test_neuron_unit_sigmoid():
     assert np.allclose(out, [0.5, 0.5])
 
 
+def test_neuron_unit_saturates_to_zero_without_a_warning():
+    out = eval_dafc(NeuronUnit((1.0,)), [np.array([-1000.0])])  # exp(1000) overflows to inf
+    assert out.tolist() == [0.0]
+
+
 def test_nomographic_mean_matches_paper_class():
     spec = nomographic_mean(4)
     inputs = [np.full(3, float(v)) for v in (1, 2, 3, 4)]

@@ -126,6 +126,16 @@ def test_run_seed_override_recorded_in_manifest(runner, tmp_path):
     assert "seed: 123" in (out / "manifest.yaml").read_text()
 
 
+def test_run_negative_seed_override_exit_2(runner, tmp_path):
+    path = write(tmp_path, "rlnc.yaml", VALID_RLNC)
+    out = tmp_path / "seeded"
+    result = runner.invoke(main, ["run", str(path), "--seed", "-1", "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert "line 2: seed: seed must be >= 0" in result.output
+    assert "Traceback" not in result.output
+    assert not out.exists()
+
+
 def test_run_trials_override(runner, tmp_path):
     path = write(tmp_path, "rlnc.yaml", VALID_RLNC)
     out = tmp_path / "trials"
@@ -389,10 +399,15 @@ capacity:
         (CAPACITY_STAR.replace("l_values: [1]", "l_values: []"), 8, "capacity.l_values"),
         (VALID_RLNC.replace("application: rlnc", "application: neural") + "eta:\n  kind: bogus\n",
          13, "eta.kind"),
+        (VALID_RLNC.replace("seed: 5", "seed: -3"), 2, "seed"),
+        (VALID_RLNC + "failures:\n  seed: -5\n", 13, "failures.seed"),
+        (CAPACITY_STAR + "  alphabet: 0\n", 9, "capacity.alphabet"),
+        (CAPACITY_STAR + "  alphabet: 3\n  function_class: linear\n", 9, "capacity.alphabet"),
     ],
     ids=[
         "dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero",
-        "k_empty", "l_empty", "eta_kind_unknown",
+        "k_empty", "l_empty", "eta_kind_unknown", "seed_negative", "failures_seed_negative",
+        "alphabet_zero", "linear_alphabet_3",
     ],
 )
 def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, text, line, path):
@@ -686,3 +701,11 @@ def test_run_saturated_prediction_exit_4(runner, tmp_path):
     assert result.output.startswith("runtime failure: step 1: ")
     assert "the log-loss is infinite" in result.output
     assert "Traceback" not in result.output
+
+
+def test_run_unit_saturating_towards_zero_exits_0_without_a_warning(runner, tmp_path):
+    # A unit's exp(-z) overflows on this seed; its limit 0.0 is exact. Warnings are errors here.
+    scenario = write(tmp_path, "saturating.yaml", SATURATING_NEURAL.replace("seed: 3", "seed: 6"))
+    result = runner.invoke(main, ["run", str(scenario), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0, result.output
+    assert "RuntimeWarning" not in result.output

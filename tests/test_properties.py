@@ -2,12 +2,12 @@
 
 Consensus is the average decomposition run as a custom assignment plus
 the harmonic fold, so on any tree, dropout rate and seed the two
-applications meter, drop and audit identically, and the consensus
-estimate is the running mean of the values custom delivered.
+applications meter and drop identically, and the consensus estimate is
+the running mean of the values custom delivered.
 
 Consensus, custom and forwarding run a block of generations at a time;
-split into blocks of any size, a run must write the tables, headline and
-audit events of a generation-by-generation oracle.
+split into blocks of any size, a run must write the tables, headline,
+meters and dropped counts of a generation-by-generation oracle.
 
 The recovery experiment runs blocks of trials through one batched rank
 kernel; a trial-by-trial oracle built on the packet API and full row
@@ -90,15 +90,11 @@ def test_consensus_is_custom_average_plus_fold(tree_seed, n_sources, dropout_p, 
         failures=FailureModel(node_dropout_p=dropout_p, seed=seed),
         data=DataModel(mean=5.0, std=1.0),
     )
-    consensus = run_scenario(Scenario(application="consensus", **common), audit=True)
+    consensus = run_scenario(Scenario(application="consensus", **common))
     custom = run_scenario(
-        Scenario(
-            application="custom", assignment=decompose_average(build_graph(topology)), **common
-        ),
-        audit=True,
+        Scenario(application="custom", assignment=decompose_average(build_graph(topology)), **common)
     )
     assert consensus.tables["arcs"] == custom.tables["arcs"]
-    assert consensus.audit_events == custom.audit_events
     consensus_rows = consensus.tables["trajectory"][1]
     custom_rows = custom.tables["trajectory"][1]
     assert [r["dropped_nodes"] for r in consensus_rows] == [
@@ -125,8 +121,8 @@ def oracle_evaluated(s, g, assignment):
     data_rng = substream(s.seed, 0)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
-    metrics, events, generations = Metrics(), [], []
-    for t in range(s.generations):
+    metrics, generations = Metrics(), []
+    for _ in range(s.generations):
         dropped = oracle_dropped(g, s.failures, dropout_rng)
         shape = (g.n_sources, s.packet_length)
         if s.field is not None:
@@ -136,23 +132,22 @@ def oracle_evaluated(s, g, assignment):
         messages, outputs, _ = reference(g, assignment, dict(zip(g.sources, values)), dropped)
         for arc, message in messages.items():
             metrics.record(arc, len(message))
-        events += [("deliver", u, v, t) for u, v in messages] + [("evaluate", dest, t)]
         generations.append((len(dropped), outputs[dest]))
-    return metrics, events, generations
+    return metrics, generations
 
 
 def oracle_consensus(s, g):
-    metrics, events, generations = oracle_evaluated(s, g, decompose_average(g))
+    metrics, generations = oracle_evaluated(s, g, decompose_average(g))
     state, rows = ConsensusState(estimate=np.zeros(s.packet_length)), []
     for t, (dropped, delivered) in enumerate(generations):
         if not isinstance(delivered, list):
             state = consensus_step(state, np.asarray(delivered))
         rows.append(row(t, float(state.estimate[0]), dropped))
-    return metrics, events, rows, {"final_estimate": float(state.estimate[0])}
+    return metrics, rows, {"final_estimate": float(state.estimate[0])}
 
 
 def oracle_custom(s, g):
-    metrics, events, generations = oracle_evaluated(s, g, s.assignment)
+    metrics, generations = oracle_evaluated(s, g, s.assignment)
     last, rows = float("nan"), []
     for t, (dropped, delivered) in enumerate(generations):
         if isinstance(delivered, list):
@@ -161,14 +156,14 @@ def oracle_custom(s, g):
         if delivered is not None:
             value = last = float(np.asarray(delivered).ravel()[0])
         rows.append(row(t, value, dropped))
-    return metrics, events, rows, {"final_value": last}
+    return metrics, rows, {"final_value": last}
 
 
 def oracle_forwarding(s, g):
     """The generation barrier walk: each node relays its buffered inbox."""
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
-    metrics, barrier, rows, total = Metrics(), GenerationBarrier(audit=True), [], 0
+    metrics, barrier, rows, total = Metrics(), GenerationBarrier(), [], 0
     for t in range(s.generations):
         dropped = oracle_dropped(g, s.failures, dropout_rng)
         for v in g.topo_order:
@@ -187,7 +182,7 @@ def oracle_forwarding(s, g):
         delivered = sum(len(m) for m in barrier.take(dest, t).values())
         total += delivered
         rows.append(row(t, delivered, len(dropped)))
-    return metrics, barrier.events, rows, {"delivered_packets": total}
+    return metrics, rows, {"delivered_packets": total}
 
 
 def row(t, value, dropped):
@@ -203,10 +198,10 @@ ORACLES = {"consensus": oracle_consensus, "custom": oracle_custom, "forwarding":
 
 def assert_matches_oracle(s, g, per_generation):
     """Runs split into blocks of 1, 3 and 7 generations write what the oracle does."""
-    metrics, events, rows, headline = ORACLES[s.application](s, g)
+    metrics, rows, headline = ORACLES[s.application](s, g)
     for block in (1, 3, 7):
         with mock.patch.object(afc, "BLOCK_ELEMENTS", block * per_generation):
-            result = run_scenario(s, audit=True)
+            result = run_scenario(s)
         assert result.tables["arcs"] == (ARC_COLUMNS, metrics.arc_rows(g))
         columns, actual = result.tables["trajectory"]
         assert columns == TRAJECTORY_COLUMNS and len(actual) == len(rows)
@@ -215,7 +210,6 @@ def assert_matches_oracle(s, g, per_generation):
             assert all(same_value(got[key], want[key]) for key in want)
         assert result.headline.keys() == headline.keys()
         assert all(same_value(result.headline[k], headline[k]) for k in headline)
-        assert result.audit_events == events
         assert result.metrics.dropped_nodes == sum(r["dropped_nodes"] for r in rows)
 
 

@@ -100,13 +100,14 @@ def scenario_documents(draw) -> dict:
     if application is not None:
         doc["failures"] = failures
     if application is None or draw(st.booleans()):
+        linear = draw(st.booleans())  # the linear search runs over GF(2) only
         doc["capacity"] = {
             "target": draw(st.sampled_from(sorted(TARGET_PRESETS))),
-            "alphabet": draw(st.integers(3, 16)),
+            "alphabet": 2 if linear else draw(st.integers(3, 16)),
             "k_values": draw(LENGTHS),
             "l_values": draw(LENGTHS),
             "cap": draw(st.integers(1, 10**9).filter(lambda v: v != 10_000_000)),
-            "function_class": "linear",
+            "function_class": "linear" if linear else "all",
         }
     return doc
 
