@@ -5,7 +5,7 @@ coefficients over GF(2); packets and matrices are numpy arrays (uint8 for
 m <= 8, uint16 above). Every m in 1..16 multiplies through the same
 log/antilog tables: the antilog table is doubled and followed by a zero
 tail, and log(0) points into that tail, so a product is one gather
-``exp[log[x] + log[y]]`` with no zero test.
+``exp.take(log.take(x) + log.take(y))`` (int32 logs) with no zero test.
 """
 
 from __future__ import annotations
@@ -139,7 +139,7 @@ class FieldSpec:
         sentinel = 2 * n
         self._exp = np.zeros(2 * sentinel + 1, dtype=self.dtype)
         self._exp[:n] = self._exp[n:sentinel] = exp
-        self._log = np.empty(self.order, dtype=np.intp)
+        self._log = np.empty(self.order, dtype=np.int32)
         self._log[exp] = np.arange(n)
         self._log[0] = sentinel
 
@@ -170,7 +170,7 @@ class FieldSpec:
 
     def mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise product with numpy broadcasting."""
-        return self._exp[self._log[x] + self._log[y]]
+        return self._exp.take(self._log.take(x) + self._log.take(y))
 
     def scale(self, c: int, x: np.ndarray) -> np.ndarray:
         return self.mul_arrays(np.asarray(c, dtype=self.dtype), x)
@@ -181,7 +181,7 @@ class FieldSpec:
         A zero entry has no inverse; its index falls in the zero tail, so
         it maps to zero instead of raising.
         """
-        return self._exp[self.order - 1 - self._log[x]]
+        return self._exp.take(self.order - 1 - self._log.take(x))
 
     def combine(self, coeffs: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """sum_i coeffs[..., i] * rows[..., i, :], the network-coding workhorse.

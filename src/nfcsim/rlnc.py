@@ -17,7 +17,7 @@ import numpy as np
 from nfcsim.errors import InconsistentDimensions, NotATree, RankDeficient
 from nfcsim.field import FieldSpec, gaussian_solve
 from nfcsim.graph import NfcGraph, NodeRole
-from nfcsim.rng import substream
+from nfcsim.rng import substream, substream_integers
 
 
 @dataclass(frozen=True)
@@ -83,7 +83,8 @@ def add_rows(
     never exceeds min(rows added, N).
     """
     k = int(ranks.max())  # zero rows past a decoder's rank add nothing
-    factors = np.take_along_axis(rows, pivots[:, :k], axis=1)
+    t = np.arange(len(rows))
+    factors = rows[t[:, None], pivots[:, :k]]
     rows = field.add_arrays(rows, field.combine(factors, basis[:, :k]))
     nonzero = rows != 0
     hit = np.flatnonzero(nonzero.any(axis=1))
@@ -91,10 +92,10 @@ def add_rows(
         return
     cols = nonzero[hit].argmax(axis=1)
     new = rows[hit]
-    lead = np.take_along_axis(new, cols[:, None], axis=1)
-    new = field.mul_arrays(field.inv_arrays(lead), new)
+    t = t[: hit.size]
+    new = field.mul_arrays(field.inv_arrays(new[t, cols])[:, None], new)
     above = basis[hit, :k]
-    factors = np.take_along_axis(above, cols[:, None, None], axis=2)
+    factors = above[t, :, cols][..., None]
     basis[hit, :k] = field.add_arrays(above, field.mul_arrays(factors, new[:, None]))
     at = ranks[hit]
     basis[hit, at] = new
@@ -293,9 +294,10 @@ def run_recovery_experiment(
     passes run regardless of when full rank is reached (the protocol has
     no feedback), and per-trial substreams make results reproducible and
     nested in n_prime for a fixed seed. Trials run TRIALS_PER_BLOCK at a
-    time as one (T, nodes, L+N) state with T decoders.
+    time as one (T, nodes, N) state with T decoders: the payloads are
+    drawn, keeping each trial's stream, but rank reads coding vectors only.
     """
-    net = RlncNetwork(graph, field, payload_length)
+    net = RlncNetwork(graph, field, 0)
     n = net.n_sources
     n_payload_draws = n * payload_length
     per_pass = net.coeffs_per_pass
@@ -304,13 +306,11 @@ def run_recovery_experiment(
     first_full = np.full(trials, n_prime, dtype=np.intp)
     for start in range(0, trials, TRIALS_PER_BLOCK):
         stop = min(start + TRIALS_PER_BLOCK, trials)
-        # One block per trial: source payloads first, then the local
+        # One row per trial: source payloads first, then the local
         # coefficients pass by pass (keeps runs nested in n_prime).
-        block = np.stack(
-            [field.random_elements(trial_rng(seed, t), draws_per_trial) for t in range(start, stop)]
-        )
+        block = substream_integers(seed, start, stop, draws_per_trial, field.m, field.dtype)
         size = stop - start
-        state = net.fresh_state(block[:, :n_payload_draws].reshape(size, n, payload_length))
+        state = net.fresh_state(np.empty((size, n, 0), dtype=field.dtype))
         basis = np.zeros((size, n, n), dtype=field.dtype)
         pivots = np.zeros((size, n), dtype=np.intp)
         ranks = np.zeros(size, dtype=np.intp)
@@ -320,7 +320,7 @@ def run_recovery_experiment(
             net.run_pass(state, block[:, offset : offset + per_pass])
             offset += per_pass
             for c in net.dest_children:
-                add_rows(field, basis, pivots, ranks, state[:, c, payload_length:])
+                add_rows(field, basis, pivots, ranks, state[:, c])
             reached[(ranks == n) & (reached == n_prime)] = k
     success_by_pass = np.cumsum(np.bincount(first_full, minlength=n_prime + 1)[:n_prime])
     successes = int(np.count_nonzero(first_full < n_prime))

@@ -390,8 +390,8 @@ def parse_scenario_text(
                 checker.fail(("capacity", key), "entries must be integers >= 1")
         if request["function_class"] not in ("all", "linear"):
             checker.fail(("capacity", "function_class"), "must be 'all' or 'linear'")
-        if request["alphabet"] < 1:
-            checker.fail(("capacity", "alphabet"), "must be >= 1")
+        if request["alphabet"] < 2:  # over one symbol every target is constant
+            checker.fail(("capacity", "alphabet"), "must be >= 2")
         elif request["function_class"] == "linear" and request["alphabet"] != 2:
             checker.fail(("capacity", "alphabet"), "must be 2 under function_class 'linear' (GF(2))")
         if request["target"] in TARGET_PRESETS:

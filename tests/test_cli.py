@@ -402,12 +402,13 @@ capacity:
         (VALID_RLNC.replace("seed: 5", "seed: -3"), 2, "seed"),
         (VALID_RLNC + "failures:\n  seed: -5\n", 13, "failures.seed"),
         (CAPACITY_STAR + "  alphabet: 0\n", 9, "capacity.alphabet"),
+        (CAPACITY_STAR + "  alphabet: 1\n", 9, "capacity.alphabet"),
         (CAPACITY_STAR + "  alphabet: 3\n  function_class: linear\n", 9, "capacity.alphabet"),
     ],
     ids=[
         "dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero",
         "k_empty", "l_empty", "eta_kind_unknown", "seed_negative", "failures_seed_negative",
-        "alphabet_zero", "linear_alphabet_3",
+        "alphabet_zero", "alphabet_one", "linear_alphabet_3",
     ],
 )
 def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, text, line, path):

@@ -11,7 +11,8 @@ meters and dropped counts of a generation-by-generation oracle.
 
 The recovery experiment runs blocks of trials through one batched rank
 kernel; a trial-by-trial oracle built on the packet API and full row
-reduction must give the same successes, pass by pass.
+reduction must give the same successes, pass by pass, and any block size
+must give the same statistics.
 
 Neural training runs its upward pass on the level plan; a node-by-node
 walk in topological order must give the same losses, counters, arc
@@ -586,6 +587,28 @@ def test_batched_experiment_matches_scalar_oracle_at_block_size():
     for count in (rlnc.TRIALS_PER_BLOCK, trials):
         stats = run_recovery_experiment(graph, field, 4, count, 5, 2)
         assert (stats.successes, stats.success_by_pass) == summarize(oracle[:count], 4)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    tree_seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 8),
+    m=st.sampled_from([1, 8, 16]),
+    payload_length=st.sampled_from([1, 3]),
+    n_prime=st.sampled_from([1, 3]),
+    trials=st.integers(1, 20),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_recovery_experiment_does_not_depend_on_the_blocking(
+    tree_seed, n_sources, m, payload_length, n_prime, trials, seed
+):
+    field = FIELDS[m]
+    graph = build_graph(random_tree_topology(np.random.default_rng(tree_seed), n_sources))
+    default = run_recovery_experiment(graph, field, n_prime, trials, seed, payload_length)
+    for block in (1, 3, 7):
+        with mock.patch.object(rlnc, "TRIALS_PER_BLOCK", block):
+            stats = run_recovery_experiment(graph, field, n_prime, trials, seed, payload_length)
+        assert stats == default  # success_by_pass included
 
 
 @settings(max_examples=60, deadline=None)
