@@ -122,13 +122,25 @@ class DecoderState:
         return int(self._ranks[0])
 
     def add(self, packet: CodedPacket) -> int:
-        """Collect one pair; returns the updated rank."""
-        if len(packet.coding_vector) != self.n_sources:
+        """Collect one pair; returns the updated rank.
+
+        Both arrays must hold field elements; the coding vector must have
+        length N and the payload the length of the pairs already collected.
+        """
+        vector = self.field.validate_array(packet.coding_vector)
+        payload = self.field.validate_array(packet.payload)
+        if vector.shape != (self.n_sources,):
             raise InconsistentDimensions(
-                f"coding vector length {len(packet.coding_vector)} != N={self.n_sources}"
+                f"coding vector shape {vector.shape} != ({self.n_sources},)"
             )
-        self.collected.append(packet)
-        return self.add_vector(packet.coding_vector)
+        if payload.ndim != 1 or (
+            self.collected and payload.shape != self.collected[0].payload.shape
+        ):
+            raise InconsistentDimensions(
+                f"payload shape {payload.shape} is not one row as long as the collected ones"
+            )
+        self.collected.append(CodedPacket(payload, vector))
+        return self.add_vector(vector)
 
     def add_vector(self, vector: np.ndarray) -> int:
         """Rank bookkeeping only, for callers that keep payloads elsewhere."""
@@ -163,7 +175,16 @@ def destination_decode(state: DecoderState) -> DecodeOutcome:
 
 
 class RlncNetwork:
-    """Coded recovery on one tree, run on the graph's level plan."""
+    """Coded recovery on one tree, run on the graph's level plan.
+
+    On a tree each source has one path to the destination, so its global
+    coefficient at any node above it is the product of the local
+    coefficients on that path (Ho et al. 2006: a transfer-matrix entry is
+    a sum over paths, and a tree has one). A pass therefore multiplies
+    each source's running product by the coefficient of the arc it
+    crosses in each plan group, and a node's coding vector is the running
+    products masked to the sources below it.
+    """
 
     def __init__(self, graph: NfcGraph, field: FieldSpec, payload_length: int = 1):
         if graph.mode != "tree":
@@ -177,6 +198,31 @@ class RlncNetwork:
         self.destination = graph.destinations[0]
         self.dest_children = list(graph.in_neighbors[self.destination])
         self.coeffs_per_pass = sum(group.slots.size for group in graph.level_plan)
+        # Coding columns of the sources below each node, built up the plan.
+        below = {s: [i] for i, s in enumerate(self.source_ids)}
+
+        def masks(nodes) -> np.ndarray:
+            out = np.zeros((len(nodes), self.n_sources), dtype=bool)
+            for row, v in enumerate(nodes):
+                out[row, below[v]] = True
+            return out
+
+        # Per plan group: each in-arc's coding columns and that arc's slot,
+        # then the group's nodes and their (k, N) source masks.
+        self._groups = []
+        for group in graph.level_plan:
+            cols, slots = [], []
+            for v, kids, arc_slots in zip(
+                group.nodes.tolist(), group.children.tolist(), group.slots.tolist()
+            ):
+                below[v] = []
+                for c, slot in zip(kids, arc_slots):
+                    below[v] += below[c]
+                    slots += [slot] * len(below[c])
+                cols += below[v]
+            cols, slots = np.array(cols, dtype=np.intp), np.array(slots, dtype=np.intp)
+            self._groups.append((cols, slots, group.nodes, masks(group.nodes.tolist())))
+        self._dest_masks = masks(self.dest_children)
 
     @property
     def n_sources(self) -> int:
@@ -185,32 +231,24 @@ class RlncNetwork:
     def random_source_payloads(self, rng: np.random.Generator) -> np.ndarray:
         return self.field.random_elements(rng, (self.n_sources, self.payload_length))
 
-    def fresh_state(self, payloads: np.ndarray) -> np.ndarray:
-        """Per-node message buffer, payload and coding vector fused.
+    def run_pass(self, coeffs: np.ndarray, vectors: np.ndarray | None = None) -> np.ndarray:
+        """One upward pass; returns the destination's incoming coding vectors.
 
-        Row v holds node v's message: columns [0, L) are the payload,
-        columns [L, L+N) the global coding vector. Source rows are
-        filled from the (..., N, L) payloads, whose leading axes are
-        trials; atomic rows are produced by passes.
+        ``coeffs`` (..., coeffs_per_pass) holds the pass's local
+        coefficients at the plan's slots, with any leading trial axes. The
+        result is (..., dest_children, N). A tree sends each source
+        through at most one arc of a group, so every group is one
+        multiply of the crossing sources' running products. If given,
+        ``vectors`` (..., nodes, N) also receives every atomic node's
+        coding vector, read after its group.
         """
-        n, length = self.n_sources, self.payload_length
-        shape = payloads.shape[:-2] + (self.graph.n_nodes, length + n)
-        state = np.zeros(shape, dtype=self.field.dtype)
-        state[..., self.source_ids, :length] = payloads
-        state[..., self.source_ids, length + np.arange(n)] = 1
-        return state
-
-    def run_pass(self, state: np.ndarray, coeffs: np.ndarray) -> None:
-        """Recode every atomic node in place, one combine per plan group.
-
-        ``state`` is one trial's (nodes, L+N) buffer or a (T, nodes, L+N)
-        block; ``coeffs`` (..., coeffs_per_pass) holds the pass's local
-        coefficients at the plan's slots. Combining the fused rows updates
-        payload and coding vector alike: the global-coefficient rule.
-        """
-        combine = self.field.combine
-        for nodes, children, slots in self.graph.level_plan:
-            state[..., nodes, :] = combine(coeffs[..., slots], state[..., children, :])
+        mul = self.field.mul_arrays
+        run = np.ones(coeffs.shape[:-1] + (self.n_sources,), dtype=self.field.dtype)
+        for cols, slots, nodes, masks in self._groups:
+            run[..., cols] = mul(run[..., cols], coeffs[..., slots])
+            if vectors is not None:
+                vectors[..., nodes, :] = np.where(masks, run[..., None, :], 0)
+        return np.where(self._dest_masks, run[..., None, :], 0)
 
     def pass_once(
         self, payloads: np.ndarray, rng: np.random.Generator
@@ -219,14 +257,17 @@ class RlncNetwork:
 
         ``payloads`` (N, L) is reused across passes; each pass redraws the
         local coefficients node by node in topological order (slot order).
+        Every payload is its coding vector's combination of ``payloads``.
         """
-        g, length = self.graph, self.payload_length
+        g, n, dtype = self.graph, self.n_sources, self.field.dtype
         atomics = [v for v in g.topo_order if g.roles[v] is NodeRole.ATOMIC]
         draws = [self.field.random_elements(rng, len(g.in_neighbors[a])) for a in atomics]
-        state = self.fresh_state(payloads)
-        self.run_pass(state, np.concatenate([np.zeros(0, self.field.dtype), *draws]))
+        vectors = np.zeros((g.n_nodes, n), dtype=dtype)
+        vectors[self.source_ids, np.arange(n)] = 1
+        self.run_pass(np.concatenate([np.zeros(0, dtype), *draws]), vectors)
+        combined = self.field.combine(vectors, payloads)
         return {
-            v: CodedPacket(state[v, :length].copy(), state[v, length:].copy())
+            v: CodedPacket(combined[v].copy(), vectors[v].copy())
             for v in self.source_ids + atomics
         }
 
@@ -294,10 +335,10 @@ def run_recovery_experiment(
     passes run regardless of when full rank is reached (the protocol has
     no feedback), and per-trial substreams make results reproducible and
     nested in n_prime for a fixed seed. Trials run TRIALS_PER_BLOCK at a
-    time as one (T, nodes, N) state with T decoders: the payloads are
-    drawn, keeping each trial's stream, but rank reads coding vectors only.
+    time with T decoders: the payloads are drawn, keeping each trial's
+    stream, but rank reads only the destination's incoming coding vectors.
     """
-    net = RlncNetwork(graph, field, 0)
+    net = RlncNetwork(graph, field, payload_length)
     n = net.n_sources
     n_payload_draws = n * payload_length
     per_pass = net.coeffs_per_pass
@@ -310,17 +351,16 @@ def run_recovery_experiment(
         # coefficients pass by pass (keeps runs nested in n_prime).
         block = substream_integers(seed, start, stop, draws_per_trial, field.m, field.dtype)
         size = stop - start
-        state = net.fresh_state(np.empty((size, n, 0), dtype=field.dtype))
         basis = np.zeros((size, n, n), dtype=field.dtype)
         pivots = np.zeros((size, n), dtype=np.intp)
         ranks = np.zeros(size, dtype=np.intp)
         reached = first_full[start:stop]  # a view: writes land in first_full
         offset = n_payload_draws
         for k in range(n_prime):
-            net.run_pass(state, block[:, offset : offset + per_pass])
+            rows = net.run_pass(block[:, offset : offset + per_pass])
             offset += per_pass
-            for c in net.dest_children:
-                add_rows(field, basis, pivots, ranks, state[:, c])
+            for i in range(rows.shape[1]):
+                add_rows(field, basis, pivots, ranks, rows[:, i])
             reached[(ranks == n) & (reached == n_prime)] = k
     success_by_pass = np.cumsum(np.bincount(first_full, minlength=n_prime + 1)[:n_prime])
     successes = int(np.count_nonzero(first_full < n_prime))

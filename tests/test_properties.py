@@ -31,6 +31,7 @@ from itertools import compress
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfcsim import afc, rlnc
@@ -63,6 +64,7 @@ from nfcsim.learning.neural import (
 from nfcsim.rng import substream
 from nfcsim.rlnc import (
     DecoderState,
+    RlncNetwork,
     add_rows,
     atomic_recode,
     run_recovery_experiment,
@@ -609,6 +611,61 @@ def test_recovery_experiment_does_not_depend_on_the_blocking(
         with mock.patch.object(rlnc, "TRIALS_PER_BLOCK", block):
             stats = run_recovery_experiment(graph, field, n_prime, trials, seed, payload_length)
         assert stats == default  # success_by_pass included
+
+
+def edge_tree(children):
+    """A hand-built tree: names starting with s are sources, d0 the destination."""
+    names = {name for kids in children.values() for name in kids} | set(children)
+    roles = {
+        name: NodeRole.SOURCE if name.startswith("s")
+        else NodeRole.DESTINATION if name == "d0" else NodeRole.ATOMIC
+        for name in sorted(names)
+    }
+    return build_graph(TopologyConfig(roles=roles, children=children, mode="tree"))
+
+
+EDGE_TREES = {
+    # s2 reaches the destination without crossing a relay.
+    "source_at_destination": {"d0": ["a0", "s2"], "a0": ["s0", "s1"]},
+    # a0's one group holds an arc from a source and one from a relay.
+    "source_and_relay_siblings": {"d0": ["a0"], "a0": ["s0", "a1"], "a1": ["s1", "s2"]},
+    # Single-child relays on the way up, beside a source one hop below d0's relay.
+    "single_child_chain": {"d0": ["a0"], "a0": ["a1", "s2"], "a1": ["a2"], "a2": ["a3"],
+                           "a3": ["s0", "s1"]},
+}
+
+
+@pytest.mark.parametrize("m", [1, 8, 16])
+@pytest.mark.parametrize("shape", sorted(EDGE_TREES))
+def test_path_products_on_edge_tree_shapes(shape, m):
+    """Sources at mixed depths: each pass's vectors equal a node-by-node walk
+    through source_encode/atomic_recode, and the experiment equals the
+    scalar oracle."""
+    field, graph = FIELDS[m], edge_tree(EDGE_TREES[shape])
+    n = graph.n_sources
+    atomics = [v for v in graph.topo_order if graph.roles[v] is NodeRole.ATOMIC]
+    dest_children = graph.in_neighbors[graph.destinations[0]]
+    net = RlncNetwork(graph, field, payload_length=3)
+    rng = np.random.default_rng(m)
+    payloads = net.random_source_payloads(rng)
+    coeffs = field.random_elements(rng, (4, net.coeffs_per_pass))
+    rows = net.run_pass(coeffs)
+    assert rows.shape == (4, len(dest_children), n) and rows.dtype == field.dtype
+    for t in range(len(coeffs)):
+        walk = {s: source_encode(i, payloads[i], n, field) for i, s in enumerate(graph.sources)}
+        scripted = ScriptedRng(coeffs[t])
+        for a in atomics:
+            walk[a] = atomic_recode([walk[c] for c in graph.in_neighbors[a]], scripted, field)
+        packets = net.pass_once(payloads, ScriptedRng(coeffs[t]))
+        assert packets.keys() == walk.keys()
+        for v, packet in packets.items():
+            assert packet.coding_vector.tobytes() == walk[v].coding_vector.tobytes(), graph.names[v]
+            assert packet.payload.tobytes() == walk[v].payload.tobytes(), graph.names[v]
+        expected = np.stack([walk[c].coding_vector for c in dest_children])
+        assert rows[t].tobytes() == expected.tobytes()
+    stats = run_recovery_experiment(graph, field, 3, 20, m, 2)
+    oracle = scalar_first_full_rank(graph, field, 3, 20, m, 2)
+    assert (stats.successes, stats.success_by_pass) == summarize(oracle, 3)
 
 
 @settings(max_examples=60, deadline=None)
