@@ -159,8 +159,14 @@ class FieldSpec:
     # -- vectorized operations --------------------------------------------
 
     def validate_array(self, arr: np.ndarray) -> np.ndarray:
-        """Cast to the field dtype after checking every value fits the field."""
+        """Cast to the field dtype after checking every value fits the field.
+
+        Floats must be whole numbers: 3.0 passes, 1.5 and nan raise rather
+        than truncate.
+        """
         arr = np.asarray(arr)
+        if arr.dtype.kind == "f" and (arr != np.trunc(arr)).any():
+            raise ValueError("array contains values that are not whole numbers")
         if arr.size and (arr.min() < 0 or arr.max() >= self.order):
             raise ValueError(f"array contains values outside GF(2^{self.m})")
         return arr.astype(self.dtype)

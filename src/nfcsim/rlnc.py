@@ -64,62 +64,53 @@ def atomic_recode(
     )
 
 
-def add_rows(
-    field: FieldSpec,
-    basis: np.ndarray,
-    pivots: np.ndarray,
-    ranks: np.ndarray,
-    rows: np.ndarray,
-) -> None:
-    """Online reduced row-echelon update for a batch of T decoders, in place.
+def independent_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+    """Which rows are not in the span of the rows before them, for T streams.
 
-    Decoder t holds ``ranks[t]`` reduced rows in ``basis[t]`` (T, N, N),
-    with pivot columns ``pivots[t]`` (T, N) and zero rows below its rank;
-    ``rows`` (T, N) brings one new coding vector per decoder. Each row is
-    eliminated against the existing pivots, normalised at its first
-    nonzero column and, if anything is left, written below the basis
-    after clearing that column in the rows above. A dependent row
-    reduces to zero and changes nothing, so rank is non-decreasing and
-    never exceeds min(rows added, N).
+    ``rows`` (T, R, N) holds T streams of R coding vectors each; the
+    result (T, R) marks the rows that raise their stream's rank, so its
+    cumulative sum is the rank after every row. Elimination runs column
+    by column over a column-major copy; each column's pivot is the
+    earliest still-free row with a nonzero entry there, and it clears
+    that column from the free rows after it. Only later rows are ever
+    changed, so every prefix keeps its span and the pivot rows are the
+    greedy prefix basis. Rows no longer free are never read again, so
+    they are updated with the rest rather than masked out.
     """
-    k = int(ranks.max())  # zero rows past a decoder's rank add nothing
-    t = np.arange(len(rows))
-    factors = rows[t[:, None], pivots[:, :k]]
-    rows = field.add_arrays(rows, field.combine(factors, basis[:, :k]))
-    nonzero = rows != 0
-    hit = np.flatnonzero(nonzero.any(axis=1))
-    if not hit.size:
-        return
-    cols = nonzero[hit].argmax(axis=1)
-    new = rows[hit]
-    t = t[: hit.size]
-    new = field.mul_arrays(field.inv_arrays(new[t, cols])[:, None], new)
-    above = basis[hit, :k]
-    factors = above[t, :, cols][..., None]
-    basis[hit, :k] = field.add_arrays(above, field.mul_arrays(factors, new[:, None]))
-    at = ranks[hit]
-    basis[hit, at] = new
-    pivots[hit, at] = cols
-    ranks[hit] += 1
+    size, r, n = rows.shape
+    free = np.ones((size, r), dtype=bool)
+    if not r:
+        return free
+    a = rows.transpose(0, 2, 1).copy()  # (T, N, R), C order
+    t = np.arange(size)
+    mul = field.mul_arrays
+    for c in range(n):
+        col = a[:, c]
+        cand = free & (col != 0)
+        p = cand.argmax(axis=1)  # row 0 with no candidate: every free entry is 0
+        pivot = a[t, c:, p]
+        pivot = mul(field.inv_arrays(pivot[:, :1]), pivot)
+        a[:, c:] ^= mul(pivot[:, :, None], col[:, None, :])
+        free[t, p] &= ~cand[t, p]
+    return ~free
 
 
 class DecoderState:
     """Collected (payload, coding vector) pairs with an online rank.
 
-    The rank is the single-decoder case of ``add_rows``.
+    The rank is ``independent_rows`` over the innovative vectors so far
+    and the new one (T = 1); only the innovative ones are kept.
     """
 
     def __init__(self, field: FieldSpec, n_sources: int):
         self.field = field
         self.n_sources = n_sources
         self.collected: list[CodedPacket] = []
-        self._basis = np.zeros((1, n_sources, n_sources), dtype=field.dtype)
-        self._pivots = np.zeros((1, n_sources), dtype=np.intp)
-        self._ranks = np.zeros(1, dtype=np.intp)
+        self._basis = np.zeros((0, n_sources), dtype=field.dtype)
 
     @property
     def rank(self) -> int:
-        return int(self._ranks[0])
+        return len(self._basis)
 
     def add(self, packet: CodedPacket) -> int:
         """Collect one pair; returns the updated rank.
@@ -144,7 +135,8 @@ class DecoderState:
 
     def add_vector(self, vector: np.ndarray) -> int:
         """Rank bookkeeping only, for callers that keep payloads elsewhere."""
-        add_rows(self.field, self._basis, self._pivots, self._ranks, vector[None])
+        rows = np.vstack([self._basis, vector])
+        self._basis = rows[independent_rows(self.field, rows[None])[0]]
         return self.rank
 
 
@@ -311,7 +303,9 @@ class SuccessStats:
         }
 
 
-# Trials per block of the recovery experiment; bounds its working memory.
+# Trials per block of the recovery experiment; bounds its working memory,
+# which is T x N x (n_prime * dest_children) field elements for the rows
+# that independent_rows eliminates, plus its products' int32 logs.
 TRIALS_PER_BLOCK = 1024
 
 
@@ -335,33 +329,32 @@ def run_recovery_experiment(
     passes run regardless of when full rank is reached (the protocol has
     no feedback), and per-trial substreams make results reproducible and
     nested in n_prime for a fixed seed. Trials run TRIALS_PER_BLOCK at a
-    time with T decoders: the payloads are drawn, keeping each trial's
-    stream, but rank reads only the destination's incoming coding vectors.
+    time: the payloads are drawn, keeping each trial's stream, but rank
+    reads only the destination's incoming coding vectors. One
+    ``run_pass`` computes all n_prime passes of the block, and one
+    ``independent_rows`` over each trial's n_prime * dest_children
+    vectors, pass by pass, gives its rank after every pass.
     """
     net = RlncNetwork(graph, field, payload_length)
     n = net.n_sources
     n_payload_draws = n * payload_length
     per_pass = net.coeffs_per_pass
     draws_per_trial = n_payload_draws + n_prime * per_pass
+    fan_in = len(net.dest_children)
     # The pass after which each trial first reached rank N; n_prime if never.
-    first_full = np.full(trials, n_prime, dtype=np.intp)
+    first_full = np.empty(trials, dtype=np.intp)
     for start in range(0, trials, TRIALS_PER_BLOCK):
         stop = min(start + TRIALS_PER_BLOCK, trials)
         # One row per trial: source payloads first, then the local
         # coefficients pass by pass (keeps runs nested in n_prime).
         block = substream_integers(seed, start, stop, draws_per_trial, field.m, field.dtype)
         size = stop - start
-        basis = np.zeros((size, n, n), dtype=field.dtype)
-        pivots = np.zeros((size, n), dtype=np.intp)
-        ranks = np.zeros(size, dtype=np.intp)
-        reached = first_full[start:stop]  # a view: writes land in first_full
-        offset = n_payload_draws
-        for k in range(n_prime):
-            rows = net.run_pass(block[:, offset : offset + per_pass])
-            offset += per_pass
-            for i in range(rows.shape[1]):
-                add_rows(field, basis, pivots, ranks, rows[:, i])
-            reached[(ranks == n) & (reached == n_prime)] = k
+        coeffs = block[:, n_payload_draws:].reshape(size, n_prime, per_pass)
+        rows = net.run_pass(coeffs).reshape(size, n_prime * fan_in, n)  # pass-major
+        innovative = independent_rows(field, rows).reshape(size, n_prime, fan_in)
+        ranks = np.cumsum(innovative.sum(axis=2), axis=1)
+        # Rank never falls, so the passes still short of N come first.
+        first_full[start:stop] = np.count_nonzero(ranks < n, axis=1)
     success_by_pass = np.cumsum(np.bincount(first_full, minlength=n_prime + 1)[:n_prime])
     successes = int(np.count_nonzero(first_full < n_prime))
     return SuccessStats(

@@ -156,6 +156,22 @@ def test_reducible_polynomial_rejected():
         FieldSpec(8, DEFAULT_POLYNOMIALS[9])  # wrong degree
 
 
+@pytest.mark.parametrize("value", [1.5, 255.9, float("nan")])
+def test_validate_array_rejects_values_that_are_not_whole(value):
+    f = FieldSpec(8)
+    with pytest.raises(ValueError, match="whole"):
+        f.validate_array(np.array([1.0, value]))
+    with pytest.raises(ValueError, match="whole"):
+        gaussian_solve(f, np.array([[value]]), np.array([[1]]))
+
+
+def test_validate_array_keeps_whole_floats_and_bools():
+    f = FieldSpec(8)
+    assert f.validate_array(np.array([3.0, 255.0])).tolist() == [3, 255]
+    assert f.validate_array(np.array([True, False])).tolist() == [1, 0]
+    assert f.validate_array(np.array([3.0])).dtype == np.uint8
+
+
 def test_large_field_shift_reduce_path():
     f = FieldSpec(12)
     rng = np.random.default_rng(3)

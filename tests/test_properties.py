@@ -65,7 +65,6 @@ from nfcsim.rng import substream
 from nfcsim.rlnc import (
     DecoderState,
     RlncNetwork,
-    add_rows,
     atomic_recode,
     run_recovery_experiment,
     source_encode,
@@ -673,31 +672,31 @@ def test_path_products_on_edge_tree_shapes(shape, m):
     m=st.sampled_from(sorted(FIELDS)),
     n=st.integers(1, 8),
     batch=st.integers(1, 5),
-    pairs=st.integers(1, 12),
+    pairs=st.integers(0, 12),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_batched_rank_matches_matrix_rank(m, n, batch, pairs, seed):
-    """Streams mixing fresh, zero, repeated and dependent rows."""
+def test_independent_rows_match_prefix_ranks(m, n, batch, pairs, seed):
+    """Streams mixing fresh, zero, repeated and dependent rows, with R = pairs
+    below, at and above N: the mask's running count is every prefix's rank."""
     field = FIELDS[m]
     rng = np.random.default_rng(seed)
-    stream = field.random_elements(rng, (pairs, batch, n))
-    for p in range(pairs):
-        for t in range(batch):
+    stream = field.random_elements(rng, (batch, pairs, n))
+    for t in range(batch):
+        for p in range(pairs):
             kind = int(rng.integers(0, 4))
             if kind == 1:
-                stream[p, t] = 0
+                stream[t, p] = 0
             elif kind == 2 and p:
-                stream[p, t] = stream[int(rng.integers(0, p)), t]
+                stream[t, p] = stream[t, int(rng.integers(0, p))]
             elif kind == 3 and p:
-                stream[p, t] = field.combine(field.random_elements(rng, p), stream[:p, t])
-    basis = np.zeros((batch, n, n), dtype=field.dtype)
-    pivots = np.zeros((batch, n), dtype=np.intp)
-    ranks = np.zeros(batch, dtype=np.intp)
+                stream[t, p] = field.combine(field.random_elements(rng, p), stream[t, :p])
+    before = stream.copy()
+    mask = rlnc.independent_rows(field, stream)
+    assert mask.shape == (batch, pairs) and mask.dtype == bool
+    assert stream.tobytes() == before.tobytes()
+    ranks = np.cumsum(mask, axis=1)
+    for t in range(batch):
+        assert ranks[t].tolist() == [matrix_rank(field, stream[t, : p + 1]) for p in range(pairs)]
     single = DecoderState(field, n)
     for p in range(pairs):
-        before = ranks.copy()
-        add_rows(field, basis, pivots, ranks, stream[p])
-        assert (ranks >= before).all()
-        assert (ranks <= min(p + 1, n)).all()
-        assert ranks.tolist() == [matrix_rank(field, stream[: p + 1, t]) for t in range(batch)]
-        assert single.add_vector(stream[p, 0]) == ranks[0]
+        assert single.add_vector(stream[0, p]) == ranks[0, p]

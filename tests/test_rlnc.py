@@ -104,6 +104,13 @@ def test_decoder_add_rejects_coefficients_past_the_field():
     assert state.rank == 0 and not state.collected
 
 
+def test_decoder_add_rejects_fractional_coefficients():
+    state = DecoderState(field=GF256, n_sources=2)
+    with pytest.raises(ValueError, match="whole"):
+        state.add(CodedPacket(np.array([1]), np.array([1.5, 1.0])))
+    assert state.rank == 0 and not state.collected
+
+
 def test_decoder_add_rejects_a_payload_of_another_length():
     state = DecoderState(field=GF256, n_sources=2)
     state.add(CodedPacket(np.array([1, 2], dtype=np.uint8), np.array([1, 0], dtype=np.uint8)))
