@@ -11,19 +11,6 @@ class ZeroInverse(NfcSimError):
     """Multiplicative inverse of zero was requested."""
 
 
-class RankDeficient(NfcSimError):
-    """A linear system has rank below the number of unknowns.
-
-    Carries the achieved rank; callers treat it as "collect more
-    coded packets".
-    """
-
-    def __init__(self, rank: int, needed: int):
-        super().__init__(f"rank {rank} < {needed} unknowns")
-        self.rank = rank
-        self.needed = needed
-
-
 # -- graph construction -------------------------------------------------
 
 class CycleDetected(NfcSimError):

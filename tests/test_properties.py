@@ -50,7 +50,7 @@ from nfcsim.engine import (
     run_scenario,
 )
 from nfcsim.errors import NfcSimError
-from nfcsim.field import FieldSpec, matrix_rank
+from nfcsim.field import FieldSpec
 from nfcsim.graph import NodeRole, TopologyConfig, build_graph, random_tree_topology, star_topology
 from nfcsim.learning.consensus import ConsensusState, consensus_step
 from nfcsim.learning.neural import (
@@ -63,13 +63,16 @@ from nfcsim.learning.neural import (
 )
 from nfcsim.rng import substream
 from nfcsim.rlnc import (
+    CodedPacket,
     DecoderState,
     RlncNetwork,
     atomic_recode,
+    destination_decode,
     run_recovery_experiment,
     source_encode,
     trial_rng,
 )
+from reference_solve import RankDeficient, gaussian_solve, matrix_rank
 from test_plan import random_assignment, random_dag, random_tree, reference
 
 FIELDS = {m: FieldSpec(m) for m in (1, 4, 8, 12, 16)}
@@ -550,6 +553,12 @@ def scalar_first_full_rank(graph, field, n_prime, trials, seed, payload_length):
     return first_full
 
 
+def trial_elements(graph, n_prime):
+    """Field elements one trial's rows put in a recovery block."""
+    dest_children = graph.in_neighbors[graph.destinations[0]]
+    return n_prime * len(dest_children) * graph.n_sources
+
+
 def summarize(first_full, n_prime):
     """(successes, success_by_pass) of a list of first-full-rank passes."""
     by_pass = tuple(
@@ -573,7 +582,8 @@ def test_batched_experiment_matches_scalar_oracle(
 ):
     field = FIELDS[m]
     graph = build_graph(random_tree_topology(np.random.default_rng(tree_seed), n_sources))
-    with mock.patch.object(rlnc, "TRIALS_PER_BLOCK", 8):  # below, at and across blocks
+    budget = 8 * trial_elements(graph, n_prime)  # below, at and across blocks of 8 trials
+    with mock.patch.object(rlnc, "BLOCK_ELEMENTS", budget):
         stats = run_recovery_experiment(graph, field, n_prime, trials, seed, payload_length)
     oracle = scalar_first_full_rank(graph, field, n_prime, trials, seed, payload_length)
     assert (stats.successes, stats.success_by_pass) == summarize(oracle, n_prime)
@@ -582,11 +592,13 @@ def test_batched_experiment_matches_scalar_oracle(
 def test_batched_experiment_matches_scalar_oracle_at_block_size():
     graph = build_graph(star_topology(3))
     field = FIELDS[1]
-    trials = rlnc.TRIALS_PER_BLOCK + 37
+    block = 1024
+    trials = block + 37
     oracle = scalar_first_full_rank(graph, field, 4, trials, 5, 2)
     assert 0 < summarize(oracle, 4)[0] < trials  # the check sees failures and successes
-    for count in (rlnc.TRIALS_PER_BLOCK, trials):
-        stats = run_recovery_experiment(graph, field, 4, count, 5, 2)
+    for count in (block, trials):
+        with mock.patch.object(rlnc, "BLOCK_ELEMENTS", block * trial_elements(graph, 4)):
+            stats = run_recovery_experiment(graph, field, 4, count, 5, 2)
         assert (stats.successes, stats.success_by_pass) == summarize(oracle[:count], 4)
 
 
@@ -606,8 +618,10 @@ def test_recovery_experiment_does_not_depend_on_the_blocking(
     field = FIELDS[m]
     graph = build_graph(random_tree_topology(np.random.default_rng(tree_seed), n_sources))
     default = run_recovery_experiment(graph, field, n_prime, trials, seed, payload_length)
-    for block in (1, 3, 7):
-        with mock.patch.object(rlnc, "TRIALS_PER_BLOCK", block):
+    # Blocks of 1, 3 and 7 trials, and a budget below one trial's rows (one trial a block).
+    per_trial = trial_elements(graph, n_prime)
+    for budget in (per_trial, 3 * per_trial, 7 * per_trial, per_trial - 1):
+        with mock.patch.object(rlnc, "BLOCK_ELEMENTS", budget):
             stats = run_recovery_experiment(graph, field, n_prime, trials, seed, payload_length)
         assert stats == default  # success_by_pass included
 
@@ -691,12 +705,68 @@ def test_independent_rows_match_prefix_ranks(m, n, batch, pairs, seed):
             elif kind == 3 and p:
                 stream[t, p] = field.combine(field.random_elements(rng, p), stream[t, :p])
     before = stream.copy()
-    mask = rlnc.independent_rows(field, stream)
+    mask, _ = rlnc.independent_rows(field, stream, n)
     assert mask.shape == (batch, pairs) and mask.dtype == bool
     assert stream.tobytes() == before.tobytes()
+    # Payload columns ride along and never pick a pivot.
+    wide = np.concatenate([stream, field.random_elements(rng, (batch, pairs, 3))], axis=2)
+    wide_mask, pivots = rlnc.independent_rows(field, wide, n)
+    assert wide_mask.tobytes() == mask.tobytes()
+    assert [p.shape for p in pivots] == ([(batch, n + 3 - c) for c in range(n)] if pairs else [])
     ranks = np.cumsum(mask, axis=1)
     for t in range(batch):
         assert ranks[t].tolist() == [matrix_rank(field, stream[t, : p + 1]) for p in range(pairs)]
     single = DecoderState(field, n)
     for p in range(pairs):
         assert single.add_vector(stream[0, p]) == ranks[0, p]
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    tree_seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 8),
+    m=st.sampled_from([1, 4, 8, 16]),
+    payload_length=st.sampled_from([1, 3]),
+    passes=st.integers(1, 10),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_destination_decode_matches_gaussian_solve(
+    tree_seed, n_sources, m, payload_length, passes, seed
+):
+    """A random tree's destination pairs, mixed with zero, repeated and
+    dependent rows whose payloads are their coding vectors' combinations of
+    the same hidden source packets: decode equals the Gauss-Jordan oracle
+    in packets and rank, and at full rank every pivot row the kernel
+    freezes reads 1 at its own column."""
+    field = FIELDS[m]
+    graph = build_graph(random_tree_topology(np.random.default_rng(tree_seed), n_sources))
+    net = RlncNetwork(graph, field, payload_length)
+    rng = np.random.default_rng(seed)
+    sources = net.random_source_payloads(rng)
+    vectors = []
+    for _ in range(passes):
+        for packet in net.destination_pairs(net.pass_once(sources, rng)):
+            kind = int(rng.integers(0, 4))
+            if kind == 1:
+                vectors.append(np.zeros(n_sources, dtype=field.dtype))
+            elif kind == 2 and vectors:
+                vectors.append(vectors[int(rng.integers(0, len(vectors)))])
+            elif kind == 3 and vectors:
+                vectors.append(field.combine(field.random_elements(rng, len(vectors)), vectors))
+            vectors.append(packet.coding_vector)
+    a = np.stack(vectors)
+    b = field.combine(a, sources)
+    state = DecoderState(field, n_sources)
+    for vector, payload in zip(a, b):
+        state.add(CodedPacket(payload, vector))
+    outcome = destination_decode(state)
+    try:
+        solved = gaussian_solve(field, a, b)
+    except RankDeficient as exc:
+        assert (outcome.success, outcome.rank, outcome.packets) == (False, exc.rank, None)
+        return
+    assert outcome.success and outcome.rank == solved.rank == n_sources
+    assert outcome.packets.dtype == field.dtype
+    assert outcome.packets.tobytes() == solved.solution.tobytes() == sources.tobytes()
+    _, pivots = rlnc.independent_rows(field, np.hstack([a, b])[None], n_sources)
+    assert [int(p[0, 0]) for p in pivots] == [1] * n_sources

@@ -94,21 +94,21 @@ def test_decoder_add_rejects_negative_coefficients():
     state = DecoderState(field=GF256, n_sources=2)
     with pytest.raises(ValueError, match="outside GF"):
         state.add(CodedPacket(np.array([1]), np.array([1, -1])))
-    assert state.rank == 0 and not state.collected
+    assert state.rank == 0
 
 
 def test_decoder_add_rejects_coefficients_past_the_field():
     state = DecoderState(field=GF256, n_sources=2)
     with pytest.raises(ValueError, match="outside GF"):
         state.add(CodedPacket(np.array([1]), np.array([300, 1])))
-    assert state.rank == 0 and not state.collected
+    assert state.rank == 0
 
 
 def test_decoder_add_rejects_fractional_coefficients():
     state = DecoderState(field=GF256, n_sources=2)
     with pytest.raises(ValueError, match="whole"):
         state.add(CodedPacket(np.array([1]), np.array([1.5, 1.0])))
-    assert state.rank == 0 and not state.collected
+    assert state.rank == 0
 
 
 def test_decoder_add_rejects_a_payload_of_another_length():
@@ -116,7 +116,14 @@ def test_decoder_add_rejects_a_payload_of_another_length():
     state.add(CodedPacket(np.array([1, 2], dtype=np.uint8), np.array([1, 0], dtype=np.uint8)))
     with pytest.raises(InconsistentDimensions, match="payload"):
         state.add(CodedPacket(np.array([3], dtype=np.uint8), np.array([0, 1], dtype=np.uint8)))
-    assert state.rank == 1 and len(state.collected) == 1
+    assert state.rank == 1
+    # A first pair that adds no rank still fixes the payload length.
+    state = DecoderState(field=GF256, n_sources=2)
+    assert state.add(CodedPacket(np.array([1, 2], dtype=np.uint8), np.zeros(2, dtype=np.uint8))) == 0
+    with pytest.raises(InconsistentDimensions, match="payload"):
+        state.add(CodedPacket(np.array([3], dtype=np.uint8), np.array([0, 1], dtype=np.uint8)))
+    assert state.rank == 0
+    assert state.add(CodedPacket(np.array([3, 4], dtype=np.uint8), np.array([0, 1], dtype=np.uint8))) == 1
 
 
 def test_destination_decode_unit_vectors():
