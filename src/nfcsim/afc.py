@@ -283,7 +283,11 @@ def nomographic_geometric_mean(
 
 # -- network configuration -------------------------------------------------
 
-DecoderFn = Callable[[Sequence[Packet]], Packet]
+# A destination's finishing function over a block of generations: packets
+# (B, k, W) from its k children in child order and the arrival mask (B, k)
+# give one (B, W') row per generation. Every row has at least one arrival;
+# the packets of a child that did not arrive are unspecified.
+DecoderFn = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -292,7 +296,8 @@ class FunctionAssignment:
 
     Keys are node names, node ids, or (tail, head) arc pairs; a node key
     applies to every outgoing arc of that node. ``decoders`` optionally
-    maps destinations to finishing functions applied to their inbox.
+    maps destinations to a ``DecoderFn``, which finishes a block of
+    generations at once; a destination without one outputs its inbox.
     """
 
     functions: Mapping[object, AtomicFunction]
@@ -395,8 +400,11 @@ class ConfiguredNetwork:
         share a dtype and a width. Any other pair is evaluated alone over
         the inputs that arrived (fixed-arity functions restrict their
         coefficient vectors to the surviving children), and emits nothing
-        if none did. Each destination that is not dropped applies its
-        decoder, if any, to each generation's nonempty inbox.
+        if none did. A destination's output is None where it is dropped.
+        Otherwise it is its inbox, the list of packets that arrived, or,
+        with a decoder, the decoder's row for that generation: one call
+        covers every generation in which some child arrived, and the others
+        keep an empty inbox.
         """
         g = self.graph
         B = len(dropped)
@@ -440,12 +448,26 @@ class ConfiguredNetwork:
                 out[ids[i]] = column
         outputs = {}
         for d in g.destinations:
-            kids, decoder = g.in_neighbors[d], self.decoders.get(d)
-            arrived = emitted[:, list(kids)].tolist()
-            outputs[d] = [None] * B
-            for b in np.flatnonzero(~dropped[:, d]).tolist():
-                inbox = [out[c][b] for c in compress(kids, arrived[b])]
-                outputs[d][b] = decoder(inbox) if decoder is not None and inbox else inbox
+            kids, decoder = list(g.in_neighbors[d]), self.decoders.get(d)
+            arrived, alive = emitted[:, kids], (~dropped[:, d]).tolist()
+            if decoder is None:
+                inboxes = arrived.tolist()
+                outputs[d] = [
+                    [out[c][b] for c in compress(kids, inboxes[b])] if alive[b] else None
+                    for b in range(B)
+                ]
+                continue
+            outputs[d] = [[] if a else None for a in alive]
+            sent = arrived.any(axis=0).tolist()
+            present = [out[c] for c in compress(kids, sent)]
+            if len({p.shape[-1] for p in present}) > 1:
+                raise DomainMismatch(f"destination {g.names[d]!r} decodes packets of unequal widths")
+            rows = np.flatnonzero(~dropped[:, d] & arrived.any(axis=1))
+            if len(rows):  # a row where nothing arrived never reaches the decoder
+                zeros = np.zeros_like(present[0])
+                packets = np.stack([out[c] if s else zeros for c, s in zip(kids, sent)], axis=1)
+                for b, value in zip(rows.tolist(), decoder(packets[rows], arrived[rows])):
+                    outputs[d][b] = value
         return BlockEvaluation(emitted, out, outputs, metrics.get("clamped_symbols", 0))
 
 
@@ -507,10 +529,13 @@ def install_functions(g: NfcGraph, assignment: FunctionAssignment) -> Configured
     return ConfiguredNetwork(g, functions, decoders)
 
 
-def average_decoder(inbox: Sequence[Packet]) -> Packet:
-    """Finish the average decomposition: divide pooled sum by pooled count."""
-    total = np.sum(np.stack(inbox), axis=0)
-    return total[:-1] / total[-1]
+def average_decoder(packets: np.ndarray, arrived: np.ndarray) -> np.ndarray:
+    """Finish the average decomposition: divide each generation's pooled sum
+    by its pooled count. A child that did not arrive adds -0.0, IEEE's
+    additive identity, so each row's sum equals, bit for bit, numpy's sum
+    over only the children that arrived, in child order."""
+    total = np.where(arrived[..., None], packets, -0.0).sum(axis=1)
+    return total[:, :-1] / total[:, -1:]
 
 
 def decompose_average(g: NfcGraph) -> FunctionAssignment:

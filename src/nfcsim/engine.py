@@ -287,8 +287,8 @@ def _evaluated_generations(
     through the installed assignment in one pass; each generation then
     yields (dropped count, destination output). Every arc that carried a
     message is metered once, after the last block. A node's packet width
-    is fixed for the whole run, so the block split never decides whether
-    it fails.
+    is fixed for the whole run, and a decoder's children share one width,
+    so the block split never decides whether it fails.
     """
     network = install_functions(g, assignment)
     data_rng = substream(s.seed, 0)
@@ -297,6 +297,7 @@ def _evaluated_generations(
     shape = (g.n_sources, s.packet_length)
     sent = np.zeros(g.n_nodes, dtype=np.int64)
     width = np.zeros(g.n_nodes, dtype=np.int64)
+    decoded = list(g.in_neighbors[dest]) if dest in network.decoders else []
     for size in block_sizes(s.generations, g.n_nodes * s.packet_length):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
         metrics.dropped_nodes += int(dropped.sum())
@@ -310,6 +311,8 @@ def _evaluated_generations(
                 raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
             width[v] = block.packets[v].shape[-1]
         sent += block.emitted.sum(axis=0)
+        if len(set(width[decoded][sent[decoded] > 0].tolist())) > 1:  # as within one block
+            raise DomainMismatch(f"destination {g.names[dest]!r} decodes packets of unequal widths")
         yield from zip(dropped.sum(axis=1).tolist(), block.outputs[dest])
     for v in g.topo_order:
         if sent[v]:

@@ -184,10 +184,15 @@ def _toposort(n: int, arcs: Iterable[tuple[int, int]]) -> list[int] | None:
 
 def validate_config(config: TopologyConfig) -> ValidationReport:
     """Collect every invariant violation; empty report iff buildable."""
+    return _validate(config)[0]
+
+
+def _validate(config: TopologyConfig) -> tuple[ValidationReport, list[int] | None]:
+    """The report, and the topological order when the arcs are acyclic."""
     problems: list[Violation] = []
     if config.mode not in ("tree", "dag"):
         problems.append(Violation("RoleConflict", f"unknown mode {config.mode!r}"))
-        return ValidationReport(tuple(problems))
+        return ValidationReport(tuple(problems)), None
     names = list(config.roles.keys())
     index = {name: i for i, name in enumerate(names)}
     for node, kids in config.children.items():
@@ -201,7 +206,7 @@ def validate_config(config: TopologyConfig) -> ValidationReport:
                     Violation("DanglingReference", f"node {node!r} references unknown child {child!r}")
                 )
     if problems:
-        return ValidationReport(tuple(problems))
+        return ValidationReport(tuple(problems)), None
 
     arcs = [(index[c], index[v]) for c, v in config.arcs()]
     roles = [config.roles[name] for name in names]
@@ -216,7 +221,8 @@ def validate_config(config: TopologyConfig) -> ValidationReport:
             problems.append(
                 Violation("RoleConflict", f"destination {names[i]!r} has outgoing arcs")
             )
-    if _toposort(len(names), arcs) is None:
+    order = _toposort(len(names), arcs)
+    if order is None:
         problems.append(Violation("CycleDetected", "arc set contains a directed cycle"))
 
     if config.mode == "tree":
@@ -241,12 +247,12 @@ def validate_config(config: TopologyConfig) -> ValidationReport:
                 problems.append(
                     Violation("TreeViolation", f"atomic {names[i]!r} has no children in tree mode")
                 )
-    return ValidationReport(tuple(problems))
+    return ValidationReport(tuple(problems)), order
 
 
 def build_graph(config: TopologyConfig) -> NfcGraph:
     """Validate and construct; raises the first violation's error type."""
-    report = validate_config(config)
+    report, order = _validate(config)
     if not report.ok:
         first = report.violations[0]
         raise _ERROR_TYPES[first.code](str(report))
@@ -259,8 +265,6 @@ def build_graph(config: TopologyConfig) -> NfcGraph:
     for u, v in arcs:
         in_n[v].append(u)
         out_n[u].append(v)
-    order = _toposort(n, arcs)
-    assert order is not None
     return NfcGraph(
         names=names,
         roles=tuple(config.roles[name] for name in names),

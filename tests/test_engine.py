@@ -461,3 +461,27 @@ def test_width_change_fails_under_any_block_split(generations_per_block):
     with mock.patch.object(afc, "BLOCK_ELEMENTS", generations_per_block * 4):
         with pytest.raises(DomainMismatch, match="node 'a0' emits packets of unequal widths"):
             run_scenario(scenario)
+
+
+@pytest.mark.parametrize("generations_per_block", [1, 2])
+def test_decoder_width_mismatch_fails_under_any_block_split(generations_per_block):
+    """d0 decodes s0's 2-symbol and s1's 1-symbol packets, which arrive in
+    different generations (seed 2 drops s1, then s0), so one block holds
+    both and a split into single generations never decodes them together."""
+    from unittest import mock
+
+    from nfcsim import afc
+    from nfcsim.afc import AppendCount, FunctionAssignment, average_decoder
+    from nfcsim.errors import DomainMismatch
+
+    roles = {"s0": NodeRole.SOURCE, "s1": NodeRole.SOURCE, "d0": NodeRole.DESTINATION}
+    scenario = Scenario(
+        topology=TopologyConfig(roles=roles, children={"d0": ["s0", "s1"]}),
+        application="custom",
+        generations=2,
+        failures=FailureModel(node_dropout_p=0.5, seed=2),
+        assignment=FunctionAssignment({"s0": AppendCount()}, {"d0": average_decoder}),
+    )
+    with mock.patch.object(afc, "BLOCK_ELEMENTS", generations_per_block * 3):
+        with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
+            run_scenario(scenario)

@@ -4,7 +4,8 @@
 share a function. On random trees, dropout masks and mixed assignments
 it must reproduce, byte for byte, a per-node reference that calls
 ``eval_dafc`` / ``eval_aafc`` in topological order over the children
-that emitted.
+that emitted. The reference decodes each generation's inbox list with
+its own oracle, never with the block decoder it checks.
 """
 
 import numpy as np
@@ -109,6 +110,15 @@ def random_assignment(rng, g, family):
     return FunctionAssignment(functions, decoders), dict(zip(g.sources, values))
 
 
+def average_oracle(inbox):
+    """One generation's average decode over the packets that arrived."""
+    total = np.sum(np.stack(inbox), axis=0)
+    return total[:-1] / total[-1]
+
+
+ORACLE_DECODERS = {average_decoder: average_oracle}
+
+
 def reference(g, assignment, inputs, dropped):
     """Per-node evaluation in topological order over the children that emitted."""
     spec_of = {
@@ -148,7 +158,7 @@ def reference(g, assignment, inputs, dropped):
         if d not in dropped:
             inbox = [out[c] for c in g.in_neighbors[d] if c in out]
             decoder = assignment.decoders.get(d)
-            outputs[d] = decoder(inbox) if decoder is not None and inbox else inbox
+            outputs[d] = ORACLE_DECODERS[decoder](inbox) if decoder is not None and inbox else inbox
     return messages, outputs, metrics.get("clamped_symbols", 0)
 
 
@@ -249,6 +259,86 @@ def test_block_rejects_a_node_whose_packet_width_changes():
     dropped[0, s1] = dropped[1, s0] = True
     with pytest.raises(DomainMismatch):
         network.evaluate_block(np.ones((2, 2, 1)), dropped)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    generations=st.integers(1, 6),
+    k=st.integers(1, 12),
+    length=st.sampled_from([1, 3]),
+    one_child=st.booleans(),
+)
+def test_average_decoder_matches_the_list_oracle(seed, generations, k, length, one_child):
+    """Each row of the block decode equals, byte for byte, the sum over only
+    the packets that arrived, in child order, divided by their count."""
+    rng = np.random.default_rng(seed)
+    signed_zeros = rng.choice([0.0, -0.0], size=(generations, k, length))
+    values = np.where(rng.random((generations, k, length)) < 0.5, signed_zeros,
+                      rng.normal(0.0, 10.0, size=(generations, k, length)))
+    counts = rng.integers(1, 5, size=(generations, k, 1)).astype(np.float64)
+    packets = np.concatenate([values, counts], axis=2)
+    arrived = rng.random((generations, k)) < (0.0 if one_child else rng.random())
+    arrived[np.arange(generations), rng.integers(k, size=generations)] = True  # a lone packet may hold -0.0
+    decoded = average_decoder(packets, arrived)
+    assert decoded.shape == (generations, length)
+    for b in range(generations):
+        assert_identical(decoded[b], average_oracle(list(packets[b][arrived[b]])))
+
+
+def test_average_decoder_decodes_a_lone_negative_zero_like_the_list_sum():
+    packets = np.array([[[5.0, 1.0], [-0.0, 1.0], [7.0, 1.0]]])
+    decoded = average_decoder(packets, np.array([[False, True, False]]))
+    assert_identical(decoded[0], average_oracle([packets[0, 1]]))
+
+
+def sources_under_destination(decoder, widen_s0=False):
+    """s0 and s1 hang straight under d0; AppendCount on s0 widens its packet by one."""
+    roles = {"s0": NodeRole.SOURCE, "s1": NodeRole.SOURCE, "d0": NodeRole.DESTINATION}
+    g = build_graph(TopologyConfig(roles=roles, children={"d0": ["s0", "s1"]}))
+    functions = {"s0": AppendCount()} if widen_s0 else {s: AppendCount() for s in ("s0", "s1")}
+    return g, install_functions(g, FunctionAssignment(functions, {"d0": decoder}))
+
+
+def test_decoder_sees_only_generations_where_a_child_arrived():
+    """A generation in which nothing arrived keeps the empty inbox and is never
+    handed to the decoder; a dropped destination outputs None."""
+    calls = []
+
+    def recording(packets, arrived):
+        calls.append(arrived.copy())
+        return average_decoder(packets, arrived)
+
+    g, network = sources_under_destination(recording)
+    s0, s1, d0 = (g.node_id(name) for name in ("s0", "s1", "d0"))
+    dropped = np.zeros((4, g.n_nodes), dtype=bool)
+    dropped[0, [s0, s1]] = True  # nothing arrives
+    dropped[1, d0] = True  # the destination is down
+    dropped[2, s1] = True  # s0 alone
+    sources = np.array([[[1.0], [3.0]]] * 4)
+    outputs = network.evaluate_block(sources, dropped).outputs[d0]
+    assert outputs[0] == [] and outputs[1] is None
+    assert_identical(outputs[2:], [np.array([1.0]), np.array([2.0])])
+    assert len(calls) == 1 and calls[0].tolist() == [[True, False], [True, True]]
+    calls.clear()
+    dropped[:, [s0, s1]] = True
+    assert network.evaluate_block(sources, dropped).outputs[d0] == [[], None, [], []]
+    assert calls == []
+
+
+def test_decoder_rejects_children_of_unequal_widths():
+    """Refused whenever both children emit within the block, even in
+    different generations, and the error names the destination."""
+    g, network = sources_under_destination(average_decoder, widen_s0=True)
+    inputs = {"s0": np.array([1.0]), "s1": np.array([2.0])}
+    with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
+        network.evaluate(inputs)
+    dropped = np.zeros((2, g.n_nodes), dtype=bool)
+    dropped[0, g.node_id("s1")] = dropped[1, g.node_id("s0")] = True
+    with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
+        network.evaluate_block(np.ones((2, 2, 1)), dropped)
+    assert_identical(network.evaluate(inputs, dropped={g.node_id("s1")}).destination_outputs[g.node_id("d0")],
+                     np.array([1.0]))
 
 
 def dag_graph():
