@@ -358,12 +358,19 @@ class ConfiguredNetwork:
         self.decoders = dict(decoders)
         sources = np.array(graph.sources, dtype=np.intp)
         levels = [(sources, sources[:, None])] + [group[:2] for group in graph.level_plan]
+        # Where each node's packets are held: (batch, position); batch 0 is the source input.
+        place, sizes = {s: (0, i) for i, s in enumerate(graph.sources)}, [len(sources)]
         self._batches = []
         for nodes, children in levels:
             members: dict[AtomicFunction, list[int]] = {}
             for i, v in enumerate(nodes.tolist()):
                 members.setdefault(self.functions.get(v, Identity()), []).append(i)
-            self._batches += [(spec, nodes[i], children[i]) for spec, i in members.items()]
+            for spec, i in members.items():
+                self._batches.append((spec, nodes[i], children[i], _reader(place, sizes, children[i])))
+                place.update((v, (len(sizes), p)) for p, v in enumerate(nodes[i].tolist()))
+                sizes.append(len(i))
+        self._readers = {d: _reader(place, sizes, np.array(graph.in_neighbors[d], dtype=np.intp))
+                         for d in graph.destinations}
 
     def evaluate(
         self,
@@ -395,57 +402,47 @@ class ConfiguredNetwork:
         ``sources`` is a (B, sources, L) array ordered like the graph's
         sources, or one (B, L) array per source (None for a source dropped
         throughout); ``dropped`` is a (B, nodes) boolean mask. Dropped
-        nodes emit nothing. One call per batch covers every (generation,
-        node) pair whose children all emitted, when the batch's packets
-        share a dtype and a width. Any other pair is evaluated alone over
-        the inputs that arrived (fixed-arity functions restrict their
-        coefficient vectors to the surviving children), and emits nothing
-        if none did. A destination's output is None where it is dropped.
-        Otherwise it is its inbox, the list of packets that arrived, or,
-        with a decoder, the decoder's row for that generation: one call
-        covers every generation in which some child arrived, and the others
-        keep an empty inbox.
+        nodes emit nothing, nor does a node none of whose children arrived.
+        A batch groups its other (generation, node) pairs by which children
+        arrived and evaluates a group in one call over those children only
+        (fixed-arity functions restrict their coefficient vectors to them),
+        or pair by pair if their packets mix dtypes or widths. A
+        destination's output is None where it is dropped. Otherwise it is
+        its inbox, the list of packets that arrived, or, with a decoder,
+        the decoder's row for that generation: one call covers every
+        generation in which some child arrived, and the others keep an
+        empty inbox.
         """
         g = self.graph
         B = len(dropped)
         out: list[np.ndarray | None] = [None] * g.n_nodes
-        if isinstance(sources, np.ndarray):
-            sources = list(np.swapaxes(sources, 0, 1))
-        for s, column in zip(g.sources, sources):
-            out[s] = column
+        if not isinstance(sources, np.ndarray):  # columns that do not stack are read group by group
+            for s, column in zip(g.sources, sources):
+                out[s] = column
+            kinds = {c if c is None else (c.dtype, c.shape) for c in sources}
+            stack = None not in kinds and len(kinds) == 1
+            sources = np.concatenate(sources, axis=1).reshape(B, len(sources), -1) if stack else None
+        held = [sources]  # per batch, its (B, nodes, width) packets; None if they do not stack
         emitted = ~dropped  # until dropped or left without inputs
         emitted[:, list(g.destinations)] = False
         metrics: dict = {}
-        for spec, nodes, children in self._batches:
+        for spec, nodes, children, reader in self._batches:
             arrived = emitted[:, children]
-            emitted[:, nodes] &= arrived.any(axis=2)
-            full = emitted[:, nodes] & arrived.all(axis=2)
-            alone = emitted[:, nodes]
-            columns: dict[int, np.ndarray] = {}
-            sub = np.flatnonzero(full.any(axis=0))
-            parts = [out[c] for c in children[sub].ravel().tolist()]
-            if len({(p.dtype, p.shape[-1]) for p in parts}) == 1:
-                stacked = np.concatenate(parts, axis=1).reshape(B, *children[sub].shape, -1)
-                packets = _apply(spec, stacked[full[:, sub]], metrics)
-                batch = np.zeros((B, len(nodes)) + packets.shape[1:], packets.dtype)
-                batch[full] = packets
-                columns = dict(zip(sub.tolist(), batch.swapaxes(0, 1)[sub]))
-                alone = alone & ~full
-            ids = nodes.tolist()
-            for b, i in np.argwhere(alone).tolist():
-                present = children[i][arrived[b, i]].tolist()
-                restricted = _restrict_arity(spec, children[i].tolist(), present)
-                packet = _apply(restricted, [out[c][b] for c in present], metrics)
-                column = columns.get(i)
-                if column is None:
-                    column = columns[i] = np.zeros((B,) + packet.shape, packet.dtype)
-                elif column.shape[1:] != packet.shape:
-                    raise DomainMismatch(f"node {g.names[ids[i]]!r} emits packets of unequal widths")
-                elif column.dtype != (dtype := np.promote_types(column.dtype, packet.dtype)):
-                    column = columns[i] = column.astype(dtype)  # which children arrived varies
-                column[b] = packet
-            for i, column in columns.items():
-                out[ids[i]] = column
+            live = emitted[:, nodes] = emitted[:, nodes] & arrived.any(axis=2)
+            values = _read(held, *reader, children.shape, B)
+            if values is not None and arrived.all() and live.all():  # one group: every pair, every child
+                results = [((slice(None), slice(None)), _apply(spec, values, metrics))]
+            else:
+                results = _grouped(spec, out, live, arrived, children, values, metrics)
+            batch = None
+            if len({(p.dtype, p.shape[-1]) for _, p in results}) == 1:  # the packets stack
+                batch = np.zeros((B, len(nodes)) + results[0][1].shape[-1:], results[0][1].dtype)
+                for pairs, packets in results:
+                    batch[pairs] = packets
+            held.append(batch)
+            columns = _columns(g, nodes, results, B) if batch is None else batch.swapaxes(0, 1)
+            for v, column in zip(nodes.tolist(), columns):
+                out[v] = column
         outputs = {}
         for d in g.destinations:
             kids, decoder = list(g.in_neighbors[d]), self.decoders.get(d)
@@ -464,11 +461,74 @@ class ConfiguredNetwork:
                 raise DomainMismatch(f"destination {g.names[d]!r} decodes packets of unequal widths")
             rows = np.flatnonzero(~dropped[:, d] & arrived.any(axis=1))
             if len(rows):  # a row where nothing arrived never reaches the decoder
-                zeros = np.zeros_like(present[0])
-                packets = np.stack([out[c] if s else zeros for c, s in zip(kids, sent)], axis=1)
+                packets = _read(held, *self._readers[d], (len(kids),), B)
+                if packets is None:  # np.stack promotes the children's dtypes
+                    zeros = np.zeros_like(present[0])
+                    packets = np.stack([out[c] if s else zeros for c, s in zip(kids, sent)], axis=1)
                 for b, value in zip(rows.tolist(), decoder(packets[rows], arrived[rows])):
                     outputs[d][b] = value
         return BlockEvaluation(emitted, out, outputs, metrics.get("clamped_symbols", 0))
+
+
+def _reader(place: Mapping[int, tuple[int, int]], sizes: Sequence[int], children: np.ndarray):
+    """The batches that hold ``children``, by each node's (batch, position),
+    and the index into the concatenation of their packets; None for the identity."""
+    places = [place[c] for c in children.ravel().tolist()]
+    holders = sorted({h for h, _ in places})
+    start = dict(zip(holders, np.cumsum([0] + [sizes[h] for h in holders]).tolist()))
+    index = np.array([start[h] + p for h, p in places], dtype=np.intp)
+    identity = len(index) == sum(sizes[h] for h in holders) and (index == np.arange(len(index))).all()
+    return holders, None if identity else index.reshape(children.shape)
+
+
+def _read(held: list, holders: Sequence[int], index, shape: tuple[int, ...], B: int):
+    """The (B, *shape, width) packets of some children, C-contiguous like one
+    node's stacked inputs, or None if their batches' packets do not stack."""
+    parts = [held[h] for h in holders]
+    if all(p is not None for p in parts) and len({(p.dtype, p.shape[-1]) for p in parts}) == 1:
+        joined = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+        return joined.reshape(B, *shape, -1) if index is None else np.take(joined, index, axis=1)
+    return None
+
+
+def _grouped(spec, out, live, arrived, children, values, metrics: dict) -> list:
+    """Evaluate a batch's live pairs one arrival pattern at a time: a list
+    of ((generations, positions), (pairs, width) packets)."""
+    b, i = np.nonzero(live)
+    seen = arrived[b, i]
+    packed = np.packbits(seen, axis=1)
+    key = packed.view(np.dtype((np.void, packed.shape[1]))).ravel()
+    _, first, inverse, counts = np.unique(key, return_index=True, return_inverse=True, return_counts=True)
+    results = []
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
+    for row, members in zip(first.tolist(), groups):
+        bg, ig, keep = b[members], i[members], np.flatnonzero(seen[row])
+        restricted, kids = _restrict_arity(spec, keep.tolist(), seen.shape[1]), children[ig[:, None], keep]
+        if values is None:  # read the children's own columns, pair by pair if they mix dtypes or widths
+            rows = [[out[c][gen] for c in kid] for gen, kid in zip(bg.tolist(), kids.tolist())]
+            if len({(p.dtype, p.shape[-1]) for row in rows for p in row}) > 1:
+                for gen, pos, row in zip(bg.tolist(), ig.tolist(), rows):
+                    results.append((([gen], [pos]), _apply(restricted, row, metrics)[None]))
+                continue
+        group = np.array(rows) if values is None else values[bg[:, None], ig[:, None], keep]
+        results.append(((bg, ig), _apply(restricted, group, metrics)))
+    return results
+
+
+def _columns(g: NfcGraph, nodes: np.ndarray, results: list, B: int) -> list[np.ndarray | None]:
+    """Per node, a (B, width) column of its packets' promoted dtype; None if it never emitted."""
+    columns: dict[int, np.ndarray] = {}
+    for (bg, ig), packets in results:
+        for b, v, packet in zip(bg, nodes[ig].tolist(), packets):
+            column = columns.get(v)
+            if column is None:
+                column = columns[v] = np.zeros((B,) + packet.shape, packet.dtype)
+            elif column.shape[1:] != packet.shape:
+                raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
+            elif column.dtype != (dtype := np.promote_types(column.dtype, packet.dtype)):
+                column = columns[v] = column.astype(dtype)  # which children arrived varies
+            column[b] = packet
+    return [columns.get(v) for v in nodes.tolist()]
 
 
 def _apply(spec: AtomicFunction, packets: Sequence[Packet] | np.ndarray, metrics: dict):
@@ -477,13 +537,11 @@ def _apply(spec: AtomicFunction, packets: Sequence[Packet] | np.ndarray, metrics
     return eval_dafc(spec, packets, metrics=metrics)
 
 
-def _restrict_arity(
-    spec: AtomicFunction, children: Sequence[int], present: Sequence[int]
-) -> AtomicFunction:
-    """Project coefficient-indexed functions onto the surviving children."""
-    if len(present) == len(children):
+def _restrict_arity(spec: AtomicFunction, keep: Sequence[int], arity: int) -> AtomicFunction:
+    """Project coefficient-indexed functions onto the surviving children,
+    the positions ``keep`` of ``arity``."""
+    if len(keep) == arity:
         return spec
-    keep = [i for i, c in enumerate(children) if c in set(present)]
     if isinstance(spec, LinearCombination):
         return LinearCombination(tuple(spec.coefficients[i] for i in keep), spec.field)
     if isinstance(spec, NeuronUnit):

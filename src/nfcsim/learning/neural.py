@@ -22,7 +22,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from nfcsim.afc import sigmoid
+from nfcsim.afc import sigmoid  # noqa: F401 -- re-exported for the reference models
 from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import substream
@@ -77,7 +77,7 @@ class FailureModel:
         return substream(self.seed, 0), substream(self.seed, 1)
 
 
-@dataclass(frozen=True)
+@dataclass
 class UpwardResult:
     activations: np.ndarray  # (nodes,) activities; dropped nodes read 0
     prediction: float
@@ -90,7 +90,7 @@ class UpwardResult:
         return np.flatnonzero(self.is_dropped)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DownwardResult:
     blocks: tuple  # per level: (nodes, (k, 1) received mask, (k, arity) dJ/dw)
     lost_messages: int
@@ -169,11 +169,12 @@ class NeuralTreeNetwork:
         activity[self._sources] = features
         activity[dropped] = 0.0
         inputs = []
-        for nodes, children, _, stacked, _, _ in self._levels:
-            inputs.append(x := activity[children])
-            out = sigmoid(np.matmul(stacked, x[:, :, None]))[:, 0, 0]
-            out[dropped[nodes]] = 0.0
-            activity[nodes] = out
+        with np.errstate(over="ignore"):  # as sigmoid does, once for the whole pass
+            for nodes, children, _, stacked, _, _ in self._levels:
+                inputs.append(x := activity[children])
+                out = _logistic(np.matmul(stacked, x[:, :, None]))[:, 0, 0]
+                out[dropped[nodes]] = 0.0
+                activity[nodes] = out
         return UpwardResult(activity, float(activity[self.destination]), dropped, tuple(inputs))
 
     def downward(self, up: UpwardResult, target: float, eta: float,
@@ -225,6 +226,11 @@ class NeuralTreeNetwork:
         return self.upward(features).prediction
 
 
+def _logistic(z: np.ndarray) -> np.ndarray:
+    """``sigmoid`` without its errstate, for a caller that already ignores overflow."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
 def draw_dropped(g: NfcGraph, failures: FailureModel, rng: np.random.Generator,
                  generations: int) -> np.ndarray:
     """A block's (generations, nodes) Bernoulli dropout mask over every
@@ -265,6 +271,7 @@ def nn_train(network: NeuralTreeNetwork, dataset: Sequence[TrainingSample], epoc
     message_lost = draws.__next__ if loss_p > 0.0 else None
     losses, dropped_counts, lost_counts = [], [], []
     sent: Counter[tuple[int, int]] = Counter()  # per compiled (sender, child) arc
+    steps_sent: list[tuple[int, int]] = []  # counted once per epoch, in bounded memory
     g = network.graph
     alive_steps = np.zeros(g.n_nodes, dtype=np.int64)
     for epoch in range(epochs):
@@ -278,8 +285,10 @@ def nn_train(network: NeuralTreeNetwork, dataset: Sequence[TrainingSample], epoc
                                   " where the log-loss is infinite; a smaller eta may avoid it")
             losses.append(log_loss(up.prediction, sample.target))
             down = network.downward(up, sample.target, eta=eta_fn(t), message_lost=message_lost)
-            sent.update(down.sent)
+            steps_sent += down.sent
             lost_counts.append(down.lost_messages)
+        sent.update(steps_sent)
+        steps_sent.clear()
     # each gradient contribution travels its upward arc backwards, and each
     # alive non-destination node sends one activity message per step
     arc_messages = Counter({(child, sender): n for (sender, child), n in sent.items()})

@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import MISSING, asdict, dataclass, field as dc_field, fields
+from operator import itemgetter
 from pathlib import Path
 
 import yaml
@@ -477,12 +478,13 @@ def load_scenario_file(
 # -- output emission ---------------------------------------------------------
 
 def render_csv(columns: tuple[str, ...], rows: list[dict[str, object]]) -> str:
-    """Deterministic CSV text: header row then rows, LF line endings."""
+    """Deterministic CSV text: header row then rows, LF line endings. A row
+    that lacks a column raises KeyError; keys beyond the columns are not written."""
     buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(columns), lineterminator="\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow(row)
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(columns)
+    cells = itemgetter(*columns)
+    writer.writerows(map(cells, rows) if len(columns) > 1 else ([cells(row)] for row in rows))
     return buffer.getvalue()
 
 

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfcsim import afc
 from nfcsim.afc import (
     AppendCount,
     Average,
@@ -25,6 +26,7 @@ from nfcsim.afc import (
     Nomographic,
     Sum,
     average_decoder,
+    decompose_average,
     eval_aafc,
     eval_dafc,
     install_functions,
@@ -242,6 +244,135 @@ def test_analog_batch_matches_reference():
         messages, outputs, _ = reference(g, assignment, inputs, dropped)
         assert_identical(list(evaluation.messages.values()), list(messages.values()))
         assert_identical(list(evaluation.destination_outputs.values()), list(outputs.values()))
+
+
+def with_wide_relay(rng, topology: TopologyConfig, wide: int) -> TopologyConfig:
+    """The topology plus a relay of ``wide`` new sources, hung under a random
+    atomic node or the destination."""
+    roles = dict(topology.roles)
+    parents = [name for name, role in roles.items() if role is not NodeRole.SOURCE]
+    children = {name: list(kids) for name, kids in topology.children.items()}
+    children["w"] = [f"t{i}" for i in range(wide)]
+    children[parents[rng.integers(len(parents))]].append("w")
+    roles.update({f"t{i}": NodeRole.SOURCE for i in range(wide)}, w=NodeRole.ATOMIC)
+    return TopologyConfig(roles=roles, children=children)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 12),
+    wide=st.integers(8, 20),
+    dropout_p=st.floats(0.05, 0.5),
+)
+def test_blocks_over_a_wide_relay_match_the_reference(seed, n_sources, wide, dropout_p):
+    """Width-1 packets summed by a relay of 8 or more children, with some
+    missing: numpy sums 8 or more terms pairwise, so a block that padded a
+    missing child with -0.0 would sum in another order than the reference,
+    which sums only the children that emitted."""
+    rng = np.random.default_rng(seed)
+    base = random_tree(rng, n_sources, max(1, int(rng.integers(n_sources + 1))))
+    g = build_graph(with_wide_relay(rng, base, wide))
+    assignment = FunctionAssignment({a: [Sum(), Average()][rng.integers(2)] for a in g.atomics})
+    network = install_functions(g, assignment)
+    generations = 14
+    scales = 10.0 ** rng.integers(-8, 8, size=(generations, g.n_sources, 1))
+    values = rng.normal(size=(generations, g.n_sources, 1)) * scales
+    values[rng.random(values.shape) < 0.1] = -0.0
+    dropped = np.zeros((generations, g.n_nodes), dtype=bool)
+    dropped[:, g.sources + g.atomics] = rng.random((generations, g.n_sources + len(g.atomics))) < dropout_p
+    expected = [reference(g, assignment, dict(zip(g.sources, values[t])), set(np.flatnonzero(dropped[t])))
+                for t in range(generations)]
+    for size in (1, 3, 7):
+        for start in range(0, generations, size):
+            block = network.evaluate_block(values[start : start + size], dropped[start : start + size])
+            for b, (messages, outputs, _) in enumerate(expected[start : start + size]):
+                emitted = [v for v in g.topo_order if block.emitted[b, v]]
+                assert [(v, g.out_neighbors[v][0]) for v in emitted] == list(messages)
+                assert_identical([block.packets[v][b] for v in emitted], list(messages.values()))
+                assert_identical([block.outputs[d][b] for d in outputs], list(outputs.values()))
+
+
+def counted_calls(monkeypatch) -> list:
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return eval_dafc(*args, **kwargs)
+
+    monkeypatch.setattr(afc, "eval_dafc", counting)
+    return calls
+
+
+def expected_calls(batches, emitted, dtype_of):
+    """One call per (batch, arrival pattern), or one per pair of a pattern
+    whose arrived children's packets mix dtypes. A batch is a list of
+    (node, children) that share a function; a source is its own child."""
+    count = 0
+    for batch in batches:
+        groups: dict[tuple, list] = {}
+        for b in range(len(emitted)):
+            for v, kids in batch:
+                if emitted[b, v]:
+                    pattern = tuple(emitted[b, kids].tolist())
+                    groups.setdefault(pattern, []).append(
+                        {dtype_of[c] for c, arrived in zip(kids, pattern) if arrived})
+        count += sum(len(pairs) if len(set().union(*pairs)) > 1 else 1 for pairs in groups.values())
+    return count
+
+
+def test_a_dropout_free_block_makes_one_call_per_batch(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    g = build_graph(balanced_tree_topology(100, branching=10))
+    network = install_functions(g, decompose_average(g))
+    values = np.random.default_rng(5).normal(size=(50, 100, 1))
+    block = network.evaluate_block(values, np.zeros((50, g.n_nodes), dtype=bool))
+    assert len(calls) == 1 + len(g.level_plan)  # the sources, then one batch per level
+    assert block.emitted[:, g.sources + g.atomics].all()
+
+
+def test_a_block_with_dropout_makes_one_call_per_arrival_pattern(monkeypatch):
+    calls = counted_calls(monkeypatch)
+    rng = np.random.default_rng(6)
+    g = build_graph(balanced_tree_topology(100, branching=10))
+    network = install_functions(g, decompose_average(g))
+    dropped = np.zeros((200, g.n_nodes), dtype=bool)
+    dropped[:, g.sources + g.atomics] = rng.random((200, 110)) < 0.05
+    block = network.evaluate_block(rng.normal(size=(200, 100, 1)), dropped)
+    batches = [[(s, [s]) for s in g.sources]]
+    batches += [list(zip(group.nodes.tolist(), group.children.tolist())) for group in g.level_plan]
+    expected = expected_calls(batches, block.emitted, dict.fromkeys(range(g.n_nodes), np.float64))
+    assert len(calls) == expected and len(g.level_plan) + 1 < expected < 200
+
+
+def test_only_a_group_that_mixes_dtypes_is_evaluated_pair_by_pair(monkeypatch):
+    """Two Max relays in one batch over float32 and float64 sources: a group
+    whose arrived children share a dtype is one call, any other one call per pair."""
+    roles = {f"s{i}": NodeRole.SOURCE for i in range(4)}
+    roles.update(a0=NodeRole.ATOMIC, a1=NodeRole.ATOMIC, d0=NodeRole.DESTINATION)
+    children = {"a0": ["s0", "s1"], "a1": ["s2", "s3"], "d0": ["a0", "a1"]}
+    g = build_graph(TopologyConfig(roles=roles, children=children))
+    a0, a1 = g.node_id("a0"), g.node_id("a1")
+    assignment = FunctionAssignment({a0: Max(), a1: Max()})
+    network = install_functions(g, assignment)
+    rng = np.random.default_rng(7)
+    dtypes = dict(zip(g.sources, [np.float32, np.float64, np.float32, np.float32]))
+    sources = [rng.normal(size=(40, 2)).astype(dtypes[s]) for s in g.sources]
+    dropped = np.zeros((40, g.n_nodes), dtype=bool)
+    dropped[:, g.sources] = rng.random((40, 4)) < 0.3
+    calls = counted_calls(monkeypatch)
+    block = network.evaluate_block(sources, dropped)
+    batches = [[(s, [s]) for s in g.sources], [(v, list(g.in_neighbors[v])) for v in (a0, a1)]]
+    assert len(calls) == expected_calls(batches, block.emitted, dtypes)
+    assert block.packets[a1].dtype == np.float32 and block.packets[a0].dtype == np.float64
+    for b in range(40):
+        inputs = {s: column[b] for s, column in zip(g.sources, sources)}
+        messages, _, _ = reference(g, assignment, inputs, set(np.flatnonzero(dropped[b])))
+        emitted = [v for v in g.topo_order if block.emitted[b, v]]
+        assert [v for v, _ in messages] == emitted
+        for v in emitted:  # a node's column holds its packets at their promoted dtype
+            assert block.packets[v][b].tobytes() == messages[(v, g.out_neighbors[v][0])].astype(
+                block.packets[v].dtype).tobytes()
 
 
 def test_block_rejects_a_node_whose_packet_width_changes():

@@ -12,12 +12,16 @@ PyYAML's pure-Python emitter writes, so a host without libyaml writes
 the same manifests.
 """
 
+import csv
+import io
+
+import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 import nfcsim
 from nfcsim.learning.neural import MIN_MARGIN_ACCEPTANCE, margin_acceptance
-from nfcsim.scenario import MAX_NAME_LENGTH, parse_scenario_text, render_manifest
+from nfcsim.scenario import MAX_NAME_LENGTH, parse_scenario_text, render_csv, render_manifest
 from nfcsim.solvability import TARGET_PRESETS
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -137,3 +141,23 @@ def test_manifest_round_trip(doc):
     assert (first.scenario is None) == ("application" not in doc)
     assert (first.capacity is None) == ("capacity" not in doc)
     assert render_manifest(second) == manifest
+
+
+CELLS = st.one_of(st.integers(), st.floats(), st.text(), st.sampled_from([",", '"', "a\nb", "", " "]))
+
+
+@settings(max_examples=100, deadline=None)
+@given(columns=st.lists(st.text(min_size=1), min_size=1, max_size=4, unique=True), data=st.data())
+def test_render_csv_writes_what_dict_writer_does(columns, data):
+    rows = data.draw(st.lists(st.fixed_dictionaries({c: CELLS for c in columns}), max_size=5))
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=columns, lineterminator="\n")
+    writer.writeheader()
+    writer.writerows(rows)
+    assert render_csv(tuple(columns), rows) == buffer.getvalue()
+
+
+@pytest.mark.parametrize("columns", [("a",), ("a", "b")])
+def test_render_csv_refuses_a_row_that_lacks_a_column(columns):
+    with pytest.raises(KeyError):
+        render_csv(columns, [dict.fromkeys(columns, 1), {**dict.fromkeys(columns[:-1], 1), "c": 2}])
