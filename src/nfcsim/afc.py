@@ -32,9 +32,13 @@ def is_real_packet(p: Packet) -> bool:
     return np.issubdtype(np.asarray(p).dtype, np.floating)
 
 
-@np.errstate(over="ignore")  # exp(-z) overflows to inf only where the limit 0.0 is exact
-def sigmoid(z: np.ndarray | float) -> np.ndarray | float:
+def _logistic(z: np.ndarray | float) -> np.ndarray | float:
+    """``sigmoid`` without its errstate, for a caller that already ignores overflow."""
     return 1.0 / (1.0 + np.exp(-z))
+
+
+# exp(-z) overflows to inf only where the limit 0.0 is exact
+sigmoid = np.errstate(over="ignore")(_logistic)
 
 
 class AtomicFunction:
@@ -369,8 +373,6 @@ class ConfiguredNetwork:
                 self._batches.append((spec, nodes[i], children[i], _reader(place, sizes, children[i])))
                 place.update((v, (len(sizes), p)) for p, v in enumerate(nodes[i].tolist()))
                 sizes.append(len(i))
-        self._readers = {d: _reader(place, sizes, np.array(graph.in_neighbors[d], dtype=np.intp))
-                         for d in graph.destinations}
 
     def evaluate(
         self,
@@ -386,6 +388,8 @@ class ConfiguredNetwork:
             if s not in inputs and not mask[0, s]:
                 raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
         columns = [np.asarray(inputs[s])[None] if s in inputs else None for s in g.sources]
+        if all(c is not None for c in columns) and len({(c.dtype, c.shape) for c in columns}) == 1:
+            columns = np.stack(columns, axis=1)
         block = self.evaluate_block(columns, mask)
         emitted = block.emitted[0].tolist()
         messages = {
@@ -416,12 +420,10 @@ class ConfiguredNetwork:
         g = self.graph
         B = len(dropped)
         out: list[np.ndarray | None] = [None] * g.n_nodes
-        if not isinstance(sources, np.ndarray):  # columns that do not stack are read group by group
+        if not isinstance(sources, np.ndarray):  # the sources read their own columns
             for s, column in zip(g.sources, sources):
                 out[s] = column
-            kinds = {c if c is None else (c.dtype, c.shape) for c in sources}
-            stack = None not in kinds and len(kinds) == 1
-            sources = np.concatenate(sources, axis=1).reshape(B, len(sources), -1) if stack else None
+            sources = None
         held = [sources]  # per batch, its (B, nodes, width) packets; None if they do not stack
         emitted = ~dropped  # until dropped or left without inputs
         emitted[:, list(g.destinations)] = False
@@ -461,10 +463,8 @@ class ConfiguredNetwork:
                 raise DomainMismatch(f"destination {g.names[d]!r} decodes packets of unequal widths")
             rows = np.flatnonzero(~dropped[:, d] & arrived.any(axis=1))
             if len(rows):  # a row where nothing arrived never reaches the decoder
-                packets = _read(held, *self._readers[d], (len(kids),), B)
-                if packets is None:  # np.stack promotes the children's dtypes
-                    zeros = np.zeros_like(present[0])
-                    packets = np.stack([out[c] if s else zeros for c, s in zip(kids, sent)], axis=1)
+                zeros = np.zeros_like(present[0])
+                packets = np.stack([out[c] if s else zeros for c, s in zip(kids, sent)], axis=1)
                 for b, value in zip(rows.tolist(), decoder(packets[rows], arrived[rows])):
                     outputs[d][b] = value
         return BlockEvaluation(emitted, out, outputs, metrics.get("clamped_symbols", 0))

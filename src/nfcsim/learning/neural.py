@@ -22,7 +22,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from nfcsim.afc import sigmoid  # noqa: F401 -- re-exported for the reference models
+from nfcsim.afc import _logistic, sigmoid  # noqa: F401 -- sigmoid is re-exported for the reference models
 from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import substream
@@ -224,11 +224,6 @@ class NeuralTreeNetwork:
 
     def predict(self, features: np.ndarray) -> float:
         return self.upward(features).prediction
-
-
-def _logistic(z: np.ndarray) -> np.ndarray:
-    """``sigmoid`` without its errstate, for a caller that already ignores overflow."""
-    return 1.0 / (1.0 + np.exp(-z))
 
 
 def draw_dropped(g: NfcGraph, failures: FailureModel, rng: np.random.Generator,

@@ -479,7 +479,11 @@ def load_scenario_file(
 
 def render_csv(columns: tuple[str, ...], rows: list[dict[str, object]]) -> str:
     """Deterministic CSV text: header row then rows, LF line endings. A row
-    that lacks a column raises KeyError; keys beyond the columns are not written."""
+    that lacks a column raises KeyError, and one with a key beyond them ValueError."""
+    known = set(columns)
+    extra = next((row for row in rows if len(row) > len(known)), None)
+    if extra is not None:  # a row longer than the columns has a key beyond them
+        raise ValueError(f"row has keys that are not columns: {[k for k in extra if k not in known]}")
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(columns)

@@ -161,3 +161,9 @@ def test_render_csv_writes_what_dict_writer_does(columns, data):
 def test_render_csv_refuses_a_row_that_lacks_a_column(columns):
     with pytest.raises(KeyError):
         render_csv(columns, [dict.fromkeys(columns, 1), {**dict.fromkeys(columns[:-1], 1), "c": 2}])
+
+
+@pytest.mark.parametrize("columns", [("a",), ("a", "b")])
+def test_render_csv_refuses_a_row_with_a_key_beyond_the_columns(columns):
+    with pytest.raises(ValueError, match="'c'"):
+        render_csv(columns, [dict.fromkeys(columns, 1), {**dict.fromkeys(columns, 1), "c": 2}])
