@@ -3,7 +3,7 @@
 A graph is a DAG of source, atomic, and destination nodes. Arcs point
 from children toward the destination side ("upward"), so a node's
 in-neighborhood is its child set. Graphs are immutable values after
-construction; reconfiguration returns new values.
+construction; a changed topology is a new config, built anew.
 """
 
 from __future__ import annotations
@@ -152,15 +152,6 @@ class NfcGraph:
         except KeyError:
             raise DanglingReference(f"unknown node {name!r}") from None
 
-    def to_config(self) -> TopologyConfig:
-        children = {
-            self.names[v]: [self.names[c] for c in kids]
-            for v, kids in enumerate(self.in_neighbors)
-            if kids
-        }
-        roles = {name: self.roles[i] for i, name in enumerate(self.names)}
-        return TopologyConfig(roles=roles, children=children, mode=self.mode)
-
 
 def _toposort(n: int, arcs: Iterable[tuple[int, int]]) -> list[int] | None:
     """Kahn's algorithm; deterministic by node index. None if cyclic."""
@@ -274,30 +265,6 @@ def build_graph(config: TopologyConfig) -> NfcGraph:
         topo_order=tuple(order),
         mode=config.mode,
     )
-
-
-def validate_graph(g: NfcGraph | TopologyConfig) -> ValidationReport:
-    config = g.to_config() if isinstance(g, NfcGraph) else g
-    return validate_config(config)
-
-
-def set_topology(g: NfcGraph, patch: TopologyConfig) -> NfcGraph:
-    """Apply a declarative patch, returning a new validated graph.
-
-    Nodes in the patch are added (or must re-declare their existing
-    role); child sets in the patch replace the node's existing child
-    set. The original graph is never mutated.
-    """
-    roles = dict(g.to_config().roles)
-    for name, role in patch.roles.items():
-        if name in roles and roles[name] is not role:
-            raise RoleConflict(f"patch re-declares {name!r} as {role.value}, was {roles[name].value}")
-        roles[name] = role
-    children = {k: list(v) for k, v in g.to_config().children.items()}
-    for name, kids in patch.children.items():
-        children[name] = list(kids)
-    merged = TopologyConfig(roles=roles, children=children, mode=patch.mode)
-    return build_graph(merged)
 
 
 def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:

@@ -28,42 +28,6 @@ class CodedPacket:
     coding_vector: np.ndarray
 
 
-def source_encode(
-    source_index: int, payload: np.ndarray, n_sources: int, field: FieldSpec
-) -> CodedPacket:
-    """Leaf rule: unit coding vector at the source's own index."""
-    payload = field.validate_array(payload)
-    vector = np.zeros(n_sources, dtype=field.dtype)
-    vector[source_index] = 1
-    return CodedPacket(payload=payload, coding_vector=vector)
-
-
-def atomic_recode(
-    children: list[CodedPacket], rng: np.random.Generator, field: FieldSpec
-) -> CodedPacket:
-    """Combine child packets under fresh uniform local coefficients.
-
-    The local coefficients are drawn independently of the payloads; the
-    global coding vector is updated with the same coefficients, keeping
-    the payload the matching combination of the original source packets.
-    """
-    if not children:
-        raise InconsistentDimensions("recode needs at least one child packet")
-    lengths = {len(p.payload) for p in children}
-    widths = {len(p.coding_vector) for p in children}
-    if len(lengths) != 1 or len(widths) != 1:
-        raise InconsistentDimensions(
-            f"child packets disagree on dimensions: L={sorted(lengths)}, N={sorted(widths)}"
-        )
-    local = field.random_elements(rng, len(children))
-    payloads = np.stack([p.payload for p in children])
-    vectors = np.stack([p.coding_vector for p in children])
-    return CodedPacket(
-        payload=field.combine(local, payloads),
-        coding_vector=field.combine(local, vectors),
-    )
-
-
 def independent_rows(
     field: FieldSpec, rows: np.ndarray, n: int
 ) -> tuple[np.ndarray, list[np.ndarray]]:

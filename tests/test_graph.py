@@ -15,11 +15,10 @@ from nfcsim.graph import (
     chain_topology,
     min_cut,
     random_tree_topology,
-    set_topology,
     star_topology,
     validate_config,
-    validate_graph,
 )
+from graph_patch import set_topology, validate_graph
 
 S, A, D = NodeRole.SOURCE, NodeRole.ATOMIC, NodeRole.DESTINATION
 

@@ -66,12 +66,11 @@ from nfcsim.rlnc import (
     CodedPacket,
     DecoderState,
     RlncNetwork,
-    atomic_recode,
     destination_decode,
     run_recovery_experiment,
-    source_encode,
     trial_rng,
 )
+from reference_rlnc import atomic_recode, source_encode
 from reference_solve import RankDeficient, gaussian_solve, matrix_rank
 from test_plan import random_assignment, random_dag, random_tree, reference
 

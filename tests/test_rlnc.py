@@ -1,22 +1,31 @@
 """Coded recovery: coefficient propagation, decoding, rank statistics."""
 
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from nfcsim.errors import InconsistentDimensions, NotATree
 from nfcsim.field import FieldSpec
-from nfcsim.graph import build_graph, random_tree_topology, star_topology
+from nfcsim.graph import balanced_tree_topology, build_graph, random_tree_topology, star_topology
 from nfcsim.rlnc import (
     CodedPacket,
     DecoderState,
     RlncNetwork,
-    atomic_recode,
     destination_decode,
     run_recovery_experiment,
+)
+from reference_rlnc import (
+    atomic_recode,
+    binomial_region,
+    exact_success_by_pass,
+    pass_slots,
     source_encode,
 )
+from test_properties import EDGE_TREES, edge_tree
 
 GF2 = FieldSpec(1)
 GF4 = FieldSpec(2)
@@ -241,3 +250,90 @@ def test_stats_csv_row_columns():
     row = stats.csv_row()
     assert tuple(row.keys()) == stats.CSV_COLUMNS
     assert row["N"] == 2 and row["trials"] == 10
+
+
+def assert_experiment_within_exact(graph, field, n_prime, trials, seed):
+    """Every pass's success count falls in the binomial region of the
+    exact probability, at 1e-6 per check; returns the exact curve."""
+    exact = exact_success_by_pass(graph, field, n_prime)
+    stats = run_recovery_experiment(graph, field, n_prime, trials, seed)
+    for k, (count, p) in enumerate(zip(stats.success_by_pass, exact, strict=True)):
+        region = binomial_region(trials, p)
+        assert count in region, f"pass {k + 1}: {count} of {trials}, p={p}, {region}"
+    return exact
+
+
+# The random tree (generator seed 2) sends its 4 sources through one relay
+# and then two single-child relays: every pass's one row is the star's row
+# times two coefficients, zero with probability 3/4 over GF(2).
+EXACT_CASES = {
+    "star2_gf2": (star_topology(2), 1, 2, Fraction(6, 16)),  # criterion 01
+    "star3_gf2": (star_topology(3), 1, 4, Fraction(315, 512)),
+    "balanced4_gf2": (balanced_tree_topology(4, 2), 1, 4, Fraction(11025, 16384)),
+    "balanced4_gf4": (balanced_tree_topology(4, 2), 2, 3, Fraction(893025, 1048576)),
+    "random4_gf2": (random_tree_topology(np.random.default_rng(2), 4), 1, 4,
+                    Fraction(315, 262144)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(EXACT_CASES))
+def test_exact_rank_oracle_values_and_the_experiment(case):
+    topology, m, n_prime, recovered = EXACT_CASES[case]
+    exact = assert_experiment_within_exact(build_graph(topology), FieldSpec(m), n_prime,
+                                           trials=40_000, seed=99)
+    assert exact[-1] == recovered
+
+
+def test_exact_rank_oracle_random_case_is_a_chain_above_a_star():
+    topology = EXACT_CASES["random4_gf2"][0]
+    assert topology.children == {
+        "a1_0": ["s0", "s1", "s2", "s3"], "a2_0": ["a1_0"], "a3_0": ["a2_0"], "d0": ["a3_0"],
+    }
+
+
+@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_exact_rank_oracle_matches_star_closed_form(n, m):
+    """A star's destination gets one uniform row a pass, so rank N by pass
+    k has probability prod_{i<N} (1 - q^(i-k)), and 0 while k < N."""
+    q = 2**m
+    exact = exact_success_by_pass(build_graph(star_topology(n)), FieldSpec(m), n + 2)
+    closed = [
+        Fraction(0) if k < n else math.prod(1 - Fraction(1, q ** (k - i)) for i in range(n))
+        for k in range(1, n + 3)
+    ]
+    assert list(exact) == closed
+
+
+# Every edge shape over GF(2) and GF(4), but single_child_chain over GF(4)
+# (4^6 choices a pass).
+EDGE_CASES = [
+    (shape, m) for shape in sorted(EDGE_TREES) for m in (1, 2)
+    if 2 ** (m * pass_slots(edge_tree(EDGE_TREES[shape]))) <= 2**10
+]
+
+
+@pytest.mark.parametrize("shape, m", EDGE_CASES)
+def test_exact_rank_oracle_on_edge_tree_shapes(shape, m):
+    graph = edge_tree(EDGE_TREES[shape])
+    exact = assert_experiment_within_exact(graph, FieldSpec(m), 4, trials=4000, seed=m)
+    assert all(a <= b for a, b in zip(exact, exact[1:]))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    tree_seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 4),
+    m=st.sampled_from([1, 2]),
+    n_prime=st.integers(1, 5),
+)
+def test_experiment_matches_exact_rank_oracle_on_random_trees(tree_seed, n_sources, m, n_prime):
+    """Path products (Ho et al. 2006) against an exhaustive recode of unit
+    vectors: every pass's success count at a fixed seed lies in the exact
+    binomial region. GF(4)^4 has 529 subspaces, each joined with every
+    span a pass delivers, which takes seconds, so N = 4 runs over GF(2)
+    here and over GF(4) in the balanced4_gf4 case."""
+    assume(2 ** (m * n_sources) <= 2**6)
+    graph = build_graph(random_tree_topology(np.random.default_rng(tree_seed), n_sources))
+    assume(2 ** (m * pass_slots(graph)) <= 2**10)
+    assert_experiment_within_exact(graph, FieldSpec(m), n_prime, trials=4000, seed=17)

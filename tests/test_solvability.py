@@ -28,6 +28,7 @@ from nfcsim.solvability import (
     verify_witness,
     xor_target,
 )
+from graph_patch import to_config
 from reference_search import reference_search
 
 S, A, D = NodeRole.SOURCE, NodeRole.ATOMIC, NodeRole.DESTINATION
@@ -139,7 +140,7 @@ def test_linear_search_agrees_with_min_cut_single_relay():
             SolvabilityInstance(g, identity_target(2, 2), 2, function_class="linear")
         )
         assert search.solvable in ("yes", "no")
-        assert (search.solvable == "yes") == km.solvable, g.to_config().children
+        assert (search.solvable == "yes") == km.solvable, to_config(g).children
 
 
 def test_capacity_sweep_identity_star():
