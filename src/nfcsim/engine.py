@@ -97,7 +97,8 @@ class Scenario:
         value the problem is about, so a parser can point at its line."""
         name, app = self.application, APPLICATION_TABLE.get(self.application)
         if app is None:
-            return [("application", f"unknown application {name!r}")]
+            return [("application", f"unknown application {name!r};"
+                     f" must be one of {', '.join(APPLICATION_TABLE)}")]
         # An application on a field draws field symbols, so it reads no data.
         reads = set(app.reads) - {"data"} if self.field is not None and "field" in app.reads else app.reads
         default = Scenario(self.topology, name)
@@ -119,6 +120,9 @@ class Scenario:
             # failures.seed defaults to the seed, whose own row then reports it
             (self.failures.seed < 0 and self.failures.seed != self.seed, "failures.seed",
              "failures.seed must be >= 0"),
+            # reading no failure probability, it draws no failure stream; 0 is FailureModel's default
+            (not any(key.startswith("failures.") for key in reads) and self.failures.seed not in (0, self.seed),
+             "failures.seed", f"{name} does not read failures.seed; it must keep its default"),
             (self.packet_length < 1, "packet_length", "packet_length must be >= 1"),
             (self.data.std < 0, "data.std", "data.std must be >= 0"),
             (self.generations < 0, "generations", "generations must be >= 0"),

@@ -22,7 +22,7 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from nfcsim.afc import _logistic, sigmoid  # noqa: F401 -- sigmoid is re-exported for the reference models
+from nfcsim.afc import _logistic
 from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import substream

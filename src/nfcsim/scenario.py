@@ -20,7 +20,6 @@ import yaml
 
 import nfcsim
 from nfcsim.engine import (
-    APPLICATIONS,
     DataModel,
     EtaSchedule,
     NeuralParams,
@@ -102,14 +101,41 @@ _SECTIONS = {
     "capacity": CapacityRequest,
 }
 
+# Every top-level key, in manifest order. A scalar key maps to its type and
+# default, which is the default of Scenario's field of that name; Scenario
+# gives application none and has no output. Every other key maps to None and
+# is read on its own: schema_version, topology, field and the _SECTIONS.
+_TOP_LEVEL = {
+    "schema_version": None,
+    "seed": (int, Scenario.seed),
+    "topology": None,
+    "generations": (int, Scenario.generations),
+    "packet_length": (int, Scenario.packet_length),
+    **dict.fromkeys(["failures", "data", "eta"]),
+    "output": (str, "results"),
+    "application": (str, None),
+    "field": None,
+    "n_prime": (int, Scenario.n_prime),
+    "trials": (int, Scenario.trials),
+    **dict.fromkeys(["neural", "capacity"]),
+}
+_SCALARS = {key: spec for key, spec in _TOP_LEVEL.items() if spec is not None}
+
+# Each generator's builder and the integer keys it passes, in argument order,
+# each with its default (None: required), least value and message for a value
+# below it (None: the builder checks it). A generated topology is a tree.
+_GENERATORS = {
+    "star": (star_topology, {"sources": (None, 1, "must be a positive integer")}),
+    "balanced_tree": (balanced_tree_topology, {"sources": (None, None, None),
+                                              "branching": (2, 2, "must be >= 2")}),
+    "chain": (chain_topology, {"relays": (1, 0, "must be a non-negative integer")}),
+}
+_GENERATOR_KEYS = {name: set(keys) for name, (_, keys) in _GENERATORS.items()}
+_GENERATOR_KEYS["explicit"] = {"nodes", "children", "mode"}
+
 _SECTION_KEYS = {
-    (): {
-        "schema_version", "seed", "topology", "application", "generations",
-        "packet_length", "field", "n_prime", "trials", "output", "tool_version",
-    } | _SECTIONS.keys(),
-    ("topology",): {
-        "mode", "generator", "sources", "branching", "relays", "nodes", "children",
-    },
+    (): _TOP_LEVEL.keys() | {"tool_version"},
+    ("topology",): {"generator"}.union(*_GENERATOR_KEYS.values()),
     ("field",): {"m", "polynomial"},
     **{(name,): {f.name for f in fields(cls)} for name, cls in _SECTIONS.items()},
 }
@@ -203,15 +229,6 @@ class _Checker:
         return values
 
 
-# The topology keys each generator reads; a generated topology is a tree.
-_GENERATOR_KEYS = {
-    "star": {"sources"},
-    "balanced_tree": {"sources", "branching"},
-    "chain": {"relays"},
-    "explicit": {"nodes", "children", "mode"},
-}
-
-
 def _build_topology(checker: _Checker) -> TopologyConfig | None:
     topo = checker.section(("topology",))
     if topo is None:
@@ -236,31 +253,21 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
             checker.fail(("topology", key), f"not read by generator {generator!r}")
         elif mode != "tree":
             checker.fail(("topology", key), f"generator {generator!r} builds a tree; mode must be 'tree'")
-    if generator == "star":
-        n = checker.value(("topology", "sources"), int, required=True)
-        if n is None or n < 1:
-            checker.fail(("topology", "sources"), "must be a positive integer")
+    if generator in _GENERATORS:
+        builder, keys = _GENERATORS[generator]
+        args = [checker.value(("topology", key), int, default=default, required=default is None)
+                for key, (default, _, _) in keys.items()]
+        if None in args:
             return None
-        return star_topology(n)
-    if generator == "balanced_tree":
-        n = checker.value(("topology", "sources"), int, required=True)
-        branching = checker.value(("topology", "branching"), int, default=2)
-        if n is None:
-            return None
-        if branching < 2:
-            checker.fail(("topology", "branching"), "must be >= 2")
-            return None
+        for (key, (_, least, message)), value in zip(keys.items(), args):
+            if least is not None and value < least:
+                checker.fail(("topology", key), message)
+                return None
         try:
-            return balanced_tree_topology(n, branching)
+            return builder(*args)
         except ValueError as exc:
-            checker.fail(("topology", "sources"), str(exc))
+            checker.fail(("topology", next(iter(keys))), str(exc))
             return None
-    if generator == "chain":
-        relays = checker.value(("topology", "relays"), int, default=1)
-        if relays < 0:
-            checker.fail(("topology", "relays"), "must be a non-negative integer")
-            return None
-        return chain_topology(relays)
     nodes = checker.value(("topology", "nodes"), dict, required=True)
     children = checker.value(("topology", "children"), dict, default={})
     if nodes is None:
@@ -332,38 +339,28 @@ def parse_scenario_text(
     if version is not None and version != SCHEMA_VERSION:
         checker.fail(("schema_version",), f"unsupported schema version {version}")
 
-    seed = checker.value(("seed",), int, default=0)
-    if seed_override is not None:
-        seed = seed_override
     config = _build_topology(checker)
     if config is not None:
-        graph_report = validate_config(config)
-        for violation in graph_report.violations:
+        for violation in validate_config(config).violations:
             checker.fail(("topology",), f"{violation.code}: {violation.message}")
 
-    application = checker.value(("application",), str)
-    if application is not None and application not in APPLICATIONS:
-        checker.fail(("application",), f"must be one of {', '.join(APPLICATIONS)}")
-
-    generations = checker.value(("generations",), int, default=0)
-    packet_length = checker.value(("packet_length",), int, default=1)
-    n_prime = checker.value(("n_prime",), int)
-    trials = checker.value(("trials",), int)
-    if trials_override is not None:
-        trials = trials_override
-    output = checker.value(("output",), str, default="results")
+    # The scalars Scenario is built from, and output, which only the CLI reads.
+    settings = {key: checker.value((key,), kind, default=default)
+                for key, (kind, default) in _SCALARS.items()}
+    for key, override in (("seed", seed_override), ("trials", trials_override)):
+        if override is not None:
+            settings[key] = override
+    seed, application, output = settings["seed"], settings["application"], settings.pop("output")
     if not _printable_ascii(output):
         checker.fail(("output",), "must be printable ASCII (use --out for other paths)")
 
     field_spec = None
-    field_resolved = None
     if "field" in data:
         m = checker.value(("field", "m"), int, required=True)
         poly = checker.value(("field", "polynomial"), int)
         if m is not None:
             try:
                 field_spec = FieldSpec(m) if poly is None else FieldSpec(m, poly)
-                field_resolved = {"m": field_spec.m, "polynomial": field_spec.reduction_polynomial}
             except ValueError as exc:
                 checker.fail(("field",), str(exc))
 
@@ -372,12 +369,13 @@ def parse_scenario_text(
         if not 0.0 <= probabilities[key] <= 1.0:
             checker.fail(("failures", key), "must be within [0, 1]")
             probabilities[key] = 0.0
-    failures = FailureModel(**probabilities)
-    data_model = DataModel(**checker.read("data"))
-    eta = EtaSchedule(**checker.read("eta"))
-    if eta.kind not in EtaSchedule.KINDS:
-        checker.fail(("eta", "kind"), "must be " + " or ".join(map(repr, EtaSchedule.KINDS)))
-    neural = NeuralParams(**checker.read("neural"))
+    settings.update(
+        field=field_spec,
+        failures=FailureModel(**probabilities),
+        data=DataModel(**checker.read("data")),
+        eta=EtaSchedule(**checker.read("eta")),
+        neural=NeuralParams(**checker.read("neural")),
+    )
 
     capacity = None
     if "capacity" in data:
@@ -397,62 +395,36 @@ def parse_scenario_text(
             checker.fail(("capacity", "alphabet"), "must be 2 under function_class 'linear' (GF(2))")
         if request["target"] in TARGET_PRESETS:
             capacity = CapacityRequest(**request)
+        if "application" not in data:
+            # capacity reads only the topology; failures.seed defaults to seed
+            for key, value in settings.items():
+                default = FailureModel(seed=seed) if key == "failures" else getattr(Scenario, key, None)
+                if key != "seed" and value != default:
+                    checker.fail((key,), f"capacity does not read {key}; it must keep its default")
 
     if application is None and capacity is None:
         checker.fail((), "scenario declares neither an application nor a capacity request")
 
     scenario = None
     if config is not None and application is not None and not checker.diagnostics:
-        scenario = Scenario(
-            topology=config,
-            application=application,
-            seed=seed,
-            generations=generations,
-            packet_length=packet_length,
-            field=field_spec,
-            n_prime=n_prime,
-            trials=trials,
-            failures=failures,
-            data=data_model,
-            eta=eta,
-            neural=neural,
-        )
+        scenario = Scenario(topology=config, **settings)
         for key, problem in scenario.keyed_errors():
             checker.fail(tuple(key.split(".")), problem)
         if checker.diagnostics:
             scenario = None
 
-    resolved: dict = {
+    echo = {
+        **settings,
         "schema_version": SCHEMA_VERSION,
-        "seed": seed,
         "topology": _topology_echo(config, data.get("topology") or {}),
-        "generations": generations,
-        "packet_length": packet_length,
-        "failures": asdict(failures),
-        "data": asdict(data_model),
-        "eta": asdict(eta),
         "output": output,
+        "field": field_spec and {"m": field_spec.m, "polynomial": field_spec.reduction_polynomial},
+        **{name: asdict(settings[name]) for name in ("failures", "data", "eta")},
+        "neural": asdict(settings["neural"]) if application == "neural" else None,
+        "capacity": capacity and asdict(capacity),
     }
-    if application is not None:
-        resolved["application"] = application
-    if field_resolved is not None:
-        resolved["field"] = field_resolved
-    if n_prime is not None:
-        resolved["n_prime"] = n_prime
-    if trials is not None:
-        resolved["trials"] = trials
-    if application == "neural":
-        resolved["neural"] = asdict(neural)
-    if capacity is not None:
-        resolved["capacity"] = asdict(capacity)
-
-    return LoadedScenario(
-        resolved=resolved,
-        topology=config,
-        scenario=scenario,
-        capacity=capacity,
-        diagnostics=checker.diagnostics,
-    )
+    resolved = {key: echo[key] for key in _TOP_LEVEL if echo[key] is not None}
+    return LoadedScenario(resolved, config, scenario, capacity, checker.diagnostics)
 
 
 def _topology_echo(config: TopologyConfig | None, raw: dict) -> dict:

@@ -541,6 +541,49 @@ def test_run_rejects_values_the_application_does_not_read(runner, tmp_path, text
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [
+        ("generations", "generations: 50\n"),
+        ("packet_length", "packet_length: 7\n"),
+        ("n_prime", "n_prime: 4\n"),
+        ("trials", "trials: 3\n"),
+        ("field", "field:\n  m: 2\n"),
+        ("failures", "failures:\n  node_dropout_p: 0.1\n"),
+        ("data", "data:\n  mean: 2.0\n"),
+        ("eta", "eta:\n  value: 0.3\n"),
+        ("neural", "neural:\n  epochs: 3\n"),
+    ],
+    ids=["generations", "packet_length", "n_prime", "trials", "field", "failures", "data", "eta", "neural"],
+)
+def test_capacity_rejects_run_keys_it_does_not_read(runner, tmp_path, key, text):
+    scenario = write(tmp_path, "capacity.yaml", CAPACITY_STAR + text)
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["capacity", str(scenario), "--out", str(out)])
+    assert result.exit_code == 2, result.output
+    assert f"line 9: {key}: capacity does not read {key}; it must keep its default" in result.output
+    assert not out.exists()
+
+
+def test_capacity_accepts_run_keys_at_their_defaults(runner, tmp_path):
+    text = CAPACITY_STAR + (
+        "seed: 11\noutput: elsewhere\ngenerations: 0\npacket_length: 1\n"
+        "failures:\n  node_dropout_p: 0.0\n  seed: 11\ndata:\n  mean: 0.0\n"
+        "eta:\n  kind: constant\nneural: {}\n"
+    )
+    result = runner.invoke(main, ["validate", str(write(tmp_path, "capacity.yaml", text))])
+    assert result.exit_code == 0, result.output
+
+
+@pytest.mark.parametrize("seed, refused", [(99, True), (0, False), (5, False)])
+def test_rlnc_rejects_a_failures_seed_it_does_not_read(runner, tmp_path, seed, refused):
+    scenario = write(tmp_path, "rlnc.yaml", VALID_RLNC + f"failures:\n  seed: {seed}\n")
+    result = runner.invoke(main, ["validate", str(scenario)])
+    message = "line 13: failures.seed: rlnc does not read failures.seed; it must keep its default"
+    assert result.exit_code == (2 if refused else 0), result.output
+    assert (message in result.output) == refused
+
+
 EXPLICIT_STAR = """\
 schema_version: 1
 application: consensus

@@ -208,6 +208,20 @@ def test_scenario_validation_errors():
     ]
 
 
+@pytest.mark.parametrize("seed, refused", [(99, True), (0, False), (7, False)])
+def test_rlnc_rejects_a_failures_seed_it_does_not_read(seed, refused):
+    s = Scenario(topology=star_topology(2), application="rlnc", seed=7, field=FieldSpec(1),
+                 n_prime=2, trials=10, failures=FailureModel(seed=seed))
+    problem = ("failures.seed", "rlnc does not read failures.seed; it must keep its default")
+    assert s.keyed_errors() == ([problem] if refused else [])
+
+
+def test_unknown_application_lists_the_choices():
+    assert Scenario(topology=star_topology(2), application="warp").keyed_errors() == [
+        ("application", "unknown application 'warp'; must be one of forwarding, rlnc, consensus, neural, custom")
+    ]
+
+
 def test_validation_rejects_an_unknown_eta_kind():
     def neural(kind):
         return Scenario(topology=star_topology(2), application="neural", eta=EtaSchedule(kind=kind))

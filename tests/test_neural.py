@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import nfcsim.engine as engine
+from nfcsim.afc import sigmoid
 from nfcsim.errors import DomainError
 from nfcsim.graph import build_graph, balanced_tree_topology, chain_topology, star_topology
 from nfcsim.learning import (
@@ -22,7 +23,6 @@ from nfcsim.learning.neural import (
     log_loss,
     margin_acceptance,
     separable_dataset,
-    sigmoid,
 )
 from reference_nn import Reference
 

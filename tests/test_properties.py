@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfcsim import afc, rlnc
-from nfcsim.afc import FunctionAssignment, Sum, decompose_average
+from nfcsim.afc import FunctionAssignment, Sum, decompose_average, sigmoid
 from nfcsim.engine import (
     APPLICATION_TABLE,
     ARC_COLUMNS,
@@ -59,7 +59,6 @@ from nfcsim.learning.neural import (
     TrainingSample,
     log_loss,
     nn_train,
-    sigmoid,
 )
 from nfcsim.rng import substream
 from nfcsim.rlnc import (

@@ -14,14 +14,23 @@ the same manifests.
 
 import csv
 import io
+from dataclasses import fields
 
 import pytest
 import yaml
 from hypothesis import given, settings, strategies as st
 
 import nfcsim
+from nfcsim.engine import Scenario
 from nfcsim.learning.neural import MIN_MARGIN_ACCEPTANCE, margin_acceptance
-from nfcsim.scenario import MAX_NAME_LENGTH, parse_scenario_text, render_csv, render_manifest
+from nfcsim.scenario import (
+    _SCALARS,
+    _SECTIONS,
+    MAX_NAME_LENGTH,
+    parse_scenario_text,
+    render_csv,
+    render_manifest,
+)
 from nfcsim.solvability import TARGET_PRESETS
 
 SEEDS = st.integers(0, 2**32 - 1)
@@ -141,6 +150,12 @@ def test_manifest_round_trip(doc):
     assert (first.scenario is None) == ("application" not in doc)
     assert (first.capacity is None) == ("capacity" not in doc)
     assert render_manifest(second) == manifest
+
+
+def test_the_parser_reads_every_scenario_field():
+    # A Scenario field outside these would always keep its default when parsed.
+    read = _SCALARS.keys() | _SECTIONS.keys() | {"field"}
+    assert {f.name for f in fields(Scenario)} - {"topology", "assignment"} <= read
 
 
 CELLS = st.one_of(st.integers(), st.floats(), st.text(), st.sampled_from([",", '"', "a\nb", "", " "]))
