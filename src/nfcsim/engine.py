@@ -17,7 +17,7 @@ import math
 import time
 from dataclasses import dataclass
 from operator import attrgetter
-from typing import Callable, Collection, Iterator, Mapping
+from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
@@ -102,11 +102,7 @@ class Scenario:
         # An application on a field draws field symbols, so it reads no data.
         reads = set(app.reads) - {"data"} if self.field is not None and "field" in app.reads else app.reads
         default = Scenario(self.topology, name)
-        problems = [
-            (key, f"{name} does not read {key}; it must keep its default")
-            for key in SCENARIO_KEYS
-            if key not in reads and attrgetter(key)(self) != attrgetter(key)(default)
-        ]
+        problems = unread_errors(name, self, default, [key for key in SCENARIO_KEYS if key not in reads])
         roles = list(self.topology.roles.values())
         destinations = roles.count(NodeRole.DESTINATION)
         rlnc, neural = name == "rlnc", name == "neural"
@@ -162,6 +158,13 @@ class Scenario:
     @property
     def effective_generations(self) -> int:
         return APPLICATION_TABLE[self.application].generations(self)
+
+
+def unread_errors(reader: str, s: Scenario, default: Scenario, keys: Iterable[str]) -> list[tuple[str, str]]:
+    """(key, problem) for each of ``keys``, attribute paths on Scenario that
+    the reader ignores, whose value in ``s`` differs from that in ``default``."""
+    return [(key, f"{reader} does not read {key}; it must keep its default")
+            for key in keys if attrgetter(key)(s) != attrgetter(key)(default)]
 
 
 class Metrics:

@@ -25,6 +25,7 @@ from nfcsim.engine import (
     NeuralParams,
     Scenario,
     ScenarioResult,
+    unread_errors,
 )
 from nfcsim.field import FieldSpec
 from nfcsim.graph import (
@@ -101,10 +102,9 @@ _SECTIONS = {
     "capacity": CapacityRequest,
 }
 
-# Every top-level key, in manifest order. A scalar key maps to its type and
-# default, which is the default of Scenario's field of that name; Scenario
-# gives application none and has no output. Every other key maps to None and
-# is read on its own: schema_version, topology, field and the _SECTIONS.
+# Every top-level key, in manifest order. A scalar maps to its type and default,
+# Scenario's for its field (Scenario gives application none and has no output);
+# any other key maps to None and is read on its own.
 _TOP_LEVEL = {
     "schema_version": None,
     "seed": (int, Scenario.seed),
@@ -121,17 +121,13 @@ _TOP_LEVEL = {
 }
 _SCALARS = {key: spec for key, spec in _TOP_LEVEL.items() if spec is not None}
 
-# Each generator's builder and the integer keys it passes, in argument order,
-# each with its default (None: required), least value and message for a value
-# below it (None: the builder checks it). A generated topology is a tree.
-_GENERATORS = {
-    "star": (star_topology, {"sources": (None, 1, "must be a positive integer")}),
-    "balanced_tree": (balanced_tree_topology, {"sources": (None, None, None),
-                                              "branching": (2, 2, "must be >= 2")}),
-    "chain": (chain_topology, {"relays": (1, 0, "must be a non-negative integer")}),
+# The topology keys each generator reads; a generated topology is a tree.
+_GENERATOR_KEYS = {
+    "star": {"sources"},
+    "balanced_tree": {"sources", "branching"},
+    "chain": {"relays"},
+    "explicit": {"nodes", "children", "mode"},
 }
-_GENERATOR_KEYS = {name: set(keys) for name, (_, keys) in _GENERATORS.items()}
-_GENERATOR_KEYS["explicit"] = {"nodes", "children", "mode"}
 
 _SECTION_KEYS = {
     (): _TOP_LEVEL.keys() | {"tool_version"},
@@ -188,6 +184,7 @@ class _Checker:
         if not isinstance(node, dict):
             self.fail(path, "must be a mapping")
             return None
+        self.reject_unknown(path, node)  # a section read reports its unknown keys
         return node
 
     def reject_unknown(self, path: tuple, mapping: dict) -> None:
@@ -234,7 +231,6 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
     if topo is None:
         checker.fail(("topology",), "required section missing")
         return None
-    checker.reject_unknown(("topology",), topo)
     mode = checker.value(("topology", "mode"), str, default="tree")
     if mode not in ("tree", "dag"):
         checker.fail(("topology", "mode"), "must be 'tree' or 'dag'")
@@ -253,27 +249,39 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
             checker.fail(("topology", key), f"not read by generator {generator!r}")
         elif mode != "tree":
             checker.fail(("topology", key), f"generator {generator!r} builds a tree; mode must be 'tree'")
-    if generator in _GENERATORS:
-        builder, keys = _GENERATORS[generator]
-        args = [checker.value(("topology", key), int, default=default, required=default is None)
-                for key, (default, _, _) in keys.items()]
-        if None in args:
+    if generator == "star":
+        n = checker.value(("topology", "sources"), int, required=True)
+        if n is None:
             return None
-        for (key, (_, least, message)), value in zip(keys.items(), args):
-            if least is not None and value < least:
-                checker.fail(("topology", key), message)
-                return None
+        if n < 1:
+            checker.fail(("topology", "sources"), "must be a positive integer")
+            return None
+        return star_topology(n)
+    if generator == "balanced_tree":
+        n = checker.value(("topology", "sources"), int, required=True)
+        branching = checker.value(("topology", "branching"), int, default=2)
+        if n is None:
+            return None
+        if branching < 2:
+            checker.fail(("topology", "branching"), "must be >= 2")
+            return None
         try:
-            return builder(*args)
+            return balanced_tree_topology(n, branching)
         except ValueError as exc:
-            checker.fail(("topology", next(iter(keys))), str(exc))
+            checker.fail(("topology", "sources"), str(exc))
             return None
+    if generator == "chain":
+        relays = checker.value(("topology", "relays"), int, default=1)
+        if relays < 0:
+            checker.fail(("topology", "relays"), "must be a non-negative integer")
+            return None
+        return chain_topology(relays)
     nodes = checker.value(("topology", "nodes"), dict, required=True)
     children = checker.value(("topology", "children"), dict, default={})
     if nodes is None:
         return None
     names = [(("topology", "nodes", name), name) for name in nodes]
-    for parent, kids in (children or {}).items():
+    for parent, kids in children.items():
         names.append((("topology", "children", parent), parent))
         if isinstance(kids, list):
             names += [(("topology", "children", parent, i), kid) for i, kid in enumerate(kids)]
@@ -291,13 +299,11 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
             checker.fail(("topology", "nodes", name), f"unknown role {role!r}")
             return None
         roles[name] = _ROLES[role]
-    child_map = {}
-    for parent, kids in (children or {}).items():
+    for parent, kids in children.items():
         if not isinstance(kids, list):
             checker.fail(("topology", "children", parent), "must be a list of node names")
             return None
-        child_map[parent] = list(kids)
-    return TopologyConfig(roles=roles, children=child_map, mode=mode)
+    return TopologyConfig(roles=roles, children={parent: list(kids) for parent, kids in children.items()}, mode=mode)
 
 
 def parse_scenario_text(
@@ -317,23 +323,16 @@ def parse_scenario_text(
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         line = mark.line + 1 if mark else None
-        return LoadedScenario(
-            resolved={}, diagnostics=[Diagnostic(line, "<document>", f"not valid YAML: {exc}")]
-        )
+        return LoadedScenario({}, diagnostics=[Diagnostic(line, "<document>", f"not valid YAML: {exc}")])
     finally:
         loader.dispose()
     if not isinstance(data, dict):
-        return LoadedScenario(
-            resolved={}, diagnostics=[Diagnostic(None, "<document>", "document must be a mapping")]
-        )
+        return LoadedScenario({}, diagnostics=[Diagnostic(None, "<document>", "document must be a mapping")])
 
     checker = _Checker(data, _line_index(root))
     checker.reject_unknown((), data)
     for section in ("field", *_SECTIONS):
-        if section in data:
-            mapping = checker.section((section,))
-            if mapping is not None:
-                checker.reject_unknown((section,), mapping)
+        checker.section((section,))
 
     version = checker.value(("schema_version",), int, required=True)
     if version is not None and version != SCHEMA_VERSION:
@@ -347,6 +346,7 @@ def parse_scenario_text(
     # The scalars Scenario is built from, and output, which only the CLI reads.
     settings = {key: checker.value((key,), kind, default=default)
                 for key, (kind, default) in _SCALARS.items()}
+    file_seed = settings["seed"]
     for key, override in (("seed", seed_override), ("trials", trials_override)):
         if override is not None:
             settings[key] = override
@@ -364,7 +364,10 @@ def parse_scenario_text(
             except ValueError as exc:
                 checker.fail(("field",), str(exc))
 
-    probabilities = checker.read("failures", seed=seed)
+    # failures.seed defaults to the seed; one equal to it, as a manifest echoes it, follows --seed
+    probabilities = checker.read("failures", seed=file_seed)
+    if probabilities["seed"] == file_seed:
+        probabilities["seed"] = seed
     for key in ("node_dropout_p", "message_loss_p"):
         if not 0.0 <= probabilities[key] <= 1.0:
             checker.fail(("failures", key), "must be within [0, 1]")
@@ -395,12 +398,10 @@ def parse_scenario_text(
             checker.fail(("capacity", "alphabet"), "must be 2 under function_class 'linear' (GF(2))")
         if request["target"] in TARGET_PRESETS:
             capacity = CapacityRequest(**request)
-        if "application" not in data:
-            # capacity reads only the topology; failures.seed defaults to seed
-            for key, value in settings.items():
-                default = FailureModel(seed=seed) if key == "failures" else getattr(Scenario, key, None)
-                if key != "seed" and value != default:
-                    checker.fail((key,), f"capacity does not read {key}; it must keep its default")
+        if "application" not in data:  # capacity reads only the topology
+            default = Scenario(config, None, seed=seed, failures=FailureModel(seed=seed))
+            for key, problem in unread_errors("capacity", Scenario(config, **settings), default, settings):
+                checker.fail((key,), problem)
 
     if application is None and capacity is None:
         checker.fail((), "scenario declares neither an application nor a capacity request")
@@ -416,7 +417,7 @@ def parse_scenario_text(
     echo = {
         **settings,
         "schema_version": SCHEMA_VERSION,
-        "topology": _topology_echo(config, data.get("topology") or {}),
+        "topology": _topology_echo(config, data.get("topology")),
         "output": output,
         "field": field_spec and {"m": field_spec.m, "polynomial": field_spec.reduction_polynomial},
         **{name: asdict(settings[name]) for name in ("failures", "data", "eta")},
@@ -427,9 +428,9 @@ def parse_scenario_text(
     return LoadedScenario(resolved, config, scenario, capacity, checker.diagnostics)
 
 
-def _topology_echo(config: TopologyConfig | None, raw: dict) -> dict:
+def _topology_echo(config: TopologyConfig | None, raw) -> dict:
     if config is None:
-        return dict(raw)
+        return dict(raw) if isinstance(raw, dict) else {}
     return {
         "mode": config.mode,
         "generator": "explicit",

@@ -11,6 +11,7 @@ from nfcsim.cli import main
 from nfcsim.scenario import load_scenario_file
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+DATA = Path(__file__).resolve().parent / "data"
 
 
 @pytest.fixture
@@ -92,6 +93,14 @@ def test_validate_bad_yaml_exit_2(runner, tmp_path):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("value", ["3", "[s0, d0]", "ab"], ids=["int", "list", "str"])
+def test_validate_topology_not_a_mapping_exit_2(runner, tmp_path, value):
+    path = write(tmp_path, "bad.yaml", f"schema_version: 1\napplication: forwarding\ntopology: {value}\n")
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2, result.output
+    assert "line 3: topology: must be a mapping" in result.output
+
+
 def test_run_rlnc_summary_and_outputs(runner, tmp_path):
     path = write(tmp_path, "rlnc.yaml", VALID_RLNC)
     out = tmp_path / "out"
@@ -124,6 +133,26 @@ def test_run_seed_override_recorded_in_manifest(runner, tmp_path):
     )
     assert result.exit_code == 0
     assert "seed: 123" in (out / "manifest.yaml").read_text()
+
+
+@pytest.mark.parametrize("command", ["run", "compare"])
+def test_seed_override_on_an_rlnc_manifest(runner, tmp_path, command):
+    # The manifest echoes failures.seed equal to its seed; --seed moves both.
+    first = tmp_path / "first"
+    path = write(tmp_path, "rlnc.yaml", VALID_RLNC)
+    assert runner.invoke(main, ["run", str(path), "--out", str(first), "--quiet"]).exit_code == 0
+    result = runner.invoke(main, [command, str(first / "manifest.yaml"), "--seed", "123", "--quiet"])
+    assert result.exit_code == 0, result.output
+    loaded = load_scenario_file(first / "manifest.yaml", seed_override=123)
+    assert (loaded.scenario.seed, loaded.scenario.failures.seed) == (123, 123)
+
+
+def test_seed_override_replays_a_manifest_as_its_scenario():
+    # A dropout run draws its failure stream from failures.seed, which follows --seed.
+    scenario = DATA / "forwarding_dropout_tree8" / "scenario.yaml"
+    manifest = DATA / "forwarding_dropout_tree8" / "manifest.yaml"
+    assert (load_scenario_file(manifest, seed_override=9).scenario
+            == load_scenario_file(scenario, seed_override=9).scenario)
 
 
 def test_run_negative_seed_override_exit_2(runner, tmp_path):
