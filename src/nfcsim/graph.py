@@ -19,6 +19,7 @@ import numpy as np
 from nfcsim.errors import (
     CycleDetected,
     DanglingReference,
+    NfcSimError,
     RoleConflict,
     TreeViolation,
 )
@@ -43,18 +44,15 @@ class TopologyConfig:
     children: Mapping[str, Sequence[str]] = field(default_factory=dict)
     mode: str = "tree"
 
-    def arcs(self) -> list[tuple[str, str]]:
-        out = []
-        for node, kids in self.children.items():
-            for child in kids:
-                out.append((child, node))
-        return out
-
 
 @dataclass(frozen=True)
 class Violation:
-    code: str  # CycleDetected | RoleConflict | DanglingReference | TreeViolation
+    error: type[NfcSimError]  # CycleDetected | RoleConflict | DanglingReference | TreeViolation
     message: str
+
+    @property
+    def code(self) -> str:
+        return self.error.__name__
 
 
 @dataclass(frozen=True)
@@ -72,14 +70,6 @@ class ValidationReport:
         if self.ok:
             return "valid"
         return "; ".join(f"{v.code}: {v.message}" for v in self.violations)
-
-
-_ERROR_TYPES = {
-    "CycleDetected": CycleDetected,
-    "RoleConflict": RoleConflict,
-    "DanglingReference": DanglingReference,
-    "TreeViolation": TreeViolation,
-}
 
 
 class LevelGroup(NamedTuple):
@@ -153,24 +143,19 @@ class NfcGraph:
             raise DanglingReference(f"unknown node {name!r}") from None
 
 
-def _toposort(n: int, arcs: Iterable[tuple[int, int]]) -> list[int] | None:
+def _toposort(in_n: Sequence[Sequence[int]], out_n: Sequence[Sequence[int]]) -> list[int] | None:
     """Kahn's algorithm; deterministic by node index. None if cyclic."""
-    indeg = [0] * n
-    out: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        indeg[v] += 1
-        out[u].append(v)
-    ready = sorted(i for i in range(n) if indeg[i] == 0)
-    queue = deque(ready)
+    indeg = [len(kids) for kids in in_n]
+    queue = deque(i for i, d in enumerate(indeg) if d == 0)
     order: list[int] = []
     while queue:
         u = queue.popleft()
         order.append(u)
-        for v in out[u]:
+        for v in out_n[u]:
             indeg[v] -= 1
             if indeg[v] == 0:
                 queue.append(v)
-    return order if len(order) == n else None
+    return order if len(order) == len(in_n) else None
 
 
 def validate_config(config: TopologyConfig) -> ValidationReport:
@@ -178,100 +163,84 @@ def validate_config(config: TopologyConfig) -> ValidationReport:
     return _validate(config)[0]
 
 
-def _validate(config: TopologyConfig) -> tuple[ValidationReport, list[int] | None]:
-    """The report, and the topological order when the arcs are acyclic."""
+def _validate(config: TopologyConfig) -> tuple[ValidationReport, NfcGraph | None]:
+    """The report, and the graph when the report is empty."""
     problems: list[Violation] = []
     if config.mode not in ("tree", "dag"):
-        problems.append(Violation("RoleConflict", f"unknown mode {config.mode!r}"))
+        problems.append(Violation(RoleConflict, f"unknown mode {config.mode!r}"))
         return ValidationReport(tuple(problems)), None
-    names = list(config.roles.keys())
+    names = tuple(config.roles)
     index = {name: i for i, name in enumerate(names)}
     for node, kids in config.children.items():
         if node not in index:
             problems.append(
-                Violation("DanglingReference", f"child set declared for unknown node {node!r}")
+                Violation(DanglingReference, f"child set declared for unknown node {node!r}")
             )
         for child in kids:
             if child not in index:
                 problems.append(
-                    Violation("DanglingReference", f"node {node!r} references unknown child {child!r}")
+                    Violation(DanglingReference, f"node {node!r} references unknown child {child!r}")
                 )
     if problems:
         return ValidationReport(tuple(problems)), None
 
-    arcs = [(index[c], index[v]) for c, v in config.arcs()]
-    roles = [config.roles[name] for name in names]
-    out_deg = [0] * len(names)
-    in_deg = [0] * len(names)
+    arcs = tuple((index[child], index[node]) for node, kids in config.children.items() for child in kids)
+    roles = tuple(config.roles.values())
+    in_n: list[list[int]] = [[] for _ in names]
+    out_n: list[list[int]] = [[] for _ in names]
     for u, v in arcs:
-        out_deg[u] += 1
-        in_deg[v] += 1
+        in_n[v].append(u)
+        out_n[u].append(v)
 
     for i, role in enumerate(roles):
-        if role is NodeRole.DESTINATION and out_deg[i] > 0:
+        if role is NodeRole.DESTINATION and out_n[i]:
             problems.append(
-                Violation("RoleConflict", f"destination {names[i]!r} has outgoing arcs")
+                Violation(RoleConflict, f"destination {names[i]!r} has outgoing arcs")
             )
-    order = _toposort(len(names), arcs)
+    order = _toposort(in_n, out_n)
     if order is None:
-        problems.append(Violation("CycleDetected", "arc set contains a directed cycle"))
+        problems.append(Violation(CycleDetected, "arc set contains a directed cycle"))
 
     if config.mode == "tree":
-        dests = [i for i, r in enumerate(roles) if r is NodeRole.DESTINATION]
-        if len(dests) != 1:
+        dests = roles.count(NodeRole.DESTINATION)
+        if dests != 1:
             problems.append(
-                Violation("TreeViolation", f"tree mode requires exactly one destination, got {len(dests)}")
+                Violation(TreeViolation, f"tree mode requires exactly one destination, got {dests}")
             )
         for i, role in enumerate(roles):
-            if role is not NodeRole.DESTINATION and out_deg[i] != 1:
+            if role is not NodeRole.DESTINATION and len(out_n[i]) != 1:
                 problems.append(
                     Violation(
-                        "TreeViolation",
-                        f"non-destination {names[i]!r} must have out-degree 1, got {out_deg[i]}",
+                        TreeViolation,
+                        f"non-destination {names[i]!r} must have out-degree 1, got {len(out_n[i])}",
                     )
                 )
-            if role is NodeRole.SOURCE and in_deg[i] != 0:
+            if role is NodeRole.SOURCE and in_n[i]:
                 problems.append(
-                    Violation("TreeViolation", f"source {names[i]!r} must be a leaf but has incoming arcs")
+                    Violation(TreeViolation, f"source {names[i]!r} must be a leaf but has incoming arcs")
                 )
-            if role is NodeRole.ATOMIC and in_deg[i] == 0:
+            if role is NodeRole.ATOMIC and not in_n[i]:
                 problems.append(
-                    Violation("TreeViolation", f"atomic {names[i]!r} has no children in tree mode")
+                    Violation(TreeViolation, f"atomic {names[i]!r} has no children in tree mode")
                 )
-    return ValidationReport(tuple(problems)), order
+    if problems:
+        return ValidationReport(tuple(problems)), None
+    return ValidationReport(()), NfcGraph(names, roles, arcs, tuple(map(tuple, in_n)),
+                                          tuple(map(tuple, out_n)), tuple(order), config.mode)
 
 
 def build_graph(config: TopologyConfig) -> NfcGraph:
     """Validate and construct; raises the first violation's error type."""
-    report, order = _validate(config)
-    if not report.ok:
-        first = report.violations[0]
-        raise _ERROR_TYPES[first.code](str(report))
-    names = tuple(config.roles.keys())
-    index = {name: i for i, name in enumerate(names)}
-    arcs = tuple((index[c], index[v]) for c, v in config.arcs())
-    n = len(names)
-    in_n: list[list[int]] = [[] for _ in range(n)]
-    out_n: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        in_n[v].append(u)
-        out_n[u].append(v)
-    return NfcGraph(
-        names=names,
-        roles=tuple(config.roles[name] for name in names),
-        arcs=arcs,
-        in_neighbors=tuple(tuple(k) for k in in_n),
-        out_neighbors=tuple(tuple(k) for k in out_n),
-        topo_order=tuple(order),
-        mode=config.mode,
-    )
+    report, graph = _validate(config)
+    if graph is None:
+        raise report.violations[0].error(str(report))
+    return graph
 
 
 def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:
     """Edmonds-Karp on integer capacities."""
     capacity: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    biggest = 0
     for u, v, cap in arcs:
         if (u, v) not in capacity:
             capacity[(u, v)] = 0
@@ -279,7 +248,6 @@ def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, s
             adj[u].append(v)
             adj[v].append(u)
         capacity[(u, v)] += cap
-        biggest = max(biggest, capacity[(u, v)])
 
     flow = 0
     while True:
@@ -293,18 +261,15 @@ def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, s
                     queue.append(v)
         if sink not in parent:
             return flow
-        bottleneck = biggest
+        path = []
         v = sink
         while v != source:
-            u = parent[v]
-            bottleneck = min(bottleneck, capacity[(u, v)])
-            v = u
-        v = sink
-        while v != source:
-            u = parent[v]
+            path.append((parent[v], v))
+            v = parent[v]
+        bottleneck = min(capacity[arc] for arc in path)
+        for u, v in path:
             capacity[(u, v)] -= bottleneck
             capacity[(v, u)] += bottleneck
-            v = u
         flow += bottleneck
 
 
@@ -380,6 +345,8 @@ def balanced_tree_topology(n_sources: int, branching: int = 2) -> TopologyConfig
 
 def chain_topology(n_relays: int) -> TopologyConfig:
     """Single source through n relays to one destination."""
+    if n_relays < 0:
+        raise ValueError("n_relays must be >= 0")
     roles: dict[str, NodeRole] = {"s0": NodeRole.SOURCE}
     children: dict[str, list[str]] = {}
     prev = "s0"

@@ -114,7 +114,7 @@ class NeuralTreeNetwork:
 
     def __init__(self, graph: NfcGraph, init_rng: np.random.Generator | None = None,
                  weights: Mapping[int, np.ndarray] | None = None):
-        if graph.mode != "tree" or len(graph.destinations) != 1:
+        if graph.mode != "tree":
             raise NotATree("neural training requires a single-destination tree")
         self.graph = graph
         self.destination = dest = graph.destinations[0]

@@ -166,8 +166,6 @@ class RlncNetwork:
     def __init__(self, graph: NfcGraph, field: FieldSpec, payload_length: int = 1):
         if graph.mode != "tree":
             raise NotATree("coded recovery runs on tree-mode graphs")
-        if len(graph.destinations) != 1:
-            raise NotATree("coded recovery requires a single destination")
         self.graph = graph
         self.field = field
         self.payload_length = payload_length

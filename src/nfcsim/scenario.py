@@ -20,6 +20,7 @@ import yaml
 
 import nfcsim
 from nfcsim.engine import (
+    APPLICATION_TABLE,
     DataModel,
     EtaSchedule,
     NeuralParams,
@@ -121,6 +122,9 @@ _TOP_LEVEL = {
 }
 _SCALARS = {key: spec for key, spec in _TOP_LEVEL.items() if spec is not None}
 
+# A file cannot hold a FunctionAssignment, so it runs the applications that read none.
+_FILE_APPLICATIONS = tuple(name for name, app in APPLICATION_TABLE.items() if "assignment" not in app.reads)
+
 # The topology keys each generator reads; a generated topology is a tree.
 _GENERATOR_KEYS = {
     "star": {"sources"},
@@ -168,8 +172,12 @@ class _Checker:
         self.data = data
         self.lines = lines
         self.diagnostics: list[Diagnostic] = []
+        self.flags: dict[tuple, str] = {}  # key path -> the command-line flag that overrode it
 
     def fail(self, path: tuple, message: str) -> None:
+        if path in self.flags:
+            self.diagnostics.append(Diagnostic(None, self.flags[path], message))
+            return
         line = self.lines.get(path) or self.lines.get(path[:-1])
         self.diagnostics.append(Diagnostic(line, ".".join(map(str, path)) or "<root>", message))
 
@@ -227,9 +235,11 @@ class _Checker:
 
 
 def _build_topology(checker: _Checker) -> TopologyConfig | None:
-    topo = checker.section(("topology",))
-    if topo is None:
+    if "topology" not in checker.data:
         checker.fail(("topology",), "required section missing")
+        return None
+    topo = checker.section(("topology",))
+    if topo is None:  # not a mapping, and section() said so
         return None
     mode = checker.value(("topology", "mode"), str, default="tree")
     if mode not in ("tree", "dag"):
@@ -350,6 +360,7 @@ def parse_scenario_text(
     for key, override in (("seed", seed_override), ("trials", trials_override)):
         if override is not None:
             settings[key] = override
+            checker.flags[(key,)] = f"--{key}"
     seed, application, output = settings["seed"], settings["application"], settings.pop("output")
     if not _printable_ascii(output):
         checker.fail(("output",), "must be printable ASCII (use --out for other paths)")
@@ -410,6 +421,10 @@ def parse_scenario_text(
     if config is not None and application is not None and not checker.diagnostics:
         scenario = Scenario(topology=config, **settings)
         for key, problem in scenario.keyed_errors():
+            if key in ("application", "assignment"):  # a file offers only what it can run
+                problem = (f"{application} runs a FunctionAssignment, which a file cannot hold"
+                           if key == "assignment" else f"unknown application {application!r}")
+                key, problem = "application", f"{problem}; must be one of {', '.join(_FILE_APPLICATIONS)}"
             checker.fail(tuple(key.split(".")), problem)
         if checker.diagnostics:
             scenario = None

@@ -99,6 +99,7 @@ def test_validate_topology_not_a_mapping_exit_2(runner, tmp_path, value):
     result = runner.invoke(main, ["validate", str(path)])
     assert result.exit_code == 2, result.output
     assert "line 3: topology: must be a mapping" in result.output
+    assert "required section missing" not in result.output
 
 
 def test_run_rlnc_summary_and_outputs(runner, tmp_path):
@@ -160,9 +161,20 @@ def test_run_negative_seed_override_exit_2(runner, tmp_path):
     out = tmp_path / "seeded"
     result = runner.invoke(main, ["run", str(path), "--seed", "-1", "--out", str(out)])
     assert result.exit_code == 2, result.output
-    assert "line 2: seed: seed must be >= 0" in result.output
+    assert "--seed: seed must be >= 0" in result.output
+    assert "line 2:" not in result.output
     assert "Traceback" not in result.output
     assert not out.exists()
+
+
+@pytest.mark.parametrize("name, trials, message", [
+    ("consensus_tree.yaml", "3", "--trials: consensus does not read trials; it must keep its default"),
+    ("rlnc_star.yaml", "0", "--trials: rlnc requires trials >= 1"),
+])
+def test_trials_override_diagnostic_names_the_flag(runner, tmp_path, name, trials, message):
+    result = runner.invoke(main, ["run", str(SCENARIOS / name), "--trials", trials, "--out", str(tmp_path)])
+    assert result.exit_code == 2, result.output
+    assert result.output.splitlines() == [message]
 
 
 def test_run_trials_override(runner, tmp_path):
@@ -378,6 +390,17 @@ def test_custom_application_needs_library_use(runner, tmp_path):
     result = runner.invoke(main, ["validate", str(path)])
     assert result.exit_code == 2
     assert "FunctionAssignment" in result.output
+    assert ("line 3: application: custom runs a FunctionAssignment, which a file cannot hold;"
+            " must be one of forwarding, rlnc, consensus, neural") in result.output.splitlines()
+
+
+def test_unknown_application_in_a_file_lists_what_a_file_runs(runner, tmp_path):
+    path = write(tmp_path, "warp.yaml", VALID_RLNC.replace("application: rlnc", "application: warp"))
+    result = runner.invoke(main, ["validate", str(path)])
+    assert result.exit_code == 2
+    assert result.output.splitlines() == [
+        "line 3: application: unknown application 'warp'; must be one of forwarding, rlnc, consensus, neural"
+    ]
 
 
 def test_run_uses_output_key_as_default_dir(runner, tmp_path):

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfcsim.errors import CycleDetected, RoleConflict, TreeViolation
 from nfcsim.graph import (
@@ -13,6 +14,7 @@ from nfcsim.graph import (
     balanced_tree_topology,
     build_graph,
     chain_topology,
+    message_min_cut,
     min_cut,
     random_tree_topology,
     star_topology,
@@ -47,6 +49,86 @@ def brute_force_min_cut(g: NfcGraph, dest: int) -> int:
                 best = r
                 break
     return best if best <= len(arcs) else 0
+
+
+def brute_force_source_cut(g: NfcGraph, dest: int, source_capacity: int) -> int:
+    """Smallest cut between a super-source feeding each source
+    ``source_capacity`` and dest, over unit arcs: over every node set on
+    the super-source side, the feeds of the sources outside it plus the
+    arcs leaving it."""
+    others = [v for v in range(g.n_nodes) if v != dest]
+    best = source_capacity * g.n_sources
+    for r in range(1, len(others) + 1):
+        for side in map(set, itertools.combinations(others, r)):
+            cut = source_capacity * sum(s not in side for s in g.sources)
+            cut += sum(u in side and v not in side for u, v in g.arcs)
+            best = min(best, cut)
+    return best
+
+
+@st.composite
+def layered_dags(draw):
+    """Sources, then atomics, then one destination; each node's children are
+    drawn from the nodes before it, so arcs may skip layers or repeat, and
+    a source or an atomic may reach nothing."""
+    n_sources, n_atomics = draw(st.integers(1, 3)), draw(st.integers(0, 4))
+    names = [f"s{i}" for i in range(n_sources)] + [f"a{i}" for i in range(n_atomics)] + ["d0"]
+    roles = {name: S for name in names[:n_sources]}
+    roles.update({name: A for name in names[n_sources:-1]}, d0=D)
+    children = {}
+    for j in range(n_sources, len(names)):
+        kids = draw(st.lists(st.sampled_from(names[:j]), max_size=3))
+        if kids:
+            children[names[j]] = kids
+    return TopologyConfig(roles=roles, children=children, mode="dag")
+
+
+@st.composite
+def wired_configs(draw):
+    """Arbitrary roles and child sets: cycles, names nobody declared,
+    several or no destinations, sources with children, unknown modes."""
+    names = draw(st.permutations([f"n{i}" for i in range(draw(st.integers(1, 6)))]))
+    roles = {name: draw(st.sampled_from(list(NodeRole))) for name in names}
+    undeclared = draw(st.sampled_from([(), ("ghost",)]))  # now and then a name nobody declared
+    pool = st.sampled_from([*names, *undeclared])
+    children = draw(st.dictionaries(pool, st.lists(pool, max_size=3), max_size=len(names)))
+    return TopologyConfig(roles=roles, children=children, mode=draw(st.sampled_from(["dag", "tree"] * 2 + ["ring"])))
+
+
+def generated_trees():
+    return st.builds(lambda seed, n: random_tree_topology(np.random.default_rng(seed), n),
+                     st.integers(0, 2**32 - 1), st.integers(1, 12))
+
+
+@settings(max_examples=300, deadline=None)
+@given(config=st.one_of(wired_configs(), layered_dags(), generated_trees()))
+def test_build_graph_raises_the_first_violation_or_follows_the_config(config):
+    report = validate_config(config)
+    if not report.ok:
+        with pytest.raises(Exception) as raised:
+            build_graph(config)
+        assert type(raised.value) is report.violations[0].error
+        assert str(raised.value) == str(report)
+        return
+    g = build_graph(config)
+    names = tuple(config.roles)
+    arcs = tuple((names.index(c), names.index(v)) for v, kids in config.children.items() for c in kids)
+    assert (g.names, g.roles, g.arcs, g.mode) == (names, tuple(config.roles.values()), arcs, config.mode)
+    for v in range(g.n_nodes):
+        assert g.in_neighbors[v] == tuple(u for u, w in arcs if w == v)
+        assert g.out_neighbors[v] == tuple(w for u, w in arcs if u == v)
+    assert sorted(g.topo_order) == list(range(g.n_nodes))
+    position = {v: i for i, v in enumerate(g.topo_order)}
+    assert all(position[u] < position[v] for u, v in arcs)
+
+
+@settings(max_examples=200, deadline=None)
+@given(config=layered_dags())
+def test_message_min_cut_matches_brute_force(config):
+    g = build_graph(config)
+    dest = g.destinations[0]
+    assert message_min_cut(g, dest) == brute_force_source_cut(g, dest, source_capacity=1)
+    assert min_cut(g, dest) == brute_force_source_cut(g, dest, source_capacity=len(g.arcs) + 1)
 
 
 def test_star_counts_and_validity():
@@ -223,6 +305,12 @@ def test_set_topology_role_conflict():
     g = build_graph(star_topology(2))
     with pytest.raises(RoleConflict):
         set_topology(g, TopologyConfig(roles={"a0": D}, children={}))
+
+
+def test_chain_refuses_a_negative_relay_count():
+    assert build_graph(chain_topology(0)).names == ("s0", "d0")
+    with pytest.raises(ValueError, match="n_relays"):
+        chain_topology(-3)
 
 
 def test_random_tree_generator_valid():
