@@ -15,7 +15,6 @@ import click
 import nfcsim
 from nfcsim.engine import Scenario, compare_costs, run_scenario
 from nfcsim.errors import NfcSimError
-from nfcsim.graph import build_graph
 from nfcsim.learning.neural import FailureModel
 from nfcsim.scenario import (
     LoadedScenario,
@@ -25,7 +24,8 @@ from nfcsim.scenario import (
 )
 from nfcsim.solvability import (
     TARGET_PRESETS,
-    capacity_lower_bound,
+    SolvabilityInstance,
+    brute_force_search,
     linear_identity_check,
 )
 
@@ -104,7 +104,7 @@ def capacity(scenario_file: str, out: str | None, quiet: bool):
         click.echo("scenario file declares no capacity section", err=True)
         sys.exit(EXIT_VALIDATION)
     request = loaded.capacity
-    graph = build_graph(loaded.topology)
+    graph = loaded.graph
     target = TARGET_PRESETS[request.target](graph.n_sources, request.alphabet)
     try:
         identity = linear_identity_check(graph)
@@ -112,39 +112,37 @@ def capacity(scenario_file: str, out: str | None, quiet: bool):
             f"linear identity delivery: {'solvable' if identity.solvable else 'not solvable'}"
             f" ({identity.detail})"
         )
-        sweep = capacity_lower_bound(
-            graph,
-            target,
-            request.alphabet,
-            request.k_values,
-            request.l_values,
-            candidate_cap=request.cap,
-            function_class=request.function_class,
-        )
+        points = [
+            (k, length, brute_force_search(SolvabilityInstance(
+                graph, target, request.alphabet, k, length, request.cap, request.function_class
+            )))
+            for k in request.k_values
+            for length in request.l_values
+        ]
     except NfcSimError as exc:
         click.echo(f"runtime failure: {exc}", err=True)
         sys.exit(EXIT_RUNTIME)
     rows = []
-    for point in sweep.points:
-        verdict = point.verdict
+    for k, length, verdict in points:
         click.echo(
-            f"target={target.name} K={point.generation_length} L={point.packet_length}: "
+            f"target={target.name} K={k} L={length}: "
             f"{verdict.solvable} ({verdict.detail})"
         )
         rows.append(
             {
                 "target": target.name,
-                "K": point.generation_length,
-                "L": point.packet_length,
+                "K": k,
+                "L": length,
                 "verdict": verdict.solvable,
-                "ratio": point.ratio if verdict.is_solvable else "",
+                "ratio": k / length if verdict.is_solvable else "",
             }
         )
-    best = sweep.best_point
-    if best is not None:
+    solvable = [(k, length) for k, length, verdict in points if verdict.is_solvable]
+    if solvable:  # the largest K/L; on a tie the smaller K, then the first in sweep order
+        k, length = max(solvable, key=lambda point: (point[0] / point[1], -point[0]))
         click.echo(
-            f"best achieved ratio K/L = {best.verdict.achieved_ratio} "
-            f"at K={best.generation_length}, L={best.packet_length} (lower bound)"
+            f"best achieved ratio K/L = {k / length} "
+            f"at K={k}, L={length} (lower bound)"
         )
     else:
         click.echo("no solvable point in the sweep")
@@ -153,10 +151,10 @@ def capacity(scenario_file: str, out: str | None, quiet: bool):
         out_dir.mkdir(parents=True, exist_ok=True)
         columns = ("target", "K", "L", "verdict", "ratio")
         (out_dir / "capacity.csv").write_text(render_csv(columns, rows))
-        (out_dir / "capacity_report.txt").write_text(_witness_report(sweep, target.name))
+        (out_dir / "capacity_report.txt").write_text(_witness_report(points, target.name))
         if not quiet:
             click.echo(f"wrote {out_dir / 'capacity.csv'}, {out_dir / 'capacity_report.txt'}")
-    sys.exit(EXIT_CAP if sweep.capped_points else EXIT_OK)
+    sys.exit(EXIT_CAP if any(verdict.solvable == "unknown-capped" for *_, verdict in points) else EXIT_OK)
 
 
 @main.command()
@@ -209,12 +207,11 @@ def compare(scenario_file: str, seed: int | None, out: str | None, trials: int |
     sys.exit(EXIT_OK)
 
 
-def _witness_report(sweep, target_name: str) -> str:
+def _witness_report(points, target_name: str) -> str:
     lines = [f"capacity sweep for target {target_name!r}", ""]
-    for point in sweep.points:
-        verdict = point.verdict
+    for k, length, verdict in points:
         lines.append(
-            f"K={point.generation_length} L={point.packet_length}: {verdict.solvable}"
+            f"K={k} L={length}: {verdict.solvable}"
             f" ({verdict.detail})"
         )
         if verdict.witness is not None:

@@ -58,6 +58,7 @@ class Violation:
 @dataclass(frozen=True)
 class ValidationReport:
     violations: tuple[Violation, ...]
+    graph: NfcGraph | None = None  # built when there are no violations
 
     @property
     def ok(self) -> bool:
@@ -159,16 +160,11 @@ def _toposort(in_n: Sequence[Sequence[int]], out_n: Sequence[Sequence[int]]) -> 
 
 
 def validate_config(config: TopologyConfig) -> ValidationReport:
-    """Collect every invariant violation; empty report iff buildable."""
-    return _validate(config)[0]
-
-
-def _validate(config: TopologyConfig) -> tuple[ValidationReport, NfcGraph | None]:
-    """The report, and the graph when the report is empty."""
+    """Collect every invariant violation; an empty report carries the built graph."""
     problems: list[Violation] = []
     if config.mode not in ("tree", "dag"):
         problems.append(Violation(RoleConflict, f"unknown mode {config.mode!r}"))
-        return ValidationReport(tuple(problems)), None
+        return ValidationReport(tuple(problems))
     names = tuple(config.roles)
     index = {name: i for i, name in enumerate(names)}
     for node, kids in config.children.items():
@@ -182,7 +178,7 @@ def _validate(config: TopologyConfig) -> tuple[ValidationReport, NfcGraph | None
                     Violation(DanglingReference, f"node {node!r} references unknown child {child!r}")
                 )
     if problems:
-        return ValidationReport(tuple(problems)), None
+        return ValidationReport(tuple(problems))
 
     arcs = tuple((index[child], index[node]) for node, kids in config.children.items() for child in kids)
     roles = tuple(config.roles.values())
@@ -224,17 +220,17 @@ def _validate(config: TopologyConfig) -> tuple[ValidationReport, NfcGraph | None
                     Violation(TreeViolation, f"atomic {names[i]!r} has no children in tree mode")
                 )
     if problems:
-        return ValidationReport(tuple(problems)), None
-    return ValidationReport(()), NfcGraph(names, roles, arcs, tuple(map(tuple, in_n)),
-                                          tuple(map(tuple, out_n)), tuple(order), config.mode)
+        return ValidationReport(tuple(problems))
+    return ValidationReport((), NfcGraph(names, roles, arcs, tuple(map(tuple, in_n)),
+                                         tuple(map(tuple, out_n)), tuple(order), config.mode))
 
 
 def build_graph(config: TopologyConfig) -> NfcGraph:
     """Validate and construct; raises the first violation's error type."""
-    report, graph = _validate(config)
-    if graph is None:
+    report = validate_config(config)
+    if not report.ok:
         raise report.violations[0].error(str(report))
-    return graph
+    return report.graph
 
 
 def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:
@@ -316,9 +312,11 @@ def star_topology(n_sources: int) -> TopologyConfig:
 
 
 def balanced_tree_topology(n_sources: int, branching: int = 2) -> TopologyConfig:
-    """Full balanced in-tree; n_sources must be a power of branching."""
+    """Full balanced in-tree; n_sources must be a power of branching, at least 2."""
     if branching < 2:
         raise ValueError("branching must be >= 2")
+    if n_sources < 2:
+        raise ValueError(f"a balanced tree needs at least 2 sources, got {n_sources}")
     depth = 0
     width = n_sources
     while width > 1:

@@ -30,6 +30,7 @@ from nfcsim.engine import (
 )
 from nfcsim.field import FieldSpec
 from nfcsim.graph import (
+    NfcGraph,
     NodeRole,
     TopologyConfig,
     balanced_tree_topology,
@@ -83,7 +84,7 @@ class LoadedScenario:
     """Parse/validation outcome: resolved echo, built values, diagnostics."""
 
     resolved: dict
-    topology: TopologyConfig | None = None
+    graph: NfcGraph | None = None  # the topology, validated and built
     scenario: Scenario | None = None
     capacity: CapacityRequest | None = None
     diagnostics: list[Diagnostic] = dc_field(default_factory=list)
@@ -341,16 +342,18 @@ def parse_scenario_text(
 
     checker = _Checker(data, _line_index(root))
     checker.reject_unknown((), data)
-    for section in ("field", *_SECTIONS):
-        checker.section((section,))
+    # Each section present as a mapping; a section that is absent, or is not a mapping, is None.
+    mappings = {section: checker.section((section,)) for section in ("field", *_SECTIONS)}
 
     version = checker.value(("schema_version",), int, required=True)
     if version is not None and version != SCHEMA_VERSION:
         checker.fail(("schema_version",), f"unsupported schema version {version}")
 
-    config = _build_topology(checker)
+    config, graph = _build_topology(checker), None
     if config is not None:
-        for violation in validate_config(config).violations:
+        report = validate_config(config)
+        graph = report.graph
+        for violation in report.violations:
             checker.fail(("topology",), f"{violation.code}: {violation.message}")
 
     # The scalars Scenario is built from, and output, which only the CLI reads.
@@ -366,7 +369,7 @@ def parse_scenario_text(
         checker.fail(("output",), "must be printable ASCII (use --out for other paths)")
 
     field_spec = None
-    if "field" in data:
+    if mappings["field"] is not None:
         m = checker.value(("field", "m"), int, required=True)
         poly = checker.value(("field", "polynomial"), int)
         if m is not None:
@@ -392,7 +395,7 @@ def parse_scenario_text(
     )
 
     capacity = None
-    if "capacity" in data:
+    if mappings["capacity"] is not None:
         request = checker.read("capacity")
         if request["target"] not in (None, *TARGET_PRESETS):
             checker.fail(("capacity", "target"), f"must be one of {', '.join(sorted(TARGET_PRESETS))}")
@@ -414,7 +417,7 @@ def parse_scenario_text(
             for key, problem in unread_errors("capacity", Scenario(config, **settings), default, settings):
                 checker.fail((key,), problem)
 
-    if application is None and capacity is None:
+    if "application" not in data and "capacity" not in data:
         checker.fail((), "scenario declares neither an application nor a capacity request")
 
     scenario = None
@@ -440,7 +443,7 @@ def parse_scenario_text(
         "capacity": capacity and asdict(capacity),
     }
     resolved = {key: echo[key] for key in _TOP_LEVEL if echo[key] is not None}
-    return LoadedScenario(resolved, config, scenario, capacity, checker.diagnostics)
+    return LoadedScenario(resolved, graph, scenario, capacity, checker.diagnostics)
 
 
 def _topology_echo(config: TopologyConfig | None, raw) -> dict:

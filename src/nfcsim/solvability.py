@@ -132,7 +132,6 @@ class Witness:
 class SolvabilityVerdict:
     solvable: str  # "yes" | "no" | "unknown-capped"
     witness: Witness | None
-    achieved_ratio: float | None
     detail: str
 
     @property
@@ -237,17 +236,17 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     n_patterns = q ** (g.n_sources * k)
     if n_patterns > PATTERN_LIMIT:
         return SolvabilityVerdict(
-            "unknown-capped", None, None,
+            "unknown-capped", None,
             f"{n_patterns} input patterns exceed the verification limit",
         )
     bound = candidate_bound(instance)
     if bound > instance.candidate_cap:
         return SolvabilityVerdict(
-            "unknown-capped", None, None,
+            "unknown-capped", None,
             f"{bound} candidate assignments exceed cap {instance.candidate_cap}",
         )
     if 2 * n_patterns**2 * q**length > 1 << 62:  # (key, target) codes must fit in int64
-        return SolvabilityVerdict("unknown-capped", None, None,
+        return SolvabilityVerdict("unknown-capped", None,
                                   f"{q**length}-valued messages on {n_patterns} inputs exceed int64 codes")
 
     sources = list(g.sources)
@@ -344,7 +343,7 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
 
     if not (rec(0) if arc_order else all(decodable(wants.copy()) for _ in g.destinations)):
         return SolvabilityVerdict(
-            "no", None, None,
+            "no", None,
             f"exhausted {instance.function_class} assignments without a witness",
         )
     symbols = {
@@ -373,7 +372,7 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     if not verify_witness(instance, witness):
         raise AssertionError("search produced a witness that fails verification")
     return SolvabilityVerdict(
-        "yes", witness, k / length, f"witness found and verified on all {n_patterns} inputs"
+        "yes", witness, f"witness found and verified on all {n_patterns} inputs"
     )
 
 
@@ -409,73 +408,3 @@ def verify_witness(instance: SolvabilityInstance, witness: Witness) -> bool:
                 return False
     return True
 
-
-# -- capacity sweep --------------------------------------------------------
-
-@dataclass(frozen=True)
-class SweepPoint:
-    generation_length: int
-    packet_length: int
-    verdict: SolvabilityVerdict
-
-    @property
-    def ratio(self) -> float:
-        return self.generation_length / self.packet_length
-
-
-@dataclass(frozen=True)
-class CapacitySweep:
-    """Best achieved K/L over a sweep; capped points are reported, not fatal."""
-
-    points: tuple[SweepPoint, ...] = ()
-
-    @property
-    def solvable_points(self) -> tuple[SweepPoint, ...]:
-        return tuple(p for p in self.points if p.verdict.is_solvable)
-
-    @property
-    def capped_points(self) -> tuple[SweepPoint, ...]:
-        return tuple(p for p in self.points if p.verdict.solvable == "unknown-capped")
-
-    @property
-    def best_ratio(self) -> float | None:
-        solvable = self.solvable_points
-        if not solvable:
-            return None
-        return max(p.ratio for p in solvable)
-
-    @property
-    def best_point(self) -> SweepPoint | None:
-        solvable = self.solvable_points
-        if not solvable:
-            return None
-        return max(solvable, key=lambda p: (p.ratio, -p.generation_length))
-
-
-def capacity_lower_bound(
-    graph: NfcGraph,
-    target: TargetFunction,
-    alphabet_size: int,
-    k_values: Sequence[int],
-    l_values: Sequence[int],
-    candidate_cap: int = 10_000_000,
-    function_class: str = "all",
-) -> CapacitySweep:
-    """Search every (K, L) pair; the best solvable ratio is a lower bound
-    on the computing capacity (never an exact value)."""
-    points: list[SweepPoint] = []
-    for k in k_values:
-        for length in l_values:
-            instance = SolvabilityInstance(
-                graph=graph,
-                target=target,
-                alphabet_size=alphabet_size,
-                generation_length=k,
-                packet_length=length,
-                candidate_cap=candidate_cap,
-                function_class=function_class,
-            )
-            points.append(
-                SweepPoint(k, length, brute_force_search(instance))
-            )
-    return CapacitySweep(points=tuple(points))

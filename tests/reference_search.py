@@ -36,13 +36,13 @@ def reference_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     n_patterns = q ** (g.n_sources * k)
     if n_patterns > PATTERN_LIMIT:
         return SolvabilityVerdict(
-            "unknown-capped", None, None,
+            "unknown-capped", None,
             f"{n_patterns} input patterns exceed the verification limit",
         )
     bound = candidate_bound(instance)
     if bound > instance.candidate_cap:
         return SolvabilityVerdict(
-            "unknown-capped", None, None,
+            "unknown-capped", None,
             f"{bound} candidate assignments exceed cap {instance.candidate_cap}",
         )
 
@@ -141,11 +141,11 @@ def reference_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     witness = rec(0)
     if witness is None:
         return SolvabilityVerdict(
-            "no", None, None,
+            "no", None,
             f"exhausted {instance.function_class} assignments without a witness",
         )
     if not verify_witness(instance, witness):
         raise AssertionError("search produced a witness that fails verification")
     return SolvabilityVerdict(
-        "yes", witness, k / length, f"witness found and verified on all {n_patterns} inputs"
+        "yes", witness, f"witness found and verified on all {n_patterns} inputs"
     )

@@ -9,6 +9,7 @@ from click.testing import CliRunner
 
 from nfcsim.cli import main
 from nfcsim.scenario import load_scenario_file
+from nfcsim.solvability import linear_identity_check
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 DATA = Path(__file__).resolve().parent / "data"
@@ -142,7 +143,8 @@ def test_seed_override_on_an_rlnc_manifest(runner, tmp_path, command):
     first = tmp_path / "first"
     path = write(tmp_path, "rlnc.yaml", VALID_RLNC)
     assert runner.invoke(main, ["run", str(path), "--out", str(first), "--quiet"]).exit_code == 0
-    result = runner.invoke(main, [command, str(first / "manifest.yaml"), "--seed", "123", "--quiet"])
+    second = ["--out", str(tmp_path / "second")]  # not the manifest's output directory
+    result = runner.invoke(main, [command, str(first / "manifest.yaml"), "--seed", "123", *second, "--quiet"])
     assert result.exit_code == 0, result.output
     loaded = load_scenario_file(first / "manifest.yaml", seed_override=123)
     assert (loaded.scenario.seed, loaded.scenario.failures.seed) == (123, 123)
@@ -227,6 +229,36 @@ def test_capacity_identity_star(runner, tmp_path):
     assert "not solvable (min cut 1 < N=2)" in result.output
     assert "K=1 L=2: yes" in result.output
     assert "unknown-capped" in result.output
+    # never above the min-cut bound cut/N for identity
+    best = float(result.output.split("best achieved ratio K/L = ")[1].split()[0])
+    identity = linear_identity_check(load_scenario_file(SCENARIOS / "capacity_star.yaml").graph)
+    assert best == 0.5 <= identity.cut / identity.n_sources
+
+
+XOR_STAR = """\
+schema_version: 1
+topology: {generator: star, sources: 2}
+capacity: {target: xor, function_class: linear, k_values: [2, 1], l_values: [2, 1]}
+"""
+
+
+def test_capacity_best_point_prefers_the_smaller_k_on_a_tie(runner, tmp_path):
+    result = runner.invoke(main, ["capacity", str(write(tmp_path, "xor.yaml", XOR_STAR))])
+    assert result.exit_code == 0, result.output
+    lines = result.output.splitlines()
+    assert "target=xor K=2 L=2: yes (witness found and verified on all 16 inputs)" in lines
+    assert "target=xor K=1 L=1: yes (witness found and verified on all 4 inputs)" in lines
+    assert lines[-1] == "best achieved ratio K/L = 1.0 at K=1, L=1 (lower bound)"
+
+
+def test_capacity_sweep_without_a_solvable_point(runner, tmp_path):
+    path = write(tmp_path, "identity.yaml", CAPACITY_STAR)
+    result = runner.invoke(main, ["capacity", str(path)])
+    assert result.exit_code == 0, result.output
+    assert result.output.splitlines()[-2:] == [
+        "target=identity K=1 L=1: no (exhausted all assignments without a witness)",
+        "no solvable point in the sweep",
+    ]
 
 
 def test_capacity_xor_star_solvable(runner, tmp_path):
@@ -738,6 +770,98 @@ def test_trials_flag_is_rlnc_only(runner, tmp_path):
     rlnc = write(tmp_path, "rlnc.yaml", VALID_RLNC)
     result = runner.invoke(main, ["run", str(rlnc), "--trials", "5", "--out", str(tmp_path / "out")])
     assert result.exit_code == 0, result.output
+
+
+RLNC_STAR = CONSENSUS_STAR.replace("consensus", "rlnc").replace("generations: 2\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, stderr",
+    [
+        ("schema_version: 1\napplication: forwarding\ngenerations: 1\n", "topology: required section missing"),
+        (FORWARDING_HEADER + "  generator: star\n  sources: 2\n  mode: ring\n",
+         "line 7: topology.mode: must be 'tree' or 'dag'"),
+        (FORWARDING_HEADER + "  sources: 2\n", "line 4: topology: needs a generator or explicit nodes"),
+        (FORWARDING_HEADER + "  generator: ring\n", "line 5: topology.generator: unknown generator 'ring'"),
+        (FORWARDING_HEADER + "  generator: star\n  sources: 0\n",
+         "line 6: topology.sources: must be a positive integer"),
+        (FORWARDING_HEADER + "  generator: star\n", "line 4: topology.sources: required key missing"),
+        (FORWARDING_HEADER + "  generator: star\n  sources: two\n",
+         "line 6: topology.sources: expected int, got str"),
+        (FORWARDING_HEADER + "  generator: balanced_tree\n  sources: 6\n",
+         "line 6: topology.sources: 6 sources is not a power of branching 2"),
+        (FORWARDING_HEADER + "  generator: explicit\n  children: {d0: [s0]}\n",
+         "line 4: topology.nodes: required key missing"),
+        (FORWARDING_HEADER + "  nodes: {s0: relay, d0: destination}\n  children: {d0: [s0]}\n",
+         "line 5: topology.nodes.s0: unknown role 'relay'"),
+        (FORWARDING_HEADER + "  nodes: {s0: source, d0: destination}\n  children: {d0: s0}\n",
+         "line 6: topology.children.d0: must be a list of node names"),
+        ("- schema_version: 1\n- application: forwarding\n", "<document>: document must be a mapping"),
+        (CONSENSUS_STAR.replace("schema_version: 1", "schema_version: 2"),
+         "line 1: schema_version: unsupported schema version 2"),
+        (CONSENSUS_STAR.replace("schema_version: 1\n", ""), "schema_version: required key missing"),
+        (CONSENSUS_STAR + "seed: abc\n", "line 7: seed: expected int, got str"),
+        (RLNC_STAR + "field: {m: 8, polynomial: 256}\n",
+         "line 6: field: reduction polynomial 0x100 is reducible over GF(2)"),
+        (RLNC_STAR + "field: {m: 17}\n", "line 6: field: extension degree m=17 outside supported range 1..16"),
+        (RLNC_STAR + "field: {polynomial: 3}\n", "line 6: field.m: required key missing"),
+        (CAPACITY_STAR + "  function_class: affine\n", "line 9: capacity.function_class: must be 'all' or 'linear'"),
+    ],
+    ids=["no_topology", "mode_ring", "no_generator_or_nodes", "generator_ring", "star_sources_0",
+         "star_sources_missing", "star_sources_str", "balanced_tree_6", "explicit_without_nodes",
+         "role_relay", "children_not_a_list", "document_list", "schema_version_2",
+         "schema_version_missing", "seed_str", "field_reducible", "field_m_17", "field_without_m",
+         "function_class_affine"],
+)
+def test_parser_diagnostic_is_the_only_line(runner, tmp_path, text, stderr):
+    result = runner.invoke(main, ["validate", str(write(tmp_path, "bad.yaml", text))])
+    assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == ("", stderr + "\n")
+
+
+@pytest.mark.parametrize(
+    "text, stderr",
+    [
+        (FORWARDING_HEADER + f"  generator: balanced_tree\n  sources: {n}\n",
+         f"line 6: topology.sources: a balanced tree needs at least 2 sources, got {n}")
+        for n in (1, 0, -4)
+    ] + [
+        (CAPACITY_STAR.replace("target: identity", "target: parity"),
+         "line 6: capacity.target: must be one of identity, max, xor"),
+        ("schema_version: 1\ntopology: {generator: star, sources: 2}\ncapacity: {alphabet: 2}\n",
+         "line 3: capacity.target: required key missing"),
+        ("schema_version: 1\ntopology: {generator: star, sources: 2}\ncapacity: 3\n",
+         "line 3: capacity: must be a mapping"),
+        (RLNC_STAR + "field: 3\n", "line 6: field: must be a mapping"),
+        ("schema_version: 1\ntopology: {generator: star, sources: 2}\napplication: 3\n",
+         "line 3: application: expected str, got int"),
+        ("schema_version: 1\ntopology: {generator: star, sources: 2}\n",
+         "<root>: scenario declares neither an application nor a capacity request"),
+    ],
+    ids=["balanced_tree_1", "balanced_tree_0", "balanced_tree_negative", "capacity_target_parity",
+         "capacity_without_target", "capacity_not_a_mapping", "field_not_a_mapping",
+         "application_not_a_string", "neither_application_nor_capacity"],
+)
+def test_a_bad_section_gets_its_true_line_only(runner, tmp_path, text, stderr):
+    for command in ("validate", "capacity"):
+        result = runner.invoke(main, [command, str(write(tmp_path, "bad.yaml", text))])
+        assert result.exit_code == 2
+        assert (result.stdout, result.stderr) == ("", stderr + "\n")
+
+
+def test_data_mean_given_as_an_int_echoes_as_a_float(runner, tmp_path):
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["run", str(write(tmp_path, "mean.yaml", CONSENSUS_STAR + "data: {mean: 2}\n")),
+                                  "--out", str(out), "--quiet"])
+    assert result.exit_code == 0, result.output
+    assert "data:\n  mean: 2.0\n  std: 1.0\n" in (out / "manifest.yaml").read_text()
+
+
+def test_an_empty_failures_section_reads_as_the_defaults(tmp_path):
+    empty = load_scenario_file(write(tmp_path, "empty.yaml", CONSENSUS_STAR + "failures:\n"))
+    assert empty.ok, empty.diagnostics
+    assert empty.scenario == load_scenario_file(write(tmp_path, "plain.yaml", CONSENSUS_STAR)).scenario
+    assert empty.resolved == load_scenario_file(tmp_path / "plain.yaml").resolved
 
 
 # Capacity-only files have no application to run and so no manifest.

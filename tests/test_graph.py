@@ -105,12 +105,14 @@ def generated_trees():
 def test_build_graph_raises_the_first_violation_or_follows_the_config(config):
     report = validate_config(config)
     if not report.ok:
+        assert report.graph is None
         with pytest.raises(Exception) as raised:
             build_graph(config)
         assert type(raised.value) is report.violations[0].error
         assert str(raised.value) == str(report)
         return
     g = build_graph(config)
+    assert g == report.graph
     names = tuple(config.roles)
     arcs = tuple((names.index(c), names.index(v)) for v, kids in config.children.items() for c in kids)
     assert (g.names, g.roles, g.arcs, g.mode) == (names, tuple(config.roles.values()), arcs, config.mode)
@@ -311,6 +313,24 @@ def test_chain_refuses_a_negative_relay_count():
     assert build_graph(chain_topology(0)).names == ("s0", "d0")
     with pytest.raises(ValueError, match="n_relays"):
         chain_topology(-3)
+
+
+@pytest.mark.parametrize(
+    "n_sources, branching, message",
+    [
+        (4, 1, "branching must be >= 2"),
+        (6, 2, "6 sources is not a power of branching 2"),
+        (12, 3, "12 sources is not a power of branching 3"),
+        (1, 2, "a balanced tree needs at least 2 sources, got 1"),
+        (0, 2, "a balanced tree needs at least 2 sources, got 0"),
+        (-4, 2, "a balanced tree needs at least 2 sources, got -4"),
+    ],
+    ids=["branching_1", "six_binary", "twelve_ternary", "one_source", "no_source", "negative"],
+)
+def test_balanced_tree_refuses_what_it_cannot_build(n_sources, branching, message):
+    with pytest.raises(ValueError) as raised:
+        balanced_tree_topology(n_sources, branching)
+    assert str(raised.value) == message
 
 
 def test_random_tree_generator_valid():

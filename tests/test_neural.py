@@ -1,6 +1,7 @@
 """Distributed training against a centralized reference implementation."""
 
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from nfcsim.learning.neural import (
     margin_acceptance,
     separable_dataset,
 )
+from nfcsim.rng import substream
 from reference_nn import Reference
 
 
@@ -384,6 +386,22 @@ def test_nn_train_keeps_the_surface_the_bench_tracer_wraps(monkeypatch):
                                neural=engine.NeuralParams(samples=2, epochs=1))
     engine.run_scenario(scenario)
     assert len(runs) == 1 and len(ups) == 18 + 2
+
+
+def test_harmonic_eta_steps_with_one_over_t_plus_one():
+    # eta {kind: harmonic} steps with 1/(t+1), t counting the steps across epochs.
+    failures = FailureModel(node_dropout_p=0.2, message_loss_p=0.1, seed=31)
+    params = engine.NeuralParams(samples=6, epochs=3)
+    scenario = engine.Scenario(topology=balanced_tree_topology(4), application="neural", seed=30,
+                               failures=failures, eta=engine.EtaSchedule(kind="harmonic"), neural=params)
+    trajectory = engine.run_scenario(scenario).tables["trajectory"][1]
+    g = build_graph(scenario.topology)
+    data = separable_dataset(g.n_sources, params.samples, substream(30, 0), margin=params.margin)
+    want = nn_train(NeuralTreeNetwork(g, init_rng=substream(30, 2)), data, params.epochs,
+                    lambda t: 1 / (t + 1), failures=failures)
+    assert [row["value"] for row in trajectory] == list(want.losses)
+    constant = engine.run_scenario(replace(scenario, eta=engine.EtaSchedule()))
+    assert [row["value"] for row in constant.tables["trajectory"][1]] != list(want.losses)
 
 
 def test_upward_takes_a_dropout_row_or_node_ids():

@@ -16,12 +16,10 @@ from nfcsim.graph import (
 )
 from nfcsim.solvability import (
     TARGET_PRESETS,
-    CapacitySweep,
     SolvabilityInstance,
     TargetFunction,
     Witness,
     brute_force_search,
-    capacity_lower_bound,
     identity_target,
     linear_identity_check,
     max_target,
@@ -73,7 +71,6 @@ def two_source_topologies(n_relays: int):
 def test_xor_on_star_is_solvable_with_verified_witness():
     verdict = brute_force_search(SolvabilityInstance(STAR2, xor_target(2, 2), 2))
     assert verdict.solvable == "yes"
-    assert verdict.achieved_ratio == 1.0
     relay_table = verdict.witness.arc_tables[("a0", "d0")]
     # the found relay function computes xor on its reachable inputs
     assert relay_table[((0,), (1,))] == (1,)
@@ -93,7 +90,6 @@ def test_identity_on_star_solvable_with_double_packet():
     instance = SolvabilityInstance(STAR2, identity_target(2, 2), 2, packet_length=2)
     verdict = brute_force_search(instance)
     assert verdict.solvable == "yes"
-    assert verdict.achieved_ratio == 0.5
     assert verify_witness(instance, verdict.witness)
 
 
@@ -141,30 +137,6 @@ def test_linear_search_agrees_with_min_cut_single_relay():
         )
         assert search.solvable in ("yes", "no")
         assert (search.solvable == "yes") == km.solvable, to_config(g).children
-
-
-def test_capacity_sweep_identity_star():
-    sweep = capacity_lower_bound(STAR2, identity_target(2, 2), 2, [1, 2], [1, 2])
-    assert sweep.best_ratio == 0.5
-    assert sweep.best_point.generation_length == 1
-    assert sweep.best_point.packet_length == 2
-    capped = {(p.generation_length, p.packet_length) for p in sweep.capped_points}
-    assert capped == {(2, 2)}
-    # never above the min-cut bound cut/N for identity
-    km = linear_identity_check(STAR2)
-    assert sweep.best_ratio <= km.cut / STAR2.n_sources
-
-
-def test_capacity_sweep_xor_reaches_ratio_one():
-    sweep = capacity_lower_bound(STAR2, xor_target(2, 2), 2, [1], [1])
-    assert sweep.best_ratio == 1.0
-
-
-def test_empty_sweep_has_no_ratio():
-    sweep = CapacitySweep(points=())
-    assert sweep.best_ratio is None
-    assert sweep.best_point is None
-    assert capacity_lower_bound(STAR2, xor_target(2, 2), 2, [], []).best_ratio is None
 
 
 def test_max_target_solvable_on_star():
@@ -215,11 +187,9 @@ def test_identity_target_is_the_base_alphabet_encoding(arity, alphabet):
 
 
 def assert_same_verdict(got, want, instance):
-    """Same verdict, detail and ratio; a witness with the same tables and
+    """Same verdict and detail; a witness with the same tables and
     decoders in the same iteration order, and it verifies."""
-    assert (got.solvable, got.detail, got.achieved_ratio) == (
-        want.solvable, want.detail, want.achieved_ratio
-    )
+    assert (got.solvable, got.detail) == (want.solvable, want.detail)
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
         for name in ("arc_inputs", "arc_tables", "decoders"):
