@@ -5,7 +5,9 @@ application, and its parameters. Validation is strict: unknown keys are
 rejected, and every diagnostic carries the offending line. A run
 manifest is the fully resolved scenario (defaults filled in, overrides
 applied) plus the tool version; replaying a manifest reproduces the run
-byte for byte.
+byte for byte. A generated topology is echoed as its generator and the
+keys it read, which rebuild the same tree node for node; an explicit one
+as its nodes and children.
 """
 
 from __future__ import annotations
@@ -81,13 +83,20 @@ class CapacityRequest:
 
 @dataclass
 class LoadedScenario:
-    """Parse/validation outcome: resolved echo, built values, diagnostics."""
+    """Parse/validation outcome: resolved echo, built values, diagnostics.
+
+    ``resolved`` is what was built: every key with its defaults filled in
+    and the topology expanded to its mode, nodes and children. The
+    manifest is how to rebuild it: ``resolved`` with a generated topology
+    replaced by ``generator_echo``, its generator and the keys it read.
+    """
 
     resolved: dict
     graph: NfcGraph | None = None  # the topology, validated and built
     scenario: Scenario | None = None
     capacity: CapacityRequest | None = None
     diagnostics: list[Diagnostic] = dc_field(default_factory=list)
+    generator_echo: dict | None = None  # None for an explicit topology
 
     @property
     def ok(self) -> bool:
@@ -235,25 +244,26 @@ class _Checker:
         return values
 
 
-def _build_topology(checker: _Checker) -> TopologyConfig | None:
+def _build_topology(checker: _Checker) -> tuple[TopologyConfig | None, dict | None]:
+    """The topology's config, and for a generated one the generator and the keys it read."""
     if "topology" not in checker.data:
         checker.fail(("topology",), "required section missing")
-        return None
+        return None, None
     topo = checker.section(("topology",))
     if topo is None:  # not a mapping, and section() said so
-        return None
+        return None, None
     mode = checker.value(("topology", "mode"), str, default="tree")
     if mode not in ("tree", "dag"):
         checker.fail(("topology", "mode"), "must be 'tree' or 'dag'")
-        return None
+        return None, None
     generator = checker.value(("topology", "generator"), str,
                               default="explicit" if "nodes" in topo else None)
     if generator is None:
         checker.fail(("topology",), "needs a generator or explicit nodes")
-        return None
+        return None, None
     if generator not in _GENERATOR_KEYS:
         checker.fail(("topology", "generator"), f"unknown generator {generator!r}")
-        return None
+        return None, None
     unread = _SECTION_KEYS[("topology",)] - _GENERATOR_KEYS[generator] - {"generator"}
     for key in [key for key in topo if key in unread]:  # unknown keys are already reported
         if key != "mode":
@@ -263,34 +273,35 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
     if generator == "star":
         n = checker.value(("topology", "sources"), int, required=True)
         if n is None:
-            return None
+            return None, None
         if n < 1:
             checker.fail(("topology", "sources"), "must be a positive integer")
-            return None
-        return star_topology(n)
+            return None, None
+        return star_topology(n), {"generator": generator, "sources": n}
     if generator == "balanced_tree":
         n = checker.value(("topology", "sources"), int, required=True)
         branching = checker.value(("topology", "branching"), int, default=2)
         if n is None:
-            return None
+            return None, None
         if branching < 2:
             checker.fail(("topology", "branching"), "must be >= 2")
-            return None
+            return None, None
         try:
-            return balanced_tree_topology(n, branching)
+            return balanced_tree_topology(n, branching), {"generator": generator, "sources": n,
+                                                          "branching": branching}
         except ValueError as exc:
             checker.fail(("topology", "sources"), str(exc))
-            return None
+            return None, None
     if generator == "chain":
         relays = checker.value(("topology", "relays"), int, default=1)
         if relays < 0:
             checker.fail(("topology", "relays"), "must be a non-negative integer")
-            return None
-        return chain_topology(relays)
+            return None, None
+        return chain_topology(relays), {"generator": generator, "relays": relays}
     nodes = checker.value(("topology", "nodes"), dict, required=True)
     children = checker.value(("topology", "children"), dict, default={})
     if nodes is None:
-        return None
+        return None, None
     names = [(("topology", "nodes", name), name) for name in nodes]
     for parent, kids in children.items():
         names.append((("topology", "children", parent), parent))
@@ -299,22 +310,23 @@ def _build_topology(checker: _Checker) -> TopologyConfig | None:
     for path, name in names:
         if not isinstance(name, str):
             checker.fail(path, f"YAML reads this node name as {name!r}, not a string; quote the name")
-            return None
+            return None, None
     roles = {}
     for name, role in nodes.items():
         if not (0 < len(name) <= MAX_NAME_LENGTH and _printable_ascii(name)):
             checker.fail(("topology", "nodes", name),
                          f"node name {name!r} must be 1 to {MAX_NAME_LENGTH} printable ASCII characters")
-            return None
+            return None, None
         if role not in _ROLES:
             checker.fail(("topology", "nodes", name), f"unknown role {role!r}")
-            return None
+            return None, None
         roles[name] = _ROLES[role]
     for parent, kids in children.items():
         if not isinstance(kids, list):
             checker.fail(("topology", "children", parent), "must be a list of node names")
-            return None
-    return TopologyConfig(roles=roles, children={parent: list(kids) for parent, kids in children.items()}, mode=mode)
+            return None, None
+    children = {parent: list(kids) for parent, kids in children.items()}
+    return TopologyConfig(roles=roles, children=children, mode=mode), None
 
 
 def parse_scenario_text(
@@ -349,7 +361,7 @@ def parse_scenario_text(
     if version is not None and version != SCHEMA_VERSION:
         checker.fail(("schema_version",), f"unsupported schema version {version}")
 
-    config, graph = _build_topology(checker), None
+    (config, generator_echo), graph = _build_topology(checker), None
     if config is not None:
         report = validate_config(config)
         graph = report.graph
@@ -443,7 +455,7 @@ def parse_scenario_text(
         "capacity": capacity and asdict(capacity),
     }
     resolved = {key: echo[key] for key in _TOP_LEVEL if echo[key] is not None}
-    return LoadedScenario(resolved, graph, scenario, capacity, checker.diagnostics)
+    return LoadedScenario(resolved, graph, scenario, capacity, checker.diagnostics, generator_echo)
 
 
 def _topology_echo(config: TopologyConfig | None, raw) -> dict:
@@ -487,6 +499,8 @@ def render_manifest(loaded: LoadedScenario) -> str:
     # Insertion order is kept (sort_keys=False) because node declaration
     # order defines node ids and therefore the rng draw order on replay.
     manifest = dict(loaded.resolved)
+    if loaded.generator_echo is not None:  # a generator rebuilds its tree node for node
+        manifest["topology"] = loaded.generator_echo
     manifest["tool_version"] = nfcsim.__version__
     return yaml.dump(manifest, Dumper=_DUMPER, sort_keys=False)
 

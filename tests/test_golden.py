@@ -6,6 +6,10 @@ same set of files with the same bytes. ``compare_dropout_tree8`` holds
 what ``nfcsim compare`` wrote instead, with its standard output, and
 ``capacity_star`` and ``capacity_xor`` what ``nfcsim capacity`` wrote,
 with its standard output and exit code.
+
+A golden's ``manifest.yaml`` echoes a generated topology as its
+generator. ``tests/expanded_manifests`` holds manifests written before
+that, with the tree written out node by node; they must still replay.
 """
 
 from pathlib import Path
@@ -18,6 +22,7 @@ from nfcsim.engine import run_scenario
 from nfcsim.scenario import load_scenario_file
 
 DATA = Path(__file__).resolve().parent / "data"
+EXPANDED = Path(__file__).resolve().parent / "expanded_manifests"
 
 
 @pytest.mark.parametrize(
@@ -79,3 +84,16 @@ def test_failure_counters_sum_the_trajectory(name):
     _, rows = result.tables.get("trajectory", ((), []))
     assert result.metrics.dropped_nodes == sum(row["dropped_nodes"] for row in rows)
     assert result.metrics.lost_messages == sum(row["lost_messages"] for row in rows)
+
+
+@pytest.mark.parametrize("name", sorted(p.stem for p in EXPANDED.glob("*.yaml")))
+def test_an_expanded_manifest_replays_as_the_generator_echo(name, tmp_path):
+    expanded, golden = EXPANDED / f"{name}.yaml", DATA / name
+    assert load_scenario_file(expanded).resolved == load_scenario_file(golden / "manifest.yaml").resolved
+    for manifest in (expanded, golden / "manifest.yaml"):
+        out = tmp_path / manifest.parent.name
+        result = CliRunner().invoke(main, ["run", str(manifest), "--out", str(out), "--quiet"])
+        assert result.exit_code == 0, result.output
+        assert (out / "manifest.yaml").read_bytes() == manifest.read_bytes()  # each echoes its own form
+        for csv in golden.glob("*.csv"):
+            assert (out / csv.name).read_bytes() == csv.read_bytes(), (manifest, csv.name)

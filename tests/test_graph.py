@@ -309,6 +309,40 @@ def test_set_topology_role_conflict():
         set_topology(g, TopologyConfig(roles={"a0": D}, children={}))
 
 
+@pytest.mark.parametrize("built, expected", [
+    (star_topology(1), TopologyConfig(
+        roles={"s0": S, "a0": A, "d0": D},
+        children={"a0": ["s0"], "d0": ["a0"]})),
+    (star_topology(3), TopologyConfig(
+        roles={"s0": S, "s1": S, "s2": S, "a0": A, "d0": D},
+        children={"a0": ["s0", "s1", "s2"], "d0": ["a0"]})),
+    (balanced_tree_topology(2), TopologyConfig(
+        roles={"s0": S, "s1": S, "d0": D},
+        children={"d0": ["s0", "s1"]})),
+    (balanced_tree_topology(8), TopologyConfig(
+        roles={**{f"s{i}": S for i in range(8)}, "a1_0": A, "a1_1": A, "a1_2": A, "a1_3": A,
+               "a2_0": A, "a2_1": A, "d0": D},
+        children={"a1_0": ["s0", "s1"], "a1_1": ["s2", "s3"], "a1_2": ["s4", "s5"], "a1_3": ["s6", "s7"],
+                  "a2_0": ["a1_0", "a1_1"], "a2_1": ["a1_2", "a1_3"], "d0": ["a2_0", "a2_1"]})),
+    (balanced_tree_topology(9, 3), TopologyConfig(
+        roles={**{f"s{i}": S for i in range(9)}, "a1_0": A, "a1_1": A, "a1_2": A, "d0": D},
+        children={"a1_0": ["s0", "s1", "s2"], "a1_1": ["s3", "s4", "s5"], "a1_2": ["s6", "s7", "s8"],
+                  "d0": ["a1_0", "a1_1", "a1_2"]})),
+    (chain_topology(0), TopologyConfig(
+        roles={"s0": S, "d0": D},
+        children={"d0": ["s0"]})),
+    (chain_topology(2), TopologyConfig(
+        roles={"s0": S, "a0": A, "a1": A, "d0": D},
+        children={"a0": ["s0"], "a1": ["a0"], "d0": ["a1"]})),
+], ids=["star1", "star3", "tree2", "tree8", "tree9x3", "chain0", "chain2"])
+def test_generators_build_these_trees_node_for_node(built, expected):
+    # A manifest echoes a generated topology as its generator and keys, so its
+    # replay rebuilds whatever the generator builds: a change here changes replays.
+    def ordered(config: TopologyConfig):  # dict equality ignores the order that fixes node ids
+        return list(config.roles.items()), list(config.children.items()), config.mode
+    assert ordered(built) == ordered(expected)
+
+
 def test_chain_refuses_a_negative_relay_count():
     assert build_graph(chain_topology(0)).names == ("s0", "d0")
     with pytest.raises(ValueError, match="n_relays"):

@@ -3,13 +3,14 @@
 Documents are drawn with a non-default value in every field of every
 section dataclass (the eta value only under a constant schedule, the one
 that reads it), each section on an application that reads it, with and
-without a capacity section, on a star or on an explicit tree whose node
-names span the accepted alphabet. Parsing a document, rendering its
-manifest and parsing that manifest must give the same resolved echo,
-``Scenario`` and ``CapacityRequest``, and the second manifest must be
-byte-identical to the first. The manifest must also be the bytes that
-PyYAML's pure-Python emitter writes, so a host without libyaml writes
-the same manifests.
+without a capacity section, on a star, a balanced tree, a chain or an
+explicit tree whose node names span the accepted alphabet. Parsing a
+document, rendering its manifest and parsing that manifest must give the
+same resolved echo, ``Scenario`` and ``CapacityRequest``, and the second
+manifest must be byte-identical to the first. A generated topology's
+manifest echoes its generator, and ``resolved`` still holds the expanded
+tree. The manifest must also be the bytes that PyYAML's pure-Python
+emitter writes, so a host without libyaml writes the same manifests.
 """
 
 import csv
@@ -69,17 +70,36 @@ def explicit_trees(draw, n_sources: int) -> dict:
     return {"mode": "tree", "nodes": roles, "children": children}
 
 
+# The keys each generator fills in when a document leaves them out.
+GENERATOR_DEFAULTS = {"star": {}, "balanced_tree": {"branching": 2}, "chain": {"relays": 1}}
+
+
+@st.composite
+def topologies(draw) -> tuple[dict, int]:
+    """A topology section, drawn from every generator or written out, and its source count."""
+    kind = draw(st.sampled_from([*GENERATOR_DEFAULTS, "explicit"]))
+    if kind == "balanced_tree":
+        branching, depth = draw(st.integers(2, 4)), draw(st.integers(1, 2))
+        keys = {"branching": branching} if branching != 2 or draw(st.booleans()) else {}
+        return {"generator": kind, "sources": branching**depth, **keys}, branching**depth
+    if kind == "chain":
+        keys = draw(st.one_of(st.just({}), st.fixed_dictionaries({"relays": st.integers(0, 4)})))
+        return {"generator": kind, **keys}, 1
+    n_sources = draw(st.integers(2, 6))
+    if kind == "star":
+        return {"generator": kind, "sources": n_sources}, n_sources
+    return draw(explicit_trees(n_sources)), n_sources
+
+
 @st.composite
 def scenario_documents(draw) -> dict:
-    n_sources = draw(st.integers(2, 6))
+    topology, n_sources = draw(topologies())
     seed = draw(SEEDS)
     application = draw(st.sampled_from(["neural", "consensus", None]))
     doc: dict = {
         "schema_version": 1,
         "seed": seed,
-        "topology": draw(st.one_of(
-            st.just({"generator": "star", "sources": n_sources}), explicit_trees(n_sources)
-        )),
+        "topology": topology,
     }
     if application is not None:
         doc["application"] = application
@@ -131,16 +151,21 @@ def test_manifest_round_trip(doc):
     first = parse_scenario_text(yaml.safe_dump(doc, sort_keys=False))
     assert first.ok, first.diagnostics
     manifest = render_manifest(first)
-    pure_python = yaml.dump({**first.resolved, "tool_version": nfcsim.__version__},
+    echoed = yaml.safe_load(manifest)
+    topology = first.generator_echo or first.resolved["topology"]  # the manifest's, not resolved's
+    pure_python = yaml.dump({**first.resolved, "topology": topology, "tool_version": nfcsim.__version__},
                             Dumper=yaml.SafeDumper, sort_keys=False)
     assert manifest == pure_python
-    echoed = yaml.safe_load(manifest)
     for section in ("failures", "data", "eta", "neural", "capacity"):
         for key, value in doc.get(section, {}).items():
             assert echoed[section][key] == value, (section, key)
     assert echoed["output"] == doc.get("output", "results")
     if "nodes" in doc["topology"]:
         assert echoed["topology"] == {**doc["topology"], "generator": "explicit"}
+    else:  # a generated topology is echoed as its generator, defaults filled in
+        generator = doc["topology"]["generator"]
+        assert echoed["topology"] == {**GENERATOR_DEFAULTS[generator], **doc["topology"]}
+        assert next(iter(echoed["topology"])) == "generator"
 
     second = parse_scenario_text(manifest)
     assert second.ok, second.diagnostics
@@ -150,6 +175,30 @@ def test_manifest_round_trip(doc):
     assert (first.scenario is None) == ("application" not in doc)
     assert (first.capacity is None) == ("capacity" not in doc)
     assert render_manifest(second) == manifest
+
+
+@pytest.mark.parametrize("topology", [
+    "{generator: star, sources: 2}",
+    "{generator: balanced_tree, sources: 9, branching: 3}",
+    "{generator: balanced_tree, sources: 8}",
+    "{generator: chain}",
+    "{generator: chain, relays: 0}",
+])
+def test_resolved_holds_the_expanded_tree_of_a_generated_topology(topology):
+    """``resolved["topology"]`` is the built tree, not the generator's echo.
+
+    The bench's ``solvability_sweep`` set-up (``bench/workloads.py``)
+    rebuilds its star from ``resolved["topology"]``'s ``nodes``,
+    ``children`` and ``mode``; only the manifest echoes the generator.
+    """
+    loaded = parse_scenario_text(f"schema_version: 1\napplication: consensus\ntopology: {topology}\n")
+    assert loaded.ok, loaded.diagnostics
+    g, echo = loaded.graph, loaded.resolved["topology"]
+    assert echo["mode"] == g.mode == "tree"
+    assert list(echo["nodes"].items()) == [(name, role.value) for name, role in zip(g.names, g.roles)]
+    children = {g.names[v]: [g.names[c] for c in kids] for v, kids in enumerate(g.in_neighbors) if kids}
+    assert list(echo["children"].items()) == list(children.items())
+    assert yaml.safe_load(render_manifest(loaded))["topology"] == loaded.generator_echo
 
 
 def test_the_parser_reads_every_scenario_field():
