@@ -14,7 +14,6 @@ identical results, byte for byte.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, Collection, Iterable, Iterator, Mapping
@@ -168,18 +167,12 @@ def unread_errors(reader: str, s: Scenario, default: Scenario, keys: Iterable[st
 
 
 class Metrics:
-    """Per-arc message/symbol meters plus run-level counters.
-
-    Totals always equal the sum of the per-arc counters; wall-clock time
-    is informational and never serialized.
-    """
+    """Per-arc message and symbol meters; the totals are sums over the arcs.
+    A run records its dropped nodes and lost messages in its trajectory rows."""
 
     def __init__(self) -> None:
         self.arc_messages: dict[tuple[int, int], int] = {}
         self.arc_symbols: dict[tuple[int, int], int] = {}
-        self.dropped_nodes = 0
-        self.lost_messages = 0
-        self.wall_clock = 0.0
 
     def record(self, arc: tuple[int, int], symbols: int, messages: int = 1) -> None:
         self.arc_messages[arc] = self.arc_messages.get(arc, 0) + messages
@@ -270,7 +263,6 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics):
     rows: list[dict[str, object]] = []
     for size in block_sizes(s.generations, g.n_nodes):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
-        metrics.dropped_nodes += int(dropped.sum())
         count = (is_source & ~dropped).astype(np.int64)
         for nodes, children, _ in g.level_plan:
             count[:, nodes] = ~dropped[:, nodes] * count[:, children].sum(axis=2)
@@ -307,7 +299,6 @@ def _evaluated_generations(
     decoded = list(g.in_neighbors[dest]) if dest in network.decoders else []
     for size in block_sizes(s.generations, g.n_nodes * s.packet_length):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
-        metrics.dropped_nodes += int(dropped.sum())
         if s.field is not None:  # one draw per generation: small-dtype integers do not batch
             values = np.stack([s.field.random_elements(data_rng, shape) for _ in range(size)])
         else:
@@ -368,7 +359,7 @@ def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics):
     )
     per_message = s.packet_length + stats.n_sources  # coding vector rides in band
     for arc in g.arcs:
-        metrics.record(arc, per_message, messages=stats.messages_per_arc)
+        metrics.record(arc, per_message, messages=s.trials * s.n_prime)
     headline = {"probability": stats.probability}
     return headline, {"stats": (stats.CSV_COLUMNS, [stats.csv_row()])}
 
@@ -382,8 +373,6 @@ def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics):
     result = nn_train(network, dataset, s.neural.epochs, s.eta.at, failures=s.failures)
     for arc, count in result.arc_messages.items():
         metrics.record(arc, MESSAGE_SYMBOLS, messages=count)
-    metrics.dropped_nodes += sum(result.dropped_per_step)
-    metrics.lost_messages += sum(result.lost_per_step)
     rows = [
         _row(t, loss, dropped, lost)
         for t, (loss, dropped, lost) in enumerate(
@@ -426,13 +415,12 @@ FLOAT_KEYS = ("data.mean", "data.std", "eta.value", "neural.margin")
 
 
 def run_scenario(s: Scenario) -> ScenarioResult:
-    """Execute a validated scenario deterministically."""
+    """Execute a validated scenario deterministically. ``metrics`` meters the arcs;
+    each generation's ``trajectory`` row (rlnc: no trajectory) counts its drops and losses."""
     s.validate()
     g = build_graph(s.topology)
     metrics = Metrics()
-    started = time.perf_counter()
     headline, tables = APPLICATION_TABLE[s.application].runner(s, g, metrics)
-    metrics.wall_clock = time.perf_counter() - started
     tables["arcs"] = (ARC_COLUMNS, metrics.arc_rows(g))
     return ScenarioResult(scenario=s, graph=g, metrics=metrics, headline=headline, tables=tables)
 

@@ -252,7 +252,8 @@ class RlncNetwork:
 
 @dataclass(frozen=True)
 class SuccessStats:
-    """Recovery experiment summary; one CSV row per experiment."""
+    """Recovery experiment summary, the run's one ``stats.csv`` row. It meters
+    nothing: each arc carries trials * n_prime messages, which the engine meters."""
 
     field_order: int
     n_sources: int
@@ -262,7 +263,6 @@ class SuccessStats:
     probability: float
     seed: int
     success_by_pass: tuple[int, ...]  # successes had the run stopped after pass k+1
-    messages_per_arc: int  # upward messages each arc carried over the experiment
 
     CSV_COLUMNS = (
         "field_order",
@@ -350,6 +350,5 @@ def run_recovery_experiment(
         successes=successes,
         probability=successes / trials if trials else 0.0,
         seed=seed,
-        messages_per_arc=trials * n_prime,
         success_by_pass=tuple(success_by_pass.tolist()),
     )

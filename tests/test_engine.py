@@ -418,7 +418,7 @@ def test_consensus_with_dropout_degrades_gracefully():
         data=DataModel(mean=5.0, std=0.5),
     )
     result = run_scenario(scenario)
-    assert result.metrics.dropped_nodes > 0
+    assert sum(row["dropped_nodes"] for row in result.tables["trajectory"][1]) > 0
     final = result.headline["final_estimate"]
     assert np.isfinite(final)
     assert abs(final - 5.0) < 1.0  # survivors still average near the mean

@@ -18,7 +18,6 @@ import pytest
 from click.testing import CliRunner
 
 from nfcsim.cli import main
-from nfcsim.engine import run_scenario
 from nfcsim.scenario import load_scenario_file
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -73,17 +72,6 @@ def test_capacity_outputs_byte_identical(name, tmp_path):
     assert sorted(p.name for p in out.iterdir()) == ["capacity.csv", "capacity_report.txt"]
     for file_name in ("capacity.csv", "capacity_report.txt"):
         assert (out / file_name).read_bytes() == (golden / file_name).read_bytes()
-
-
-@pytest.mark.parametrize(
-    "name", sorted(p.name for p in DATA.iterdir() if not (p / "capacity.csv").exists())
-)
-def test_failure_counters_sum_the_trajectory(name):
-    loaded = load_scenario_file(DATA / name / "scenario.yaml")
-    result = run_scenario(loaded.scenario)
-    _, rows = result.tables.get("trajectory", ((), []))
-    assert result.metrics.dropped_nodes == sum(row["dropped_nodes"] for row in rows)
-    assert result.metrics.lost_messages == sum(row["lost_messages"] for row in rows)
 
 
 @pytest.mark.parametrize("name", sorted(p.stem for p in EXPANDED.glob("*.yaml")))
