@@ -36,7 +36,7 @@ from nfcsim.learning.neural import (
     separable_dataset,
 )
 from nfcsim.rlnc import run_recovery_experiment
-from nfcsim.rng import substream
+from nfcsim.rng import DATA, INIT, substream
 
 TRAJECTORY_COLUMNS = ("generation", "value", "dropped_nodes", "lost_messages")
 ARC_COLUMNS = ("src", "dst", "messages", "symbols")
@@ -290,7 +290,7 @@ def _evaluated_generations(
     so the block split never decides whether it fails.
     """
     network = install_functions(g, assignment)
-    data_rng = substream(s.seed, 0)
+    data_rng = substream(s.seed, DATA)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
     shape = (g.n_sources, s.packet_length)
@@ -367,9 +367,9 @@ def _run_rlnc(s: Scenario, g: NfcGraph, metrics: Metrics):
 def _run_neural(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Distributed training; meters upward activities and downward
     gradient contributions (lost messages are transmitted, then lost)."""
-    data_rng = substream(s.seed, 0)
+    data_rng = substream(s.seed, DATA)
     dataset = separable_dataset(g.n_sources, s.neural.samples, data_rng, margin=s.neural.margin)
-    network = NeuralTreeNetwork(g, init_rng=substream(s.seed, 2))
+    network = NeuralTreeNetwork(g, init_rng=substream(s.seed, INIT))
     result = nn_train(network, dataset, s.neural.epochs, s.eta.at, failures=s.failures)
     for arc, count in result.arc_messages.items():
         metrics.record(arc, MESSAGE_SYMBOLS, messages=count)

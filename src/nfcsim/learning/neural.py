@@ -25,7 +25,7 @@ import numpy as np
 from nfcsim.afc import _logistic
 from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
-from nfcsim.rng import substream
+from nfcsim.rng import DROPOUT, LOSS, substream
 
 # External labels are -1/+1; the log-loss gradient seed wants 0/1.
 LABEL_MAPPING = {-1: 0.0, 1: 1.0}
@@ -74,7 +74,7 @@ class FailureModel:
     def streams(self) -> tuple[np.random.Generator, np.random.Generator]:
         """Independent dropout and message-loss streams, so toggling one
         failure source never perturbs the other's draws."""
-        return substream(self.seed, 0), substream(self.seed, 1)
+        return substream(self.seed, DROPOUT), substream(self.seed, LOSS)
 
 
 @dataclass

@@ -6,6 +6,11 @@ import numpy as np
 
 _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
+# The purpose keys of a run's streams. failures.seed defaults to the
+# scenario seed, so the four must differ. An rlnc trial t draws
+# substream(seed, t) and an rlnc run draws no other stream.
+DATA, LOSS, INIT, DROPOUT = 0, 1, 2, 3
+
 
 def substream(seed: int, *key: int) -> np.random.Generator:
     """Named substream: independent draws per (seed, purpose, ...) key.

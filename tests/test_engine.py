@@ -469,7 +469,7 @@ def test_width_change_fails_under_any_block_split(generations_per_block):
         topology=TopologyConfig(roles=roles, children={"a0": ["s0", "s1"], "d0": ["a0"]}),
         application="custom",
         generations=2,
-        failures=FailureModel(node_dropout_p=0.5, seed=6),
+        failures=FailureModel(node_dropout_p=0.5, seed=10),  # drops s1, then s0
         assignment=FunctionAssignment({"s0": AppendCount(), "a0": Max()}),
     )
     with mock.patch.object(afc, "BLOCK_ELEMENTS", generations_per_block * 4):
@@ -480,7 +480,7 @@ def test_width_change_fails_under_any_block_split(generations_per_block):
 @pytest.mark.parametrize("generations_per_block", [1, 2])
 def test_decoder_width_mismatch_fails_under_any_block_split(generations_per_block):
     """d0 decodes s0's 2-symbol and s1's 1-symbol packets, which arrive in
-    different generations (seed 2 drops s1, then s0), so one block holds
+    different generations (seed 4 drops s1, then s0), so one block holds
     both and a split into single generations never decodes them together."""
     from unittest import mock
 
@@ -493,7 +493,7 @@ def test_decoder_width_mismatch_fails_under_any_block_split(generations_per_bloc
         topology=TopologyConfig(roles=roles, children={"d0": ["s0", "s1"]}),
         application="custom",
         generations=2,
-        failures=FailureModel(node_dropout_p=0.5, seed=2),
+        failures=FailureModel(node_dropout_p=0.5, seed=4),
         assignment=FunctionAssignment({"s0": AppendCount()}, {"d0": average_decoder}),
     )
     with mock.patch.object(afc, "BLOCK_ELEMENTS", generations_per_block * 3):

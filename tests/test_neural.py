@@ -25,7 +25,7 @@ from nfcsim.learning.neural import (
     margin_acceptance,
     separable_dataset,
 )
-from nfcsim.rng import substream
+from nfcsim.rng import DATA, INIT, substream
 from reference_nn import Reference
 
 
@@ -396,8 +396,8 @@ def test_harmonic_eta_steps_with_one_over_t_plus_one():
                                failures=failures, eta=engine.EtaSchedule(kind="harmonic"), neural=params)
     trajectory = engine.run_scenario(scenario).tables["trajectory"][1]
     g = build_graph(scenario.topology)
-    data = separable_dataset(g.n_sources, params.samples, substream(30, 0), margin=params.margin)
-    want = nn_train(NeuralTreeNetwork(g, init_rng=substream(30, 2)), data, params.epochs,
+    data = separable_dataset(g.n_sources, params.samples, substream(30, DATA), margin=params.margin)
+    want = nn_train(NeuralTreeNetwork(g, init_rng=substream(30, INIT)), data, params.epochs,
                     lambda t: 1 / (t + 1), failures=failures)
     assert [row["value"] for row in trajectory] == list(want.losses)
     constant = engine.run_scenario(replace(scenario, eta=engine.EtaSchedule()))

@@ -60,7 +60,7 @@ from nfcsim.learning.neural import (
     log_loss,
     nn_train,
 )
-from nfcsim.rng import substream
+from nfcsim.rng import DATA, substream
 from nfcsim.rlnc import (
     CodedPacket,
     DecoderState,
@@ -121,7 +121,7 @@ def oracle_dropped(g, failures, rng):
 
 def oracle_evaluated(s, g, assignment):
     """Generation by generation: draw, evaluate node by node, meter every message."""
-    data_rng = substream(s.seed, 0)
+    data_rng = substream(s.seed, DATA)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
     metrics, generations = Metrics(), []

@@ -4,13 +4,21 @@
 seeding and bounded-integer draws. NEP 19 lets numpy change any of them
 between feature releases; this property is what fails when it does, so
 replay breaks in the tests before it breaks in a golden.
+
+A run's own streams (data, loss, init, dropout) must stay apart when
+failures.seed keeps its default, the scenario seed.
 """
+
+from pathlib import Path
 
 import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from nfcsim.field import FieldSpec
-from nfcsim.rng import substream_integers
+from nfcsim.rng import DATA, INIT, substream, substream_integers
+from nfcsim.scenario import load_scenario_file
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 FIELDS = {m: FieldSpec(m) for m in range(1, 17)}
 
@@ -44,3 +52,14 @@ def test_block_draws_match_numpy(seed, m, size, start, count):
     for row, expected in zip(block, numpy_rows(seed, start, start + count, size, m)):
         assert row.tobytes() == expected.tobytes()
 
+
+
+def test_a_default_failures_seed_draws_four_distinct_streams():
+    """neural_tree.yaml leaves failures.seed at its seed; its dropout once
+    drew the same uniforms as sample 0's features."""
+    s = load_scenario_file(SCENARIOS / "neural_tree.yaml").scenario
+    assert s.failures.seed == s.seed and s.failures.node_dropout_p > 0
+    dropout, loss = s.failures.streams()
+    streams = [substream(s.seed, DATA), loss, substream(s.seed, INIT), dropout]
+    firsts = [set(rng.random(4).tolist()) for rng in streams]
+    assert all(a.isdisjoint(b) for i, a in enumerate(firsts) for b in firsts[i + 1:])
