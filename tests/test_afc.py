@@ -168,6 +168,23 @@ def test_install_missing_assignment_names_node():
     assert "a1_1" in str(excinfo.value)
 
 
+def test_install_rejects_an_arc_key_not_in_the_graph():
+    g = build_graph(star_topology(3))
+    with pytest.raises(MissingAssignment, match=r"assignment names nonexistent arc \('s0', 'd0'\)"):
+        install_functions(g, FunctionAssignment(functions={("s0", "d0"): Sum()}))
+
+
+def test_evaluate_needs_an_input_for_each_live_source():
+    g = build_graph(star_topology(3))
+    network = install_functions(g, FunctionAssignment(functions={"a0": Sum()}))
+    inputs = {"s0": np.array([1.0]), "s1": np.array([2.0])}
+    with pytest.raises(MissingAssignment, match="no input packet for source 's2'"):
+        network.evaluate(inputs)
+    # a dropped source needs none
+    evaluation = network.evaluate(inputs, dropped={g.node_id("s2")})
+    assert np.allclose(evaluation.destination_outputs[g.destinations[0]][0], [3.0])
+
+
 def test_install_checks_arity():
     g = build_graph(star_topology(3))
     with pytest.raises(ArityMismatch):

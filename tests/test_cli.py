@@ -353,12 +353,11 @@ failures:
 
 
 def test_compare_rejects_forwarding(runner, tmp_path):
-    text = VALID_RLNC.replace("application: rlnc", "application: forwarding").replace(
-        "n_prime: 2\n", ""
-    )
-    path = write(tmp_path, "fwd.yaml", text)
-    result = runner.invoke(main, ["compare", str(path)])
+    out = tmp_path / "out"
+    result = runner.invoke(main, ["compare", str(SCENARIOS / "forwarding_tree.yaml"), "--out", str(out)])
     assert result.exit_code == 2
+    assert (result.stdout, result.stderr) == ("", "compare needs an in-network application, not forwarding\n")
+    assert not out.exists()
 
 
 TWO_ROOT_DAG = """\
@@ -786,6 +785,7 @@ RLNC_STAR = CONSENSUS_STAR.replace("consensus", "rlnc").replace("generations: 2\
         (FORWARDING_HEADER + "  generator: star\n  sources: 0\n",
          "line 6: topology.sources: must be a positive integer"),
         (FORWARDING_HEADER + "  generator: star\n", "line 4: topology.sources: required key missing"),
+        (FORWARDING_HEADER + "  generator: balanced_tree\n", "line 4: topology.sources: required key missing"),
         (FORWARDING_HEADER + "  generator: star\n  sources: two\n",
          "line 6: topology.sources: expected int, got str"),
         (FORWARDING_HEADER + "  generator: balanced_tree\n  sources: 6\n",
@@ -808,7 +808,7 @@ RLNC_STAR = CONSENSUS_STAR.replace("consensus", "rlnc").replace("generations: 2\
         (CAPACITY_STAR + "  function_class: affine\n", "line 9: capacity.function_class: must be 'all' or 'linear'"),
     ],
     ids=["no_topology", "mode_ring", "no_generator_or_nodes", "generator_ring", "star_sources_0",
-         "star_sources_missing", "star_sources_str", "balanced_tree_6", "explicit_without_nodes",
+         "star_sources_missing", "balanced_tree_sources_missing", "star_sources_str", "balanced_tree_6", "explicit_without_nodes",
          "role_relay", "children_not_a_list", "document_list", "schema_version_2",
          "schema_version_missing", "seed_str", "field_reducible", "field_m_17", "field_without_m",
          "function_class_affine"],
@@ -921,6 +921,25 @@ def test_run_saturated_prediction_exit_4(runner, tmp_path):
     assert result.output.startswith("runtime failure: step 1: ")
     assert "the log-loss is infinite" in result.output
     assert "Traceback" not in result.output
+
+
+@pytest.mark.parametrize(
+    "command, name, code, stderr",
+    [
+        ("run", "capacity_star.yaml", 2, "scenario file declares no runnable application"),
+        ("compare", "capacity_star.yaml", 2, "scenario file declares no runnable application"),
+        ("compare", None, 4, "runtime failure: step 1: the prediction saturated to exactly 1.0,"
+         " where the log-loss is infinite; a smaller eta may avoid it"),
+    ],
+    ids=["run_capacity_only", "compare_capacity_only", "compare_saturated"],
+)
+def test_a_file_the_command_cannot_run_gets_one_line(runner, tmp_path, command, name, code, stderr):
+    path = SCENARIOS / name if name else write(tmp_path, "saturating.yaml", SATURATING_NEURAL)
+    out = tmp_path / "out"
+    result = runner.invoke(main, [command, str(path), "--out", str(out)])
+    assert result.exit_code == code
+    assert (result.stdout, result.stderr) == ("", stderr + "\n")
+    assert not out.exists()
 
 
 def test_run_unit_saturating_towards_zero_exits_0_without_a_warning(runner, tmp_path):

@@ -404,6 +404,9 @@ def test_compare_costs_mismatches():
     wrong_t = run_scenario(forwarding_scenario(generations=3))
     with pytest.raises(MismatchedScenarios):
         compare_costs(nfc, wrong_t)
+    wrong_length = run_scenario(forwarding_scenario(generations=2, length=32))
+    with pytest.raises(MismatchedScenarios, match="scenarios use different packet lengths"):
+        compare_costs(nfc, wrong_length)
     with pytest.raises(MismatchedScenarios):
         compare_costs(nfc, nfc)  # baseline must be forwarding
 

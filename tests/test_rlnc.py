@@ -120,6 +120,13 @@ def test_decoder_add_rejects_fractional_coefficients():
     assert state.rank == 0
 
 
+def test_decoder_add_rejects_a_coding_vector_of_another_length():
+    state = DecoderState(field=GF256, n_sources=2)
+    with pytest.raises(InconsistentDimensions, match=r"coding vector shape \(3,\) != \(2,\)"):
+        state.add(CodedPacket(np.array([1], dtype=np.uint8), np.array([1, 0, 1], dtype=np.uint8)))
+    assert state.rank == 0
+
+
 def test_decoder_add_rejects_a_payload_of_another_length():
     state = DecoderState(field=GF256, n_sources=2)
     state.add(CodedPacket(np.array([1, 2], dtype=np.uint8), np.array([1, 0], dtype=np.uint8)))

@@ -161,6 +161,17 @@ def test_target_function_validation():
         SolvabilityInstance(STAR2, xor_target(3, 2), 2)  # arity mismatch
     with pytest.raises(ValueError):
         SolvabilityInstance(STAR2, xor_target(2, 2), 2, function_class="affine")
+    with pytest.raises(ValueError, match="target input alphabet differs from the network alphabet"):
+        SolvabilityInstance(STAR2, xor_target(2, 3), 2)
+    with pytest.raises(ValueError, match=r"linear search is implemented over GF\(2\)"):
+        SolvabilityInstance(STAR2, xor_target(2, 3), 3, function_class="linear")
+
+
+def test_more_input_patterns_than_can_be_verified_is_capped():
+    # 2 sources x K = 11 symbols: 2^22 binary input patterns
+    verdict = brute_force_search(SolvabilityInstance(STAR2, identity_target(2, 2), 2, generation_length=11))
+    assert (verdict.solvable, verdict.witness) == ("unknown-capped", None)
+    assert verdict.detail == f"{2**22} input patterns exceed the verification limit"
 
 
 def test_multi_generation_identity_needs_wider_packets():
