@@ -808,8 +808,8 @@ RLNC_STAR = CONSENSUS_STAR.replace("consensus", "rlnc").replace("generations: 2\
         (CAPACITY_STAR + "  function_class: affine\n", "line 9: capacity.function_class: must be 'all' or 'linear'"),
     ],
     ids=["no_topology", "mode_ring", "no_generator_or_nodes", "generator_ring", "star_sources_0",
-         "star_sources_missing", "balanced_tree_sources_missing", "star_sources_str", "balanced_tree_6", "explicit_without_nodes",
-         "role_relay", "children_not_a_list", "document_list", "schema_version_2",
+         "star_sources_missing", "balanced_tree_sources_missing", "star_sources_str", "balanced_tree_6",
+         "explicit_without_nodes", "role_relay", "children_not_a_list", "document_list", "schema_version_2",
          "schema_version_missing", "seed_str", "field_reducible", "field_m_17", "field_without_m",
          "function_class_affine"],
 )

@@ -53,10 +53,9 @@ def test_block_draws_match_numpy(seed, m, size, start, count):
         assert row.tobytes() == expected.tobytes()
 
 
-
 def test_a_default_failures_seed_draws_four_distinct_streams():
-    """neural_tree.yaml leaves failures.seed at its seed; its dropout once
-    drew the same uniforms as sample 0's features."""
+    """neural_tree.yaml leaves failures.seed at its seed, so a dropout key
+    equal to the data key would drop nodes by the uniforms of the features."""
     s = load_scenario_file(SCENARIOS / "neural_tree.yaml").scenario
     assert s.failures.seed == s.seed and s.failures.node_dropout_p > 0
     dropout, loss = s.failures.streams()
