@@ -187,7 +187,7 @@ class Metrics:
         return sum(self.arc_messages.values())
 
     def arc_rows(self, g: NfcGraph) -> list[dict[str, object]]:
-        by_name = sorted(self.arc_symbols, key=lambda arc: (g.names[arc[0]], g.names[arc[1]]))
+        """One row per metered arc, in the order of ``g.arcs_by_name``."""
         return [
             {
                 "src": g.names[u],
@@ -195,7 +195,8 @@ class Metrics:
                 "messages": self.arc_messages[(u, v)],
                 "symbols": self.arc_symbols[(u, v)],
             }
-            for u, v in by_name
+            for u, v in g.arcs_by_name
+            if (u, v) in self.arc_symbols
         ]
 
 
@@ -270,9 +271,10 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics):
         delivered = count[:, list(g.in_neighbors[dest])].sum(axis=1).tolist()
         for value, gone in zip(delivered, dropped.sum(axis=1).tolist()):
             rows.append(_row(len(rows), value, gone))
+    sent = sent.tolist()
     for v in g.topo_order:
         for w in g.out_neighbors[v] if sent[v] else ():
-            metrics.record((v, w), s.packet_length, messages=int(sent[v]))
+            metrics.record((v, w), s.packet_length, messages=sent[v])
     headline = {"delivered_packets": sum(row["value"] for row in rows)}
     return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}
 
@@ -295,8 +297,8 @@ def _evaluated_generations(
     dest = g.destinations[0]
     shape = (g.n_sources, s.packet_length)
     sent = np.zeros(g.n_nodes, dtype=np.int64)
-    width = np.zeros(g.n_nodes, dtype=np.int64)
-    decoded = list(g.in_neighbors[dest]) if dest in network.decoders else []
+    width: list[int | None] = [None] * g.n_nodes  # set once a node first emits
+    decoded = g.in_neighbors[dest] if dest in network.decoders else ()
     for size in block_sizes(s.generations, g.n_nodes * s.packet_length):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
         if s.field is not None:  # one draw per generation: small-dtype integers do not batch
@@ -305,16 +307,17 @@ def _evaluated_generations(
             values = data_rng.normal(s.data.mean, s.data.std, size=(size, *shape))
         block = network.evaluate_block(values, dropped)
         for v in np.flatnonzero(block.emitted.any(axis=0)).tolist():
-            if sent[v] and width[v] != block.packets[v].shape[-1]:  # as within one block
+            if width[v] not in (None, block.packets[v].shape[-1]):  # as within one block
                 raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
             width[v] = block.packets[v].shape[-1]
         sent += block.emitted.sum(axis=0)
-        if len(set(width[decoded][sent[decoded] > 0].tolist())) > 1:  # as within one block
+        if len({width[v] for v in decoded} - {None}) > 1:  # as within one block
             raise DomainMismatch(f"destination {g.names[dest]!r} decodes packets of unequal widths")
         yield from zip(dropped.sum(axis=1).tolist(), block.outputs[dest])
+    sent = sent.tolist()
     for v in g.topo_order:
         if sent[v]:
-            metrics.record((v, g.out_neighbors[v][0]), int(width[v]), messages=int(sent[v]))
+            metrics.record((v, g.out_neighbors[v][0]), width[v], messages=sent[v])
 
 
 def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics):
@@ -418,7 +421,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
     """Execute a validated scenario deterministically. ``metrics`` meters the arcs;
     each generation's ``trajectory`` row (rlnc: no trajectory) counts its drops and losses."""
     s.validate()
-    g = build_graph(s.topology)
+    g = build_graph(s.topology)  # the config's one graph, shared by every run on it
     metrics = Metrics()
     headline, tables = APPLICATION_TABLE[s.application].runner(s, g, metrics)
     tables["arcs"] = (ARC_COLUMNS, metrics.arc_rows(g))

@@ -2,8 +2,12 @@
 
 A graph is a DAG of source, atomic, and destination nodes. Arcs point
 from children toward the destination side ("upward"), so a node's
-in-neighborhood is its child set. Graphs are immutable values after
-construction; a changed topology is a new config, built anew.
+in-neighborhood is its child set. Each topology is compiled once: a
+config validates on first use and keeps its report, so the parse, every
+run on it, a compare's forwarding twin and ``capacity`` share one
+``NfcGraph``, and with it one level plan. A config is a value: mutating
+its ``roles`` or ``children`` after a build is unsupported; a changed
+topology is a new config, built anew.
 """
 
 from __future__ import annotations
@@ -43,6 +47,11 @@ class TopologyConfig:
     roles: Mapping[str, NodeRole]
     children: Mapping[str, Sequence[str]] = field(default_factory=dict)
     mode: str = "tree"
+
+    @cached_property
+    def report(self) -> ValidationReport:
+        """``validate_config(self)``, computed on first use and kept."""
+        return validate_config(self)
 
 
 @dataclass(frozen=True)
@@ -128,6 +137,11 @@ class NfcGraph:
             LevelGroup(*(np.array(column, dtype=np.intp) for column in zip(*groups[key])))
             for key in sorted(groups)
         )
+
+    @cached_property
+    def arcs_by_name(self) -> tuple[tuple[int, int], ...]:
+        """The distinct arcs, ordered by (source name, destination name)."""
+        return tuple(sorted(set(self.arcs), key=lambda arc: (self.names[arc[0]], self.names[arc[1]])))
 
     @property
     def n_sources(self) -> int:
@@ -226,8 +240,8 @@ def validate_config(config: TopologyConfig) -> ValidationReport:
 
 
 def build_graph(config: TopologyConfig) -> NfcGraph:
-    """Validate and construct; raises the first violation's error type."""
-    report = validate_config(config)
+    """The config's one graph; raises the first violation's error type."""
+    report = config.report
     if not report.ok:
         raise report.violations[0].error(str(report))
     return report.graph

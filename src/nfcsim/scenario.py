@@ -38,7 +38,6 @@ from nfcsim.graph import (
     balanced_tree_topology,
     chain_topology,
     star_topology,
-    validate_config,
 )
 from nfcsim.learning.neural import FailureModel
 from nfcsim.solvability import TARGET_PRESETS
@@ -363,9 +362,8 @@ def parse_scenario_text(
 
     (config, generator_echo), graph = _build_topology(checker), None
     if config is not None:
-        report = validate_config(config)
-        graph = report.graph
-        for violation in report.violations:
+        graph = config.report.graph
+        for violation in config.report.violations:
             checker.fail(("topology",), f"{violation.code}: {violation.message}")
 
     # The scalars Scenario is built from, and output, which only the CLI reads.

@@ -2,8 +2,8 @@
 
 A built graph turns back into the ``TopologyConfig`` that builds it, so
 a test can re-validate it or patch its roles and child sets and rebuild.
-Nothing the simulator runs reconfigures a graph: every run builds its
-own from its scenario.
+Nothing the simulator runs reconfigures a graph: every run uses the one
+graph its scenario's config compiled.
 """
 
 from __future__ import annotations

@@ -2,11 +2,13 @@
 
 import time
 from pathlib import Path
+from unittest import mock
 
 import pytest
 import yaml
 from click.testing import CliRunner
 
+from nfcsim import cli, graph
 from nfcsim.cli import main
 from nfcsim.scenario import load_scenario_file
 from nfcsim.solvability import linear_identity_check
@@ -299,6 +301,27 @@ packet_length: 64
     lines = (out / "compare.csv").read_text().splitlines()
     assert lines[0] == "src,dst,nfc_symbols,forwarding_symbols"
     assert len(lines) == 127  # 126 arcs
+
+
+def test_compare_compiles_the_topology_once(runner, tmp_path):
+    loads, results, run_scenario = [], [], cli.run_scenario
+
+    def load(*args, **kwargs):
+        loads.append(load_scenario_file(*args, **kwargs))
+        return loads[-1]
+
+    def run(scenario):
+        results.append(run_scenario(scenario))
+        return results[-1]
+
+    with mock.patch.object(graph, "validate_config", wraps=graph.validate_config) as validated, \
+            mock.patch.object(cli, "load_scenario_file", load), mock.patch.object(cli, "run_scenario", run):
+        result = runner.invoke(main, ["compare", str(SCENARIOS / "consensus_tree.yaml"),
+                                      "--out", str(tmp_path)])
+    assert result.exit_code == 0, result.output
+    assert [r.scenario.application for r in results] == ["consensus", "forwarding"]
+    assert all(r.graph is loads[0].graph for r in results)
+    assert validated.call_count == 1
 
 
 def test_compare_notes_failure_free_baseline(runner, tmp_path):

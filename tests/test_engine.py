@@ -1,7 +1,10 @@
 """Scenario execution: accounting, barriers, determinism, comparisons."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfcsim.engine import (
     APPLICATION_TABLE,
@@ -9,6 +12,7 @@ from nfcsim.engine import (
     DataModel,
     EtaSchedule,
     GenerationBarrier,
+    Metrics,
     NeuralParams,
     Scenario,
     compare_costs,
@@ -20,11 +24,13 @@ from nfcsim.graph import (
     NodeRole,
     TopologyConfig,
     balanced_tree_topology,
+    build_graph,
     chain_topology,
     star_topology,
 )
 from nfcsim.learning.neural import FailureModel
-from nfcsim.scenario import render_csv
+from nfcsim.scenario import parse_scenario_text, render_csv
+from test_graph import layered_dags
 
 TREE64 = balanced_tree_topology(64)
 
@@ -431,6 +437,37 @@ def test_metrics_totals_equal_sum_of_arcs():
     result = run_scenario(consensus_scenario(generations=2, length=3))
     assert result.metrics.total_symbols == sum(result.metrics.arc_symbols.values())
     assert result.metrics.total_messages == sum(result.metrics.arc_messages.values())
+
+
+def test_every_run_on_a_config_shares_the_parsed_graph():
+    loaded = parse_scenario_text("""\
+schema_version: 1
+seed: 3
+application: consensus
+topology: {generator: balanced_tree, sources: 8}
+generations: 4
+failures: {node_dropout_p: 0.25}
+""")
+    s = loaded.scenario
+    twin = Scenario(topology=s.topology, application="forwarding", seed=s.seed,
+                    generations=s.effective_generations, failures=FailureModel(seed=s.failures.seed))
+    results = [run_scenario(s), run_scenario(twin), run_scenario(dataclasses.replace(s, seed=4))]
+    assert all(result.graph is loaded.graph for result in results)
+
+
+@settings(max_examples=100, deadline=None)
+@given(config=layered_dags(), data=st.data())
+def test_arc_rows_list_each_metered_arc_once_by_name(config, data):
+    g = build_graph(config)  # a node may take one child twice, so an arc may repeat
+    metrics = Metrics()
+    for arc in data.draw(st.lists(st.sampled_from(g.arcs), max_size=8)) if g.arcs else ():
+        metrics.record(arc, data.draw(st.integers(0, 3)), messages=data.draw(st.integers(0, 2)))
+    by_name = sorted(metrics.arc_symbols, key=lambda arc: (g.names[arc[0]], g.names[arc[1]]))
+    assert metrics.arc_rows(g) == [
+        {"src": g.names[u], "dst": g.names[v], "messages": metrics.arc_messages[(u, v)],
+         "symbols": metrics.arc_symbols[(u, v)]}
+        for u, v in by_name
+    ]
 
 
 def test_forwarding_drops_reduce_delivery():

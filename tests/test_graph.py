@@ -1,12 +1,15 @@
 """Graph construction, validation, and min-cut against brute force."""
 
+import dataclasses
 import itertools
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfcsim.errors import CycleDetected, RoleConflict, TreeViolation
+from nfcsim import graph as graph_module
+from nfcsim.errors import CycleDetected, DanglingReference, RoleConflict, TreeViolation
 from nfcsim.graph import (
     NfcGraph,
     NodeRole,
@@ -122,6 +125,54 @@ def test_build_graph_raises_the_first_violation_or_follows_the_config(config):
     assert sorted(g.topo_order) == list(range(g.n_nodes))
     position = {v: i for i, v in enumerate(g.topo_order)}
     assert all(position[u] < position[v] for u, v in arcs)
+
+
+def test_a_config_compiles_once():
+    config = balanced_tree_topology(100, branching=10)
+    with mock.patch.object(graph_module, "validate_config", wraps=validate_config) as validated:
+        g = build_graph(config)
+        assert build_graph(config) is g is config.report.graph
+        assert g.level_plan is build_graph(config).level_plan
+        assert validated.call_count == 1
+        copy = dataclasses.replace(config)  # an equal config is a new value, compiled anew
+        assert copy == config and repr(copy) == repr(config)
+        assert build_graph(copy) is not g and build_graph(copy) == g
+        assert validated.call_count == 2
+
+
+@settings(max_examples=150, deadline=None)
+@given(config=st.one_of(layered_dags(), generated_trees()))
+def test_the_compiled_graph_is_what_a_fresh_validation_builds(config):
+    g = build_graph(config)
+    fresh = validate_config(TopologyConfig(
+        dict(config.roles), {node: list(kids) for node, kids in config.children.items()}, config.mode
+    )).graph
+    assert g is build_graph(config) and g is not fresh
+    for name in [f.name for f in dataclasses.fields(NfcGraph)] + ["sources", "atomics", "destinations",
+                                                                   "arcs_by_name", "_ids"]:
+        assert getattr(g, name) == getattr(fresh, name), name
+    assert len(g.level_plan) == len(fresh.level_plan)
+    for group, expected in zip(g.level_plan, fresh.level_plan):
+        for array, want in zip(group, expected):
+            assert array.dtype == want.dtype and np.array_equal(array, want)
+
+
+@pytest.mark.parametrize("config, error", [
+    (TopologyConfig({"a": A, "b": A, "s": S, "d": D}, {"a": ["b", "s"], "b": ["a"], "d": ["a"]}, "dag"),
+     CycleDetected),
+    (TopologyConfig({"s0": S, "d0": D}, {"d0": ["ghost"]}), DanglingReference),
+    (TopologyConfig({"s0": S, "s1": S, "d0": D}, {"d0": ["s0"]}), TreeViolation),
+    (TopologyConfig({"s0": S, "d0": D}, {"d0": ["s0"]}, "ring"), RoleConflict),
+], ids=["cycle", "dangling", "tree", "mode"])
+def test_an_invalid_config_raises_the_same_error_on_every_build(config, error):
+    raised = []
+    for _ in range(3):
+        with pytest.raises(error) as caught:
+            build_graph(config)
+        raised.append(caught.value)
+    assert {str(exc) for exc in raised} == {str(validate_config(config))}
+    assert len({id(exc) for exc in raised}) == 3  # the report is kept, not the exception
+    assert config.report is config.report and config.report.graph is None
 
 
 @settings(max_examples=200, deadline=None)
