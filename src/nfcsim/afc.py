@@ -308,15 +308,6 @@ class FunctionAssignment:
     decoders: Mapping[object, DecoderFn] = dc_field(default_factory=dict)
 
 
-@dataclass(frozen=True)
-class NetworkEvaluation:
-    """One generation's dataflow: per-arc messages and decoded outputs."""
-
-    messages: Mapping[tuple[int, int], Packet]
-    destination_outputs: Mapping[int, object]
-    clamped_symbols: int = 0
-
-
 # Packet symbols a block of generations may hold, counted over every node.
 BLOCK_ELEMENTS = 1 << 16
 
@@ -349,6 +340,7 @@ class ConfiguredNetwork:
     The sources, then each group of the graph's level plan, are split into
     batches of nodes that share a function. A source's one child is itself
     (its input packet); without a function it forwards that packet.
+    ``evaluate`` runs a block of generations; one generation is B = 1.
     """
 
     def __init__(
@@ -375,53 +367,31 @@ class ConfiguredNetwork:
                 sizes.append(len(i))
 
     def evaluate(
-        self,
-        source_inputs: Mapping[object, Packet],
-        dropped: frozenset[int] | set[int] = frozenset(),
-    ) -> NetworkEvaluation:
-        """Run one generation through the network: ``evaluate_block`` with B = 1."""
-        g = self.graph
-        inputs = {_resolve_node(g, key): p for key, p in source_inputs.items()}
-        mask = np.zeros((1, g.n_nodes), dtype=bool)
-        mask[0, list(dropped)] = True
-        for s in g.sources:
-            if s not in inputs and not mask[0, s]:
-                raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
-        columns = [np.asarray(inputs[s])[None] if s in inputs else None for s in g.sources]
-        if all(c is not None for c in columns) and len({(c.dtype, c.shape) for c in columns}) == 1:
-            columns = np.stack(columns, axis=1)
-        block = self.evaluate_block(columns, mask)
-        emitted = block.emitted[0].tolist()
-        messages = {
-            (v, g.out_neighbors[v][0]): block.packets[v][0] for v in g.topo_order if emitted[v]
-        }
-        outputs = {d: output[0] for d, output in block.outputs.items() if output[0] is not None}
-        return NetworkEvaluation(messages, outputs, block.clamped_symbols)
-
-    def evaluate_block(
         self, sources: np.ndarray | Sequence[np.ndarray | None], dropped: np.ndarray
     ) -> BlockEvaluation:
         """Run a block of B generations through the network, batch by batch.
 
         ``sources`` is a (B, sources, L) array ordered like the graph's
         sources, or one (B, L) array per source (None for a source dropped
-        throughout); ``dropped`` is a (B, nodes) boolean mask. Dropped
-        nodes emit nothing, nor does a node none of whose children arrived.
-        A batch groups its other (generation, node) pairs by which children
-        arrived and evaluates a group in one call over those children only
-        (fixed-arity functions restrict their coefficient vectors to them),
-        or pair by pair if their packets mix dtypes or widths. A
-        destination's output is None where it is dropped. Otherwise it is
-        its inbox, the list of packets that arrived, or, with a decoder,
-        the decoder's row for that generation: one call covers every
-        generation in which some child arrived, and the others keep an
-        empty inbox.
+        throughout, else ``MissingAssignment``); ``dropped`` is a (B, nodes)
+        boolean mask. Dropped nodes emit nothing, nor does a node none of
+        whose children arrived. A batch groups its other (generation, node)
+        pairs by which children arrived and evaluates a group in one call
+        over those children only (fixed-arity functions restrict their
+        coefficient vectors to them), or pair by pair if their packets mix
+        dtypes or widths. A destination's output is None where it is
+        dropped. Otherwise it is its inbox, the list of packets that
+        arrived, or, with a decoder, the decoder's row for that generation:
+        one call covers every generation in which some child arrived, and
+        the others keep an empty inbox.
         """
         g = self.graph
         B = len(dropped)
         out: list[np.ndarray | None] = [None] * g.n_nodes
         if not isinstance(sources, np.ndarray):  # the sources read their own columns
             for s, column in zip(g.sources, sources):
+                if column is None and not dropped[:, s].all():
+                    raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
                 out[s] = column
             sources = None
         held = [sources]  # per batch, its (B, nodes, width) packets; None if they do not stack

@@ -305,7 +305,7 @@ def _evaluated_generations(
             values = np.stack([s.field.random_elements(data_rng, shape) for _ in range(size)])
         else:
             values = data_rng.normal(s.data.mean, s.data.std, size=(size, *shape))
-        block = network.evaluate_block(values, dropped)
+        block = network.evaluate(values, dropped)
         for v in np.flatnonzero(block.emitted.any(axis=0)).tolist():
             if width[v] not in (None, block.packets[v].shape[-1]):  # as within one block
                 raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
@@ -408,7 +408,6 @@ APPLICATION_TABLE = {
     # A caller-supplied assignment on the real domain or a field; the CLI drives the other four.
     "custom": Application(_run_custom, {"generations", "field", "data", _DROPOUT, "assignment"}),
 }
-APPLICATIONS = tuple(APPLICATION_TABLE)
 # Every key some application reads, as an attribute path on Scenario.
 # failures.seed is none: the parser defaults it to the scenario seed.
 SCENARIO_KEYS = sorted(set().union(*(app.reads for app in APPLICATION_TABLE.values())))

@@ -86,7 +86,7 @@ def consensus_run(
     dest = g.destinations[0]
     for size in block_sizes(generations, g.n_nodes * rows[0].shape[1] if rows else 1):
         block, rows = np.stack(rows[:size]), rows[size:]
-        evaluation = network.evaluate_block(block, np.zeros((size, g.n_nodes), dtype=bool))
+        evaluation = network.evaluate(block, np.zeros((size, g.n_nodes), dtype=bool))
         for output in evaluation.outputs[dest]:
             mean = np.asarray(output)
             if mean.size == 1:

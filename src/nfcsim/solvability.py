@@ -153,19 +153,17 @@ class LinearIdentityVerdict:
         return f"min cut {self.cut} {relation} N={self.n_sources}"
 
 
-def linear_identity_check(g: NfcGraph, dest: int | None = None) -> LinearIdentityVerdict:
+def linear_identity_check(g: NfcGraph) -> LinearIdentityVerdict:
     """Identity delivery is solvable iff every source-to-destination cut
     has capacity at least N (per-generation symbols, linear coding).
 
     The cut counts one originating symbol per source (unit-capacity
     synthetic arcs), which is the form under which the criterion is both
-    necessary and sufficient for a single destination.
+    necessary and sufficient for the graph's one destination.
     """
-    if dest is None:
-        if len(g.destinations) != 1:
-            raise RoleConflict("specify a destination for multi-destination graphs")
-        dest = g.destinations[0]
-    cut = message_min_cut(g, dest)
+    if len(g.destinations) != 1:
+        raise RoleConflict(f"the linear identity check needs exactly one destination, not {len(g.destinations)}")
+    cut = message_min_cut(g, g.destinations[0])
     return LinearIdentityVerdict(
         solvable=cut >= g.n_sources, cut=cut, n_sources=g.n_sources
     )

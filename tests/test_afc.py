@@ -5,6 +5,7 @@ import pytest
 
 from nfcsim.afc import (
     AppendCount,
+    AtomicFunction,
     Average,
     FunctionAssignment,
     Histogram,
@@ -40,6 +41,7 @@ from nfcsim.graph import (
     random_tree_topology,
     star_topology,
 )
+from test_plan import evaluate_one
 
 GF2 = FieldSpec(1)
 GF256 = FieldSpec(8)
@@ -156,7 +158,7 @@ def test_install_star_sum():
     g = build_graph(star_topology(3))
     network = install_functions(g, FunctionAssignment(functions={"a0": Sum()}))
     inputs = {f"s{i}": np.array([float(i + 1)]) for i in range(3)}
-    evaluation = network.evaluate(inputs)
+    evaluation = evaluate_one(network, inputs)
     inbox = evaluation.destination_outputs[g.destinations[0]]
     assert np.allclose(inbox[0], [6.0])
 
@@ -179,9 +181,9 @@ def test_evaluate_needs_an_input_for_each_live_source():
     network = install_functions(g, FunctionAssignment(functions={"a0": Sum()}))
     inputs = {"s0": np.array([1.0]), "s1": np.array([2.0])}
     with pytest.raises(MissingAssignment, match="no input packet for source 's2'"):
-        network.evaluate(inputs)
+        evaluate_one(network, inputs)
     # a dropped source needs none
-    evaluation = network.evaluate(inputs, dropped={g.node_id("s2")})
+    evaluation = evaluate_one(network, inputs, dropped={g.node_id("s2")})
     assert np.allclose(evaluation.destination_outputs[g.destinations[0]][0], [3.0])
 
 
@@ -201,7 +203,7 @@ def test_depth2_tree_sum_grand_total():
     rng = np.random.default_rng(10)
     values = rng.uniform(-5, 5, size=(4, 6))
     inputs = {s: values[i] for i, s in enumerate(g.sources)}
-    evaluation = network.evaluate(inputs)
+    evaluation = evaluate_one(network, inputs)
     inbox = evaluation.destination_outputs[g.destinations[0]]
     total = np.sum(np.stack(inbox), axis=0)
     assert np.allclose(total, values.sum(axis=0), rtol=1e-12)
@@ -211,10 +213,10 @@ def test_decompose_average_star():
     g = build_graph(star_topology(3))
     network = install_functions(g, decompose_average(g))
     inputs = {f"s{i}": np.array([float(v)]) for i, v in enumerate((1, 2, 3))}
-    out = network.evaluate(inputs).destination_outputs[g.destinations[0]]
+    out = evaluate_one(network, inputs).destination_outputs[g.destinations[0]]
     assert np.allclose(out, [2.0])
     # every message carries the count symbol: L + 1 symbols
-    for message in network.evaluate(inputs).messages.values():
+    for message in evaluate_one(network, inputs).messages.values():
         assert len(message) == 2
 
 
@@ -222,7 +224,7 @@ def test_decompose_average_equal_values():
     g = build_graph(balanced_tree_topology(8))
     network = install_functions(g, decompose_average(g))
     inputs = {s: np.array([1.0]) for s in g.sources}
-    out = network.evaluate(inputs).destination_outputs[g.destinations[0]]
+    out = evaluate_one(network, inputs).destination_outputs[g.destinations[0]]
     assert np.allclose(out, [1.0])
 
 
@@ -233,7 +235,7 @@ def test_decompose_average_random_trees_match_direct_mean():
         network = install_functions(g, decompose_average(g))
         values = rng.normal(0, 10, size=(10, 4))
         inputs = {s: values[i] for i, s in enumerate(g.sources)}
-        out = network.evaluate(inputs).destination_outputs[g.destinations[0]]
+        out = evaluate_one(network, inputs).destination_outputs[g.destinations[0]]
         direct = values.mean(axis=0)
         assert np.allclose(out, direct, rtol=1e-12)
 
@@ -264,7 +266,7 @@ def test_linear_network_matches_direct_combination():
         network = install_functions(g, FunctionAssignment(functions=functions))
         values = GF256.random_elements(rng, (n, 3))
         inputs = {s: values[i] for i, s in enumerate(g.sources)}
-        evaluation = network.evaluate(inputs)
+        evaluation = evaluate_one(network, inputs)
         # oracle: propagate global source coefficients through the tree
         global_coeffs: dict[int, np.ndarray] = {}
         for i, s in enumerate(g.sources):
@@ -294,7 +296,7 @@ def test_topological_tie_break_invariance():
         network = install_functions(
             g, FunctionAssignment(functions={a: Sum() for a in g.atomics})
         )
-        out = network.evaluate(inputs).destination_outputs[g.destinations[0]]
+        out = evaluate_one(network, inputs).destination_outputs[g.destinations[0]]
         assert np.allclose(out[0], [3.0, 6.0])
 
 
@@ -305,14 +307,46 @@ def test_dropped_child_equals_zero_contribution():
         g, FunctionAssignment(functions={"a0": NeuronUnit(weights)})
     )
     inputs = {f"s{i}": np.array([1.5]) for i in range(3)}
-    dropped = network.evaluate(inputs, dropped={g.node_id("s1")})
+    dropped = evaluate_one(network, inputs, dropped={g.node_id("s1")})
     zeroed = dict(inputs)
     zeroed["s1"] = np.array([0.0])
-    explicit = network.evaluate(zeroed)
+    explicit = evaluate_one(network, zeroed)
     d = g.destinations[0]
     assert np.allclose(
         dropped.destination_outputs[d][0], explicit.destination_outputs[d][0]
     )
+
+
+FIELD_PACKET = np.array([1, 2], dtype=np.uint8)
+REAL_PACKET = np.array([1.0, 2.0])
+
+
+@pytest.mark.parametrize("call, error, message", [
+    pytest.param(lambda: Nomographic((np.negative,), (1.0, 2.0), np.negative),
+                 ArityMismatch, "one pre-function per channel coefficient", id="nomographic_unmatched"),
+    pytest.param(lambda: eval_dafc(Sum(), []), ArityMismatch, "Sum needs at least one input",
+                 id="no_inputs"),
+    pytest.param(lambda: eval_dafc(AppendCount(), [FIELD_PACKET]), DomainMismatch,
+                 "AppendCount operates on real packets", id="append_count_on_field"),
+    pytest.param(lambda: eval_dafc(Histogram(4), [REAL_PACKET]), DomainMismatch,
+                 "Histogram requires integer-valued symbols", id="histogram_on_reals"),
+    pytest.param(lambda: eval_dafc(NeuronUnit((0.5,)), [FIELD_PACKET]), DomainMismatch,
+                 "NeuronUnit operates on real packets", id="neuron_on_field"),
+    pytest.param(lambda: eval_dafc(nomographic_sum(1), [REAL_PACKET]), DomainMismatch,
+                 "Nomographic functions are evaluated by eval_aafc", id="nomographic_in_eval_dafc"),
+    pytest.param(lambda: eval_dafc(AtomicFunction(), [REAL_PACKET]), TypeError,
+                 "unknown atomic function AtomicFunction", id="bare_atomic_function"),
+    pytest.param(lambda: eval_aafc(nomographic_sum(1), [FIELD_PACKET]), DomainMismatch,
+                 "analog evaluation requires real packets", id="analog_on_field"),
+    pytest.param(lambda: eval_aafc(nomographic_sum(1), [REAL_PACKET], noise_sigma=-1.0), DomainError,
+                 "noise_sigma must be >= 0", id="negative_noise_sigma"),
+    pytest.param(lambda: eval_aafc(nomographic_euclidean_norm(1), [np.zeros(64)], noise_sigma=1.0,
+                                   rng=np.random.default_rng(0)),
+                 DomainError, "square root of a negative superposition", id="noisy_norm_below_zero"),
+])
+def test_atomic_functions_refuse_what_they_cannot_evaluate(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_append_count_source_encoding():

@@ -435,6 +435,7 @@ def test_capacity_runtime_failure_exit_4(runner, tmp_path):
     result = runner.invoke(main, ["capacity", str(path)])
     assert result.exit_code == 4, result.output
     assert result.output.startswith("runtime failure: ")
+    assert "the linear identity check needs exactly one destination, not 2" in result.output
     assert "Traceback" not in result.output
 
 

@@ -152,6 +152,14 @@ def test_reducible_polynomial_rejected():
         FieldSpec(8, DEFAULT_POLYNOMIALS[9])  # wrong degree
 
 
+def test_field_specs_are_values_of_degree_and_polynomial():
+    a, b = FieldSpec(8), FieldSpec(8, DEFAULT_POLYNOMIALS[8])
+    assert a is not b and a == b and hash(a) == hash(b) and len({a, b}) == 1
+    other = FieldSpec(8, 0x11D)
+    assert other != a and len({a, other}) == 2
+    assert repr(other) == "FieldSpec(m=8, reduction_polynomial=0x11D)"
+
+
 @pytest.mark.parametrize("value", [1.5, 255.9, float("nan")])
 def test_validate_array_rejects_values_that_are_not_whole(value):
     f = FieldSpec(8)

@@ -1,12 +1,17 @@
 """The level plan and the evaluator that runs installed assignments on it.
 
-``ConfiguredNetwork.evaluate`` batches the nodes of each plan group that
-share a function. On random trees, dropout masks and mixed assignments
-it must reproduce, byte for byte, a per-node reference that calls
-``eval_dafc`` / ``eval_aafc`` in topological order over the children
-that emitted. The reference decodes each generation's inbox list with
-its own oracle, never with the block decoder it checks.
+``ConfiguredNetwork.evaluate`` runs a block of generations and batches
+the nodes of each plan group that share a function. On random trees,
+dropout masks and mixed assignments it must reproduce, byte for byte, a
+per-node reference that calls ``eval_dafc`` / ``eval_aafc`` in
+topological order over the children that emitted. The reference decodes
+each generation's inbox list with its own oracle, never with the block
+decoder it checks. ``evaluate_one`` runs one generation, a block with
+B = 1, from source packets keyed by name or id, and reads it back as
+per-arc messages and decoded outputs, the form the reference returns.
 """
+
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -164,6 +169,32 @@ def reference(g, assignment, inputs, dropped):
     return messages, outputs, metrics.get("clamped_symbols", 0)
 
 
+class OneGeneration(NamedTuple):
+    """One generation's dataflow: per-arc messages and decoded outputs."""
+
+    messages: dict
+    destination_outputs: dict
+    clamped_symbols: int
+
+
+def evaluate_one(network, source_inputs, dropped=frozenset()):
+    """Run one generation, a block with B = 1, from source packets keyed by
+    name or id. The sources' columns stack into one array when they share
+    dtype and shape; otherwise each source passes its own column."""
+    g = network.graph
+    inputs = {g.node_id(key) if isinstance(key, str) else key: p for key, p in source_inputs.items()}
+    mask = np.zeros((1, g.n_nodes), dtype=bool)
+    mask[0, list(dropped)] = True
+    columns = [np.asarray(inputs[s])[None] if s in inputs else None for s in g.sources]
+    if all(c is not None for c in columns) and len({(c.dtype, c.shape) for c in columns}) == 1:
+        columns = np.stack(columns, axis=1)
+    block = network.evaluate(columns, mask)
+    emitted = block.emitted[0].tolist()
+    messages = {(v, g.out_neighbors[v][0]): block.packets[v][0] for v in g.topo_order if emitted[v]}
+    outputs = {d: output[0] for d, output in block.outputs.items() if output[0] is not None}
+    return OneGeneration(messages, outputs, block.clamped_symbols)
+
+
 def assert_identical(actual, expected):
     if isinstance(expected, np.ndarray):
         assert isinstance(actual, np.ndarray)
@@ -190,7 +221,7 @@ def test_evaluate_matches_per_node_reference(seed, n_sources, atomic_share, fami
     network = install_functions(g, assignment)
     for _ in range(3):
         dropped = {v for v in g.sources + g.atomics if rng.random() < dropout_p}
-        evaluation = network.evaluate(inputs, dropped=dropped)
+        evaluation = evaluate_one(network, inputs, dropped=dropped)
         messages, outputs, clamped = reference(g, assignment, inputs, dropped)
         assert list(evaluation.messages) == list(messages)
         assert_identical(list(evaluation.messages.values()), list(messages.values()))
@@ -207,14 +238,14 @@ def test_name_keys_evaluate_like_id_keys(seed, n_sources, atomic_share):
     assignment, inputs = random_assignment(rng, g, "real")
     network = install_functions(g, assignment)
     dropped = {v for v in g.sources + g.atomics if rng.random() < 0.3}
-    by_id = network.evaluate(inputs, dropped=dropped)
-    by_name = network.evaluate({g.names[s]: p for s, p in inputs.items()}, dropped=dropped)
+    by_id = evaluate_one(network, inputs, dropped=dropped)
+    by_name = evaluate_one(network, {g.names[s]: p for s, p in inputs.items()}, dropped=dropped)
     assert list(by_name.messages) == list(by_id.messages)
     assert_identical(list(by_name.messages.values()), list(by_id.messages.values()))
     assert list(by_name.destination_outputs) == list(by_id.destination_outputs)
     assert_identical(list(by_name.destination_outputs.values()), list(by_id.destination_outputs.values()))
     with pytest.raises(DanglingReference):
-        network.evaluate({**inputs, "no such node": inputs[g.sources[0]]})
+        evaluate_one(network, {**inputs, "no such node": inputs[g.sources[0]]})
 
 
 def test_wide_groups_sum_like_one_node_at_a_time():
@@ -229,7 +260,7 @@ def test_wide_groups_sum_like_one_node_at_a_time():
         scales = 10.0 ** rng.integers(-8, 8, size=(100, 1))
         inputs = dict(zip(g.sources, rng.normal(size=(100, length)) * scales))
         messages, _, _ = reference(g, assignment, inputs, set())
-        evaluation = network.evaluate(inputs)
+        evaluation = evaluate_one(network, inputs)
         assert_identical(list(evaluation.messages.values()), list(messages.values()))
 
 
@@ -240,7 +271,7 @@ def test_analog_batch_matches_reference():
     network = install_functions(g, assignment)
     inputs = dict(zip(g.sources, np.random.default_rng(4).normal(size=(27, 4))))
     for dropped in (set(), {g.sources[0], g.atomics[2]}):
-        evaluation = network.evaluate(inputs, dropped=dropped)
+        evaluation = evaluate_one(network, inputs, dropped=dropped)
         messages, outputs, _ = reference(g, assignment, inputs, dropped)
         assert_identical(list(evaluation.messages.values()), list(messages.values()))
         assert_identical(list(evaluation.destination_outputs.values()), list(outputs.values()))
@@ -285,7 +316,7 @@ def test_blocks_over_a_wide_relay_match_the_reference(seed, n_sources, wide, dro
                 for t in range(generations)]
     for size in (1, 3, 7):
         for start in range(0, generations, size):
-            block = network.evaluate_block(values[start : start + size], dropped[start : start + size])
+            block = network.evaluate(values[start : start + size], dropped[start : start + size])
             for b, (messages, outputs, _) in enumerate(expected[start : start + size]):
                 emitted = [v for v in g.topo_order if block.emitted[b, v]]
                 assert [(v, g.out_neighbors[v][0]) for v in emitted] == list(messages)
@@ -326,7 +357,7 @@ def test_a_dropout_free_block_makes_one_call_per_batch(monkeypatch):
     g = build_graph(balanced_tree_topology(100, branching=10))
     network = install_functions(g, decompose_average(g))
     values = np.random.default_rng(5).normal(size=(50, 100, 1))
-    block = network.evaluate_block(values, np.zeros((50, g.n_nodes), dtype=bool))
+    block = network.evaluate(values, np.zeros((50, g.n_nodes), dtype=bool))
     assert len(calls) == 1 + len(g.level_plan)  # the sources, then one batch per level
     assert block.emitted[:, g.sources + g.atomics].all()
 
@@ -338,7 +369,7 @@ def test_a_block_with_dropout_makes_one_call_per_arrival_pattern(monkeypatch):
     network = install_functions(g, decompose_average(g))
     dropped = np.zeros((200, g.n_nodes), dtype=bool)
     dropped[:, g.sources + g.atomics] = rng.random((200, 110)) < 0.05
-    block = network.evaluate_block(rng.normal(size=(200, 100, 1)), dropped)
+    block = network.evaluate(rng.normal(size=(200, 100, 1)), dropped)
     batches = [[(s, [s]) for s in g.sources]]
     batches += [list(zip(group.nodes.tolist(), group.children.tolist())) for group in g.level_plan]
     expected = expected_calls(batches, block.emitted, dict.fromkeys(range(g.n_nodes), np.float64))
@@ -361,7 +392,7 @@ def test_only_a_group_that_mixes_dtypes_is_evaluated_pair_by_pair(monkeypatch):
     dropped = np.zeros((40, g.n_nodes), dtype=bool)
     dropped[:, g.sources] = rng.random((40, 4)) < 0.3
     calls = counted_calls(monkeypatch)
-    block = network.evaluate_block(sources, dropped)
+    block = network.evaluate(sources, dropped)
     batches = [[(s, [s]) for s in g.sources], [(v, list(g.in_neighbors[v])) for v in (a0, a1)]]
     assert len(calls) == expected_calls(batches, block.emitted, dtypes)
     assert block.packets[a1].dtype == np.float32 and block.packets[a0].dtype == np.float64
@@ -384,12 +415,12 @@ def test_block_rejects_a_node_whose_packet_width_changes():
     network = install_functions(g, FunctionAssignment({"s0": AppendCount(), "a0": Max()}))
     s0, s1 = g.node_id("s0"), g.node_id("s1")
     inputs = {s0: np.array([1.0]), s1: np.array([2.0])}
-    assert len(network.evaluate(inputs, dropped={s1}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 2
-    assert len(network.evaluate(inputs, dropped={s0}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 1
+    assert len(evaluate_one(network, inputs, dropped={s1}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 2
+    assert len(evaluate_one(network, inputs, dropped={s0}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 1
     dropped = np.zeros((2, g.n_nodes), dtype=bool)
     dropped[0, s1] = dropped[1, s0] = True
     with pytest.raises(DomainMismatch):
-        network.evaluate_block(np.ones((2, 2, 1)), dropped)
+        network.evaluate(np.ones((2, 2, 1)), dropped)
 
 
 @settings(max_examples=200, deadline=None)
@@ -447,13 +478,13 @@ def test_decoder_sees_only_generations_where_a_child_arrived():
     dropped[1, d0] = True  # the destination is down
     dropped[2, s1] = True  # s0 alone
     sources = np.array([[[1.0], [3.0]]] * 4)
-    outputs = network.evaluate_block(sources, dropped).outputs[d0]
+    outputs = network.evaluate(sources, dropped).outputs[d0]
     assert outputs[0] == [] and outputs[1] is None
     assert_identical(outputs[2:], [np.array([1.0]), np.array([2.0])])
     assert len(calls) == 1 and calls[0].tolist() == [[True, False], [True, True]]
     calls.clear()
     dropped[:, [s0, s1]] = True
-    assert network.evaluate_block(sources, dropped).outputs[d0] == [[], None, [], []]
+    assert network.evaluate(sources, dropped).outputs[d0] == [[], None, [], []]
     assert calls == []
 
 
@@ -463,12 +494,12 @@ def test_decoder_rejects_children_of_unequal_widths():
     g, network = sources_under_destination(average_decoder, widen_s0=True)
     inputs = {"s0": np.array([1.0]), "s1": np.array([2.0])}
     with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
-        network.evaluate(inputs)
+        evaluate_one(network, inputs)
     dropped = np.zeros((2, g.n_nodes), dtype=bool)
     dropped[0, g.node_id("s1")] = dropped[1, g.node_id("s0")] = True
     with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
-        network.evaluate_block(np.ones((2, 2, 1)), dropped)
-    assert_identical(network.evaluate(inputs, dropped={g.node_id("s1")}).destination_outputs[g.node_id("d0")],
+        network.evaluate(np.ones((2, 2, 1)), dropped)
+    assert_identical(evaluate_one(network, inputs, dropped={g.node_id("s1")}).destination_outputs[g.node_id("d0")],
                      np.array([1.0]))
 
 
