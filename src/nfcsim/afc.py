@@ -65,7 +65,11 @@ class LinearCombination(AtomicFunction):
 
 @dataclass(frozen=True)
 class Sum(AtomicFunction):
-    pass
+    """The children's packets added symbol-wise: int64 on field symbols,
+    float64 on reals. At width >= 2 real children are added as a left fold
+    from +0.0 in child order, numpy's order over a C-contiguous stack, so
+    the result does not depend on how the stack lies in memory; at width 1
+    numpy's sum adds 8 or more children pairwise."""
 
 
 @dataclass(frozen=True)
@@ -157,6 +161,17 @@ def _stack_inputs(spec: AtomicFunction, inputs: Sequence[Packet] | np.ndarray) -
     return np.stack([np.asarray(p) for p in inputs])
 
 
+def _add_children(stacked: np.ndarray) -> np.ndarray:
+    """The float64 sum over the children axis (-2) of a real (..., P, W)
+    stack, in ``Sum``'s order."""
+    if stacked.shape[-1] == 1:
+        return stacked.sum(axis=-2, dtype=np.float64)
+    total = np.zeros(stacked.shape[:-2] + stacked.shape[-1:])
+    for i in range(stacked.shape[-2]):
+        np.add(total, stacked[..., i, :], out=total, dtype=np.float64)
+    return total
+
+
 def eval_dafc(
     spec: AtomicFunction,
     inputs: Sequence[Packet] | np.ndarray,
@@ -184,7 +199,7 @@ def eval_dafc(
             raise DomainMismatch("AppendCount operates on real packets")
         return np.concatenate([stacked[..., 0, :], np.ones(stacked.shape[:-2] + (1,))], axis=-1)
     if isinstance(spec, Sum):
-        return stacked.sum(axis=-2, dtype=np.float64 if real else np.int64)
+        return _add_children(stacked) if real else stacked.sum(axis=-2, dtype=np.int64)
     if isinstance(spec, Max):
         return stacked.max(axis=-2)
     if isinstance(spec, Min):
@@ -559,10 +574,11 @@ def install_functions(g: NfcGraph, assignment: FunctionAssignment) -> Configured
 
 def average_decoder(packets: np.ndarray, arrived: np.ndarray) -> np.ndarray:
     """Finish the average decomposition: divide each generation's pooled sum
-    by its pooled count. A child that did not arrive adds -0.0, IEEE's
-    additive identity, so each row's sum equals, bit for bit, numpy's sum
-    over only the children that arrived, in child order."""
-    total = np.where(arrived[..., None], packets, -0.0).sum(axis=1)
+    by its pooled count. The children are added as ``Sum`` adds them (a
+    left fold from +0.0 in child order at width >= 2), and a child that did
+    not arrive adds -0.0, IEEE's additive identity, so each row's sum
+    equals, bit for bit, the sum over only the children that arrived."""
+    total = _add_children(np.where(arrived[..., None], packets, -0.0))
     return total[:, :-1] / total[:, -1:]
 
 

@@ -20,11 +20,11 @@ from typing import Callable, Collection, Iterable, Iterator, Mapping
 
 import numpy as np
 
-from nfcsim.afc import FunctionAssignment, block_sizes, decompose_average, install_functions
+from nfcsim.afc import ConfiguredNetwork, FunctionAssignment, block_sizes, install_functions
 from nfcsim.errors import DomainMismatch, MismatchedScenarios, ScenarioError
 from nfcsim.field import FieldSpec
 from nfcsim.graph import NfcGraph, NodeRole, TopologyConfig, build_graph
-from nfcsim.learning.consensus import ConsensusState, consensus_step
+from nfcsim.learning.consensus import ConsensusState, average_network, consensus_step
 from nfcsim.learning.neural import (
     MESSAGE_SYMBOLS,
     MIN_MARGIN_ACCEPTANCE,
@@ -280,18 +280,17 @@ def _run_forwarding(s: Scenario, g: NfcGraph, metrics: Metrics):
 
 
 def _evaluated_generations(
-    s: Scenario, g: NfcGraph, assignment: FunctionAssignment, metrics: Metrics
+    s: Scenario, g: NfcGraph, network: ConfiguredNetwork, metrics: Metrics
 ) -> Iterator[tuple[int, object]]:
     """The metered generation loop shared by consensus and custom.
 
     Each block of generations draws its dropout and source data and runs
-    through the installed assignment in one pass; each generation then
+    through the installed network in one pass; each generation then
     yields (dropped count, destination output). Every arc that carried a
     message is metered once, after the last block. A node's packet width
     is fixed for the whole run, and a decoder's children share one width,
     so the block split never decides whether it fails.
     """
-    network = install_functions(g, assignment)
     data_rng = substream(s.seed, DATA)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
@@ -321,15 +320,17 @@ def _evaluated_generations(
 
 
 def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics):
-    """Average decomposition feeding the harmonic-step estimator."""
-    state = ConsensusState(estimate=np.zeros(s.packet_length), generation=0)
+    """Average decomposition feeding the harmonic-step estimator. Only the
+    first symbol's estimate is recorded, so only it is folded, as a Python
+    float: the same IEEE operations as the vector fold, element for element."""
+    state = ConsensusState(estimate=0.0, generation=0)
     rows: list[dict[str, object]] = []
-    generations = _evaluated_generations(s, g, decompose_average(g), metrics)
+    generations = _evaluated_generations(s, g, average_network(g), metrics)
     for t, (dropped, delivered) in enumerate(generations):
         if not isinstance(delivered, list):
-            state = consensus_step(state, np.asarray(delivered))
-        rows.append(_row(t, float(state.estimate[0]), dropped))
-    headline = {"final_estimate": float(state.estimate[0])}
+            state = consensus_step(state, float(delivered[0]))
+        rows.append(_row(t, state.estimate, dropped))
+    headline = {"final_estimate": state.estimate}
     return headline, {"trajectory": (TRAJECTORY_COLUMNS, rows)}
 
 
@@ -338,7 +339,7 @@ def _run_custom(s: Scenario, g: NfcGraph, metrics: Metrics):
     assert s.assignment is not None
     last_value = float("nan")
     rows: list[dict[str, object]] = []
-    generations = _evaluated_generations(s, g, s.assignment, metrics)
+    generations = _evaluated_generations(s, g, install_functions(g, s.assignment), metrics)
     for t, (dropped, delivered) in enumerate(generations):
         if isinstance(delivered, list):
             delivered = delivered[0] if delivered else None

@@ -13,12 +13,13 @@ independent of the initial estimate.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import islice
 from typing import Iterable
 
 import numpy as np
 
-from nfcsim.afc import block_sizes, decompose_average, install_functions
+from nfcsim.afc import ConfiguredNetwork, block_sizes, decompose_average, install_functions
 from nfcsim.graph import NfcGraph
 
 
@@ -48,6 +49,13 @@ def consensus_step(state: ConsensusState, sample_mean: float | np.ndarray) -> Co
     return ConsensusState(estimate=new, generation=t + 1)
 
 
+@lru_cache(maxsize=8)
+def average_network(g: NfcGraph) -> ConfiguredNetwork:
+    """The average decomposition installed on ``g``, kept for the last 8
+    graphs; an installed network is immutable, so equal graphs share one."""
+    return install_functions(g, decompose_average(g))
+
+
 @dataclass(frozen=True)
 class ConsensusTrajectory:
     """Per-generation estimates and the means that produced them."""
@@ -73,7 +81,7 @@ def consensus_run(
     The recorded trajectory starts at the initial estimate and has one
     state per generation.
     """
-    network = install_functions(g, decompose_average(g))
+    network = average_network(g)
     state = ConsensusState(estimate=initial_estimate, generation=0)
     states = [state]
     means: list[float] = []
@@ -83,9 +91,9 @@ def consensus_run(
     ]
     if len(rows) < generations:
         raise ValueError(f"consensus_run needs {generations} samples, got {len(rows)}")
-    dest = g.destinations[0]
+    dest, start = g.destinations[0], 0
     for size in block_sizes(generations, g.n_nodes * rows[0].shape[1] if rows else 1):
-        block, rows = np.stack(rows[:size]), rows[size:]
+        block, start = np.stack(rows[start:start + size]), start + size
         evaluation = network.evaluate(block, np.zeros((size, g.n_nodes), dtype=bool))
         for output in evaluation.outputs[dest]:
             mean = np.asarray(output)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from nfcsim.afc import (
     AppendCount,
@@ -16,6 +17,7 @@ from nfcsim.afc import (
     NeuronUnit,
     Nomographic,
     Sum,
+    average_decoder,
     decompose_average,
     eval_aafc,
     eval_dafc,
@@ -352,3 +354,56 @@ def test_atomic_functions_refuse_what_they_cannot_evaluate(call, error, message)
 def test_append_count_source_encoding():
     out = eval_dafc(AppendCount(), [np.array([2.0, 4.0])])
     assert out.tolist() == [2.0, 4.0, 1.0]
+
+
+def signed_values(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Magnitudes from 1e-5 to 1e12 of either sign, a fifth of them signed zeros."""
+    values = rng.choice([-1.0, 1.0], size=shape) * 10.0 ** rng.uniform(-5, 12, size=shape)
+    zeros = rng.random(shape) < 0.2
+    values[zeros] = np.copysign(0.0, values[zeros])
+    return values
+
+
+STACKS = dict(seed=st.integers(0, 2**32 - 1), batch=st.integers(1, 3),
+              children=st.integers(1, 33), width=st.integers(1, 4))
+
+
+@settings(max_examples=200, deadline=None)
+@given(**STACKS)
+def test_sum_has_the_bits_of_numpys_sum(seed, batch, children, width):
+    """At width >= 2 ``Sum`` folds the children from +0.0 in child order,
+    which is what numpy's sum does over a C-contiguous stack."""
+    x = signed_values(np.random.default_rng(seed), (batch, children, width))
+    assert eval_dafc(Sum(), x).tobytes() == x.sum(axis=-2, dtype=np.float64).tobytes()
+
+
+def test_sum_of_eight_or_more_width_one_children_is_numpys_pairwise_sum():
+    """numpy adds 8 or more width-1 terms pairwise, so a left fold would
+    lose the small terms that pairing keeps."""
+    x = np.array([1e16] + [1.0] * 7)[:, None]
+    fold = 0.0
+    for value in x[:, 0].tolist():
+        fold += value
+    assert eval_dafc(Sum(), x).tobytes() == x.sum(axis=-2, dtype=np.float64).tobytes()
+    assert eval_dafc(Sum(), x).tolist() == [1e16 + 6]
+    assert fold == 1e16
+
+
+@settings(max_examples=200, deadline=None)
+@given(**STACKS)
+def test_average_decoder_has_the_bits_of_the_padded_numpy_sum(seed, batch, children, width):
+    rng = np.random.default_rng(seed)
+    packets = signed_values(rng, (batch, children, width))
+    arrived = rng.random((batch, children)) < 0.7
+    total = np.where(arrived[..., None], packets, -0.0).sum(axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        expected = total[:, :-1] / total[:, -1:]
+        assert average_decoder(packets, arrived).tobytes() == expected.tobytes()
+
+
+@pytest.mark.parametrize("width", [2, 3, 4])
+def test_sum_does_not_depend_on_the_memory_layout(width):
+    """A stack whose children lie contiguous in memory sums like its
+    C-contiguous copy; numpy's own sum would pair them instead."""
+    x = signed_values(np.random.default_rng(width), (20, width, 33)).swapaxes(-1, -2)
+    assert eval_dafc(Sum(), x).tobytes() == eval_dafc(Sum(), np.ascontiguousarray(x)).tobytes()

@@ -225,6 +225,33 @@ data:
     assert len(trajectory) == 501
 
 
+CONSENSUS_ON_NINE = """\
+schema_version: 1
+seed: 4
+application: consensus
+topology: {generator: balanced_tree, sources: 9, branching: 3}
+"""
+
+
+@pytest.mark.parametrize("extra, trajectory", [
+    ("generations: 0\n", ""),
+    ("generations: 3\npacket_length: 3\nfailures: {node_dropout_p: 1.0}\n",
+     "0,0.0,12,0\n1,0.0,12,0\n2,0.0,12,0\n"),
+], ids=["no_generations", "nothing_arrives"])
+def test_consensus_estimate_starts_at_zero(runner, tmp_path, extra, trajectory):
+    """Before any mean arrives the estimate prints as 0.0, in the headline
+    and in every trajectory row."""
+    path = write(tmp_path, "consensus.yaml", CONSENSUS_ON_NINE + extra)
+    result = runner.invoke(main, ["run", str(path), "--out", str(tmp_path / "out")])
+    assert result.exit_code == 0
+    generations = 3 if trajectory else 0
+    assert result.output.splitlines()[0] == (
+        f"application=consensus generations={generations} total_symbols=0 total_messages=0"
+        " final_estimate=0.0")
+    header = "generation,value,dropped_nodes,lost_messages\n"
+    assert (tmp_path / "out" / "trajectory.csv").read_text() == header + trajectory
+
+
 def test_capacity_identity_star(runner, tmp_path):
     result = runner.invoke(main, ["capacity", str(SCENARIOS / "capacity_star.yaml")])
     assert result.exit_code == 5  # the (2, 2) point is capped

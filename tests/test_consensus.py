@@ -1,10 +1,14 @@
 """Consensus averaging: exactness, CLT band, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
+from nfcsim import afc
+from nfcsim.engine import Scenario, run_scenario
 from nfcsim.graph import build_graph, balanced_tree_topology, star_topology
-from nfcsim.learning import ConsensusState, consensus_run, consensus_step
+from nfcsim.learning import ConsensusState, consensus, consensus_run, consensus_step
 
 
 def test_first_step_erases_initializer():
@@ -101,3 +105,33 @@ def test_too_few_samples_name_both_counts():
     with pytest.raises(ValueError, match="needs 2 samples, got 0"):
         consensus_run(g, iter([]), 2)
     assert consensus_run(g, iter([]), 0).means == ()
+
+
+def test_the_average_network_is_installed_once_per_graph(monkeypatch):
+    """Runs of one config and a direct run on its graph share one network;
+    a graph equal to it, built from an equal copy of the config, shares it too."""
+    installed, evaluated = [], []
+    install, evaluate = consensus.install_functions, afc.ConfiguredNetwork.evaluate
+
+    def counting_install(*args):
+        installed.append(install(*args))
+        return installed[-1]
+
+    def recording_evaluate(network, *args):
+        evaluated.append(network)
+        return evaluate(network, *args)
+
+    monkeypatch.setattr(consensus, "install_functions", counting_install)
+    monkeypatch.setattr(afc.ConfiguredNetwork, "evaluate", recording_evaluate)
+    consensus.average_network.cache_clear()
+    topology = balanced_tree_topology(9, 3)
+    s = Scenario(topology=topology, application="consensus", generations=4)
+    run_scenario(s)
+    run_scenario(s)
+    g = build_graph(topology)
+    consensus_run(g, np.ones((4, 9)), 4)
+    copy = build_graph(dataclasses.replace(topology))
+    assert copy is not g and copy == g
+    assert consensus.average_network(copy) is consensus.average_network(g)
+    assert len(installed) == 1 and len(evaluated) == 3
+    assert all(network is installed[0] for network in evaluated)
