@@ -209,12 +209,14 @@ def eval_dafc(
     if isinstance(spec, Histogram):
         if real:
             raise DomainMismatch("Histogram requires integer-valued symbols")
-        values = stacked.astype(np.int64).reshape(*stacked.shape[:-2], -1)
+        if spec.bins < 1:
+            raise DomainError("Histogram needs at least one bin")
+        values = stacked.astype(np.int64)
         clamped = np.clip(values, 0, spec.bins - 1)
         n_clamped = int((clamped != values).sum())
         if metrics is not None and n_clamped:
             metrics["clamped_symbols"] = metrics.get("clamped_symbols", 0) + n_clamped
-        return np.apply_along_axis(np.bincount, -1, clamped, minlength=spec.bins).astype(np.int64)
+        return (clamped[..., None] == np.arange(spec.bins)).sum(axis=(-3, -2), dtype=np.int64)
     if isinstance(spec, NeuronUnit):
         if not real:
             raise DomainMismatch("NeuronUnit operates on real packets")
@@ -338,7 +340,7 @@ class BlockEvaluation(NamedTuple):
     """A block of B generations' dataflow through a configured network."""
 
     emitted: np.ndarray  # (B, nodes): the node sent a message that generation
-    packets: list[np.ndarray | None]  # per node (B, width); rows valid where emitted
+    packets: list[np.ndarray]  # per node (B, width), rows valid where emitted; (B, 0) at a destination
     outputs: dict[int, list[object]]  # per destination and generation; None if dropped
     clamped_symbols: int
 
@@ -381,54 +383,42 @@ class ConfiguredNetwork:
                 place.update((v, (len(sizes), p)) for p, v in enumerate(nodes[i].tolist()))
                 sizes.append(len(i))
 
-    def evaluate(
-        self, sources: np.ndarray | Sequence[np.ndarray | None], dropped: np.ndarray
-    ) -> BlockEvaluation:
+    def evaluate(self, sources: np.ndarray, dropped: np.ndarray) -> BlockEvaluation:
         """Run a block of B generations through the network, batch by batch.
 
         ``sources`` is a (B, sources, L) array ordered like the graph's
-        sources, or one (B, L) array per source (None for a source dropped
-        throughout, else ``MissingAssignment``); ``dropped`` is a (B, nodes)
-        boolean mask. Dropped nodes emit nothing, nor does a node none of
-        whose children arrived. A batch groups its other (generation, node)
-        pairs by which children arrived and evaluates a group in one call
-        over those children only (fixed-arity functions restrict their
-        coefficient vectors to them), or pair by pair if their packets mix
-        dtypes or widths. A destination's output is None where it is
-        dropped. Otherwise it is its inbox, the list of packets that
-        arrived, or, with a decoder, the decoder's row for that generation:
-        one call covers every generation in which some child arrived, and
-        the others keep an empty inbox.
+        sources; ``dropped`` is a (B, nodes) boolean mask. Dropped nodes
+        emit nothing, nor does a node none of whose children arrived, and
+        the packets of a node that emits nothing are never read. A batch
+        reads all of its children as one array at their promoted dtype, so
+        children of unequal widths are refused whatever arrived, and a
+        node's width is fixed by the source width and the functions. A
+        batch groups its (generation, node) pairs by which children arrived
+        and evaluates a group in one call over those children only
+        (fixed-arity functions restrict their coefficient vectors to them).
+        A destination's output is None where it is dropped. Otherwise it is
+        its inbox, the list of packets that arrived, or, with a decoder,
+        the decoder's row for that generation: one call covers every
+        generation in which some child arrived, and the others keep an
+        empty inbox. A decoder's children must share one width.
         """
         g = self.graph
         B = len(dropped)
-        out: list[np.ndarray | None] = [None] * g.n_nodes
-        if not isinstance(sources, np.ndarray):  # the sources read their own columns
-            for s, column in zip(g.sources, sources):
-                if column is None and not dropped[:, s].all():
-                    raise MissingAssignment(f"no input packet for source {g.names[s]!r}")
-                out[s] = column
-            sources = None
-        held = [sources]  # per batch, its (B, nodes, width) packets; None if they do not stack
+        out = [np.empty((B, 0))] * g.n_nodes  # a destination emits nothing; the others are set below
+        held = [sources]  # per batch, its (B, nodes, width) packets
         emitted = ~dropped  # until dropped or left without inputs
         emitted[:, list(g.destinations)] = False
         metrics: dict = {}
         for spec, nodes, children, reader in self._batches:
             arrived = emitted[:, children]
             live = emitted[:, nodes] = emitted[:, nodes] & arrived.any(axis=2)
-            values = _read(held, *reader, children.shape, B)
-            if values is not None and arrived.all() and live.all():  # one group: every pair, every child
-                results = [((slice(None), slice(None)), _apply(spec, values, metrics))]
+            values = _read(g, held, nodes, children.shape, *reader)
+            if arrived.all() and live.all():  # one group: every pair, every child
+                batch = np.ascontiguousarray(_apply(spec, values, metrics))
             else:
-                results = _grouped(spec, out, live, arrived, children, values, metrics)
-            batch = None
-            if len({(p.dtype, p.shape[-1]) for _, p in results}) == 1:  # the packets stack
-                batch = np.zeros((B, len(nodes)) + results[0][1].shape[-1:], results[0][1].dtype)
-                for pairs, packets in results:
-                    batch[pairs] = packets
+                batch = _grouped(spec, live, arrived, values, metrics)
             held.append(batch)
-            columns = _columns(g, nodes, results, B) if batch is None else batch.swapaxes(0, 1)
-            for v, column in zip(nodes.tolist(), columns):
+            for v, column in zip(nodes.tolist(), batch.swapaxes(0, 1)):
                 out[v] = column
         outputs = {}
         for d in g.destinations:
@@ -442,14 +432,11 @@ class ConfiguredNetwork:
                 ]
                 continue
             outputs[d] = [[] if a else None for a in alive]
-            sent = arrived.any(axis=0).tolist()
-            present = [out[c] for c in compress(kids, sent)]
-            if len({p.shape[-1] for p in present}) > 1:
+            if len({out[c].shape[-1] for c in kids}) > 1:
                 raise DomainMismatch(f"destination {g.names[d]!r} decodes packets of unequal widths")
             rows = np.flatnonzero(~dropped[:, d] & arrived.any(axis=1))
             if len(rows):  # a row where nothing arrived never reaches the decoder
-                zeros = np.zeros_like(present[0])
-                packets = np.stack([out[c] if s else zeros for c, s in zip(kids, sent)], axis=1)
+                packets = np.stack([out[c] for c in kids], axis=1)
                 for b, value in zip(rows.tolist(), decoder(packets[rows], arrived[rows])):
                     outputs[d][b] = value
         return BlockEvaluation(emitted, out, outputs, metrics.get("clamped_symbols", 0))
@@ -466,19 +453,23 @@ def _reader(place: Mapping[int, tuple[int, int]], sizes: Sequence[int], children
     return holders, None if identity else index.reshape(children.shape)
 
 
-def _read(held: list, holders: Sequence[int], index, shape: tuple[int, ...], B: int):
-    """The (B, *shape, width) packets of some children, C-contiguous like one
-    node's stacked inputs, or None if their batches' packets do not stack."""
+def _read(g: NfcGraph, held: list, nodes: np.ndarray, shape: tuple[int, ...], holders: Sequence[int], index):
+    """The (B, *shape, width) packets of the children of ``nodes``, at their
+    promoted dtype and C-contiguous like one node's stacked inputs."""
     parts = [held[h] for h in holders]
-    if all(p is not None for p in parts) and len({(p.dtype, p.shape[-1]) for p in parts}) == 1:
-        joined = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
-        return joined.reshape(B, *shape, -1) if index is None else np.take(joined, index, axis=1)
-    return None
+    if len({p.shape[-1] for p in parts}) > 1:  # name the first node with a child unlike the first child
+        widths = np.repeat([p.shape[-1] for p in parts], [p.shape[1] for p in parts])
+        widths = widths.reshape(shape) if index is None else widths[index]
+        v = nodes[(widths != widths.flat[0]).any(axis=1).argmax()]
+        raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
+    joined = np.concatenate(parts, axis=1) if len(parts) > 1 else parts[0]
+    return joined.reshape(len(joined), *shape, -1) if index is None else np.take(joined, index, axis=1)
 
 
-def _grouped(spec, out, live, arrived, children, values, metrics: dict) -> list:
-    """Evaluate a batch's live pairs one arrival pattern at a time: a list
-    of ((generations, positions), (pairs, width) packets)."""
+def _grouped(spec, live, arrived, values, metrics: dict) -> np.ndarray:
+    """A batch's (B, nodes, width) packets: its live pairs evaluated one
+    arrival pattern at a time, zeros elsewhere. A batch without a live pair
+    takes its dtype and width from a call on zero pairs."""
     b, i = np.nonzero(live)
     seen = arrived[b, i]
     packed = np.packbits(seen, axis=1)
@@ -488,35 +479,16 @@ def _grouped(spec, out, live, arrived, children, values, metrics: dict) -> list:
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(counts)[:-1])
     for row, members in zip(first.tolist(), groups):
         bg, ig, keep = b[members], i[members], np.flatnonzero(seen[row])
-        restricted, kids = _restrict_arity(spec, keep.tolist(), seen.shape[1]), children[ig[:, None], keep]
-        if values is None:  # read the children's own columns, pair by pair if they mix dtypes or widths
-            rows = [[out[c][gen] for c in kid] for gen, kid in zip(bg.tolist(), kids.tolist())]
-            if len({(p.dtype, p.shape[-1]) for row in rows for p in row}) > 1:
-                for gen, pos, row in zip(bg.tolist(), ig.tolist(), rows):
-                    results.append((([gen], [pos]), _apply(restricted, row, metrics)[None]))
-                continue
-        group = np.array(rows) if values is None else values[bg[:, None], ig[:, None], keep]
-        results.append(((bg, ig), _apply(restricted, group, metrics)))
-    return results
+        restricted = _restrict_arity(spec, keep.tolist(), seen.shape[1])
+        results.append(((bg, ig), _apply(restricted, values[bg[:, None], ig[:, None], keep], metrics)))
+    like = results[0][1] if results else _apply(spec, values[:0, 0], metrics)
+    batch = np.zeros(live.shape + like.shape[-1:], like.dtype)
+    for pairs, packets in results:
+        batch[pairs] = packets
+    return batch
 
 
-def _columns(g: NfcGraph, nodes: np.ndarray, results: list, B: int) -> list[np.ndarray | None]:
-    """Per node, a (B, width) column of its packets' promoted dtype; None if it never emitted."""
-    columns: dict[int, np.ndarray] = {}
-    for (bg, ig), packets in results:
-        for b, v, packet in zip(bg, nodes[ig].tolist(), packets):
-            column = columns.get(v)
-            if column is None:
-                column = columns[v] = np.zeros((B,) + packet.shape, packet.dtype)
-            elif column.shape[1:] != packet.shape:
-                raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
-            elif column.dtype != (dtype := np.promote_types(column.dtype, packet.dtype)):
-                column = columns[v] = column.astype(dtype)  # which children arrived varies
-            column[b] = packet
-    return [columns.get(v) for v in nodes.tolist()]
-
-
-def _apply(spec: AtomicFunction, packets: Sequence[Packet] | np.ndarray, metrics: dict):
+def _apply(spec: AtomicFunction, packets: np.ndarray, metrics: dict):
     if isinstance(spec, Nomographic):
         return eval_aafc(spec, packets)
     return eval_dafc(spec, packets, metrics=metrics)

@@ -288,16 +288,14 @@ def _evaluated_generations(
     through the installed network in one pass; each generation then
     yields (dropped count, destination output). Every arc that carried a
     message is metered once, after the last block. A node's packet width
-    is fixed for the whole run, and a decoder's children share one width,
-    so the block split never decides whether it fails.
+    is fixed by the source width and the functions, so every block gives
+    it the same width, and the metering reads it from the last block.
     """
     data_rng = substream(s.seed, DATA)
     dropout_rng, _ = s.failures.streams()
     dest = g.destinations[0]
     shape = (g.n_sources, s.packet_length)
     sent = np.zeros(g.n_nodes, dtype=np.int64)
-    width: list[int | None] = [None] * g.n_nodes  # set once a node first emits
-    decoded = g.in_neighbors[dest] if dest in network.decoders else ()
     for size in block_sizes(s.generations, g.n_nodes * s.packet_length):
         dropped = draw_dropped(g, s.failures, dropout_rng, size)
         if s.field is not None:  # one draw per generation: small-dtype integers do not batch
@@ -305,18 +303,12 @@ def _evaluated_generations(
         else:
             values = data_rng.normal(s.data.mean, s.data.std, size=(size, *shape))
         block = network.evaluate(values, dropped)
-        for v in np.flatnonzero(block.emitted.any(axis=0)).tolist():
-            if width[v] not in (None, block.packets[v].shape[-1]):  # as within one block
-                raise DomainMismatch(f"node {g.names[v]!r} emits packets of unequal widths")
-            width[v] = block.packets[v].shape[-1]
         sent += block.emitted.sum(axis=0)
-        if len({width[v] for v in decoded} - {None}) > 1:  # as within one block
-            raise DomainMismatch(f"destination {g.names[dest]!r} decodes packets of unequal widths")
         yield from zip(dropped.sum(axis=1).tolist(), block.outputs[dest])
     sent = sent.tolist()
     for v in g.topo_order:
-        if sent[v]:
-            metrics.record((v, g.out_neighbors[v][0]), width[v], messages=sent[v])
+        if sent[v]:  # some block ran
+            metrics.record((v, g.out_neighbors[v][0]), block.packets[v].shape[-1], messages=sent[v])
 
 
 def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics):
@@ -339,10 +331,14 @@ def _run_custom(s: Scenario, g: NfcGraph, metrics: Metrics):
     assert s.assignment is not None
     last_value = float("nan")
     rows: list[dict[str, object]] = []
-    generations = _evaluated_generations(s, g, install_functions(g, s.assignment), metrics)
-    for t, (dropped, delivered) in enumerate(generations):
+    network = install_functions(g, s.assignment)
+    for t, (dropped, delivered) in enumerate(_evaluated_generations(s, g, network, metrics)):
         if isinstance(delivered, list):
             delivered = delivered[0] if delivered else None
+        elif delivered is not None and not np.size(delivered):
+            decoder = network.decoders[g.destinations[0]]
+            raise DomainMismatch(f"the decoder {getattr(decoder, '__name__', decoder)!r} of destination"
+                                 f" {g.names[g.destinations[0]]!r} returned an empty row")
         value = float("nan")
         if delivered is not None:
             value = last_value = float(np.asarray(delivered).ravel()[0])

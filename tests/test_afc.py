@@ -43,7 +43,7 @@ from nfcsim.graph import (
     random_tree_topology,
     star_topology,
 )
-from test_plan import evaluate_one
+from test_plan import evaluate_one, random_assignment, random_tree
 
 GF2 = FieldSpec(1)
 GF256 = FieldSpec(8)
@@ -92,6 +92,9 @@ def test_histogram_counts_and_clamps():
     )
     # 9 clamps to bin 3, -2 clamps to bin 0
     assert out.tolist() == [2, 2, 1, 3]
+    assert metrics["clamped_symbols"] == 2
+    empty = eval_dafc(Histogram(bins=4), np.zeros((0, 2, 3), dtype=np.int64), metrics=metrics)
+    assert (empty.dtype, empty.shape) == (np.int64, (0, 4))  # a batch with no live pair
     assert metrics["clamped_symbols"] == 2
 
 
@@ -178,15 +181,32 @@ def test_install_rejects_an_arc_key_not_in_the_graph():
         install_functions(g, FunctionAssignment(functions={("s0", "d0"): Sum()}))
 
 
-def test_evaluate_needs_an_input_for_each_live_source():
-    g = build_graph(star_topology(3))
-    network = install_functions(g, FunctionAssignment(functions={"a0": Sum()}))
-    inputs = {"s0": np.array([1.0]), "s1": np.array([2.0])}
-    with pytest.raises(MissingAssignment, match="no input packet for source 's2'"):
-        evaluate_one(network, inputs)
-    # a dropped source needs none
-    evaluation = evaluate_one(network, inputs, dropped={g.node_id("s2")})
-    assert np.allclose(evaluation.destination_outputs[g.destinations[0]][0], [3.0])
+def block_bytes(block):
+    """The bytes of each emitted packet and each destination output of a block."""
+    packets = [block.packets[v][b].tobytes() for b, v in zip(*np.nonzero(block.emitted))]
+    outputs = [None if o is None else [p.tobytes() for p in o] if isinstance(o, list) else o.tobytes()
+               for rows in block.outputs.values() for o in rows]
+    return packets, outputs
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_sources=st.integers(1, 16),
+    atomic_share=st.floats(0.0, 1.0),
+    dropout_p=st.sampled_from([0.2, 0.5]),
+)
+def test_a_dropped_sources_row_is_never_read(seed, n_sources, atomic_share, dropout_p):
+    """NaN in a dropped source's row gives the bytes of a zero row."""
+    rng = np.random.default_rng(seed)
+    g = build_graph(random_tree(rng, n_sources, max(1, round(atomic_share * n_sources))))
+    assignment, inputs = random_assignment(rng, g, "real")
+    network = install_functions(g, assignment)
+    dropped = np.zeros((6, g.n_nodes), dtype=bool)
+    dropped[:, g.sources + g.atomics] = rng.random((6, g.n_sources + len(g.atomics))) < dropout_p
+    values = rng.normal(size=(6, g.n_sources, len(inputs[g.sources[0]])))
+    zero, nan = (np.where(dropped[:, g.sources, None], fill, values) for fill in (0.0, np.nan))
+    assert block_bytes(network.evaluate(nan, dropped)) == block_bytes(network.evaluate(zero, dropped))
 
 
 def test_install_checks_arity():
@@ -332,6 +352,8 @@ REAL_PACKET = np.array([1.0, 2.0])
                  "AppendCount operates on real packets", id="append_count_on_field"),
     pytest.param(lambda: eval_dafc(Histogram(4), [REAL_PACKET]), DomainMismatch,
                  "Histogram requires integer-valued symbols", id="histogram_on_reals"),
+    pytest.param(lambda: eval_dafc(Histogram(0), [FIELD_PACKET]), DomainError,
+                 "Histogram needs at least one bin", id="histogram_without_bins"),
     pytest.param(lambda: eval_dafc(NeuronUnit((0.5,)), [FIELD_PACKET]), DomainMismatch,
                  "NeuronUnit operates on real packets", id="neuron_on_field"),
     pytest.param(lambda: eval_dafc(nomographic_sum(1), [REAL_PACKET]), DomainMismatch,

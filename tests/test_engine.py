@@ -537,3 +537,19 @@ def test_decoder_width_mismatch_fails_under_any_block_split(generations_per_bloc
     with mock.patch.object(afc, "BLOCK_ELEMENTS", generations_per_block * 3):
         with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
             run_scenario(scenario)
+
+
+def test_a_decoder_that_returns_an_empty_row_is_named():
+    """average_decoder over width-1 Sum packets, which carry no count
+    symbol, divides an empty column set."""
+    from nfcsim.afc import FunctionAssignment, Sum, average_decoder
+    from nfcsim.errors import DomainMismatch
+
+    scenario = Scenario(
+        topology=star_topology(3),
+        application="custom",
+        generations=2,
+        assignment=FunctionAssignment({"a0": Sum()}, {"d0": average_decoder}),
+    )
+    with pytest.raises(DomainMismatch, match="decoder 'average_decoder' of destination 'd0' returned an empty row"):
+        run_scenario(scenario)

@@ -6,9 +6,10 @@ dropout masks and mixed assignments it must reproduce, byte for byte, a
 per-node reference that calls ``eval_dafc`` / ``eval_aafc`` in
 topological order over the children that emitted. The reference decodes
 each generation's inbox list with its own oracle, never with the block
-decoder it checks. ``evaluate_one`` runs one generation, a block with
-B = 1, from source packets keyed by name or id, and reads it back as
-per-arc messages and decoded outputs, the form the reference returns.
+decoder it checks. Both read the source packets at their promoted
+dtype. ``evaluate_one`` runs one generation, a block with B = 1, from
+source packets keyed by name or id, and reads it back as per-arc
+messages and decoded outputs, the form the reference returns.
 """
 
 from typing import NamedTuple
@@ -75,8 +76,8 @@ def random_assignment(rng, g, family):
     real: AppendCount sources under Sum, Max, Min, Average, NeuronUnit.
     field: forwarding sources under GF(16) LinearCombination, Max, Min,
     with Histogram or Sum on the destination's children.
-    mixed: float32 and float64 sources forwarded under the real kinds,
-    so one group's packets may not share a dtype.
+    mixed: the field kinds, with some sources re-typing their packet to
+    int64 by a Sum, so a batch may read uint8 beside int64 children.
     """
     length = int(rng.choice([1, 2, 9]))
     dest = g.destinations[0]
@@ -89,12 +90,11 @@ def random_assignment(rng, g, family):
         variant = (arity, int(rng.integers(2)))
         weights = pool.setdefault(("w", *variant), tuple(rng.normal(size=arity)))
         coeffs = pool.setdefault(("c", *variant), tuple(GF16.random_elements(rng, arity).tolist()))
-        kinds = {
-            "real": [Sum(), Max(), Min(), Average(), NeuronUnit(weights)],
-            "mixed": [Sum(), Max(), Min(), Average(), NeuronUnit(weights)],
-            "field": [LinearCombination(coeffs, GF16), Max(), Min()],
-        }[family]
-        if family == "field" and g.out_neighbors[a][0] == dest:
+        if family == "real":
+            kinds = [Sum(), Max(), Min(), Average(), NeuronUnit(weights)]
+        else:
+            kinds = [LinearCombination(coeffs, GF16), Max(), Min()]
+        if family != "real" and g.out_neighbors[a][0] == dest:
             kinds += [Histogram(5), Sum()]
         functions[a] = kinds[rng.integers(len(kinds))]
     if family == "real":
@@ -103,14 +103,11 @@ def random_assignment(rng, g, family):
             isinstance(functions[c], (Sum, AppendCount)) for c in g.in_neighbors[dest]
         ) else {}
         values = list(rng.normal(0.0, 10.0, size=(g.n_sources, length)))
-    elif family == "field":
-        functions.update({s: Identity() for s in g.sources if rng.random() < 0.5})
-        values = list(GF16.random_elements(rng, (g.n_sources, length)))
     else:
-        values = [
-            rng.normal(size=length).astype([np.float32, np.float64][rng.integers(2)])
-            for _ in g.sources
-        ]
+        functions.update({s: Identity() for s in g.sources if rng.random() < 0.5})
+        if family == "mixed":
+            functions.update({s: Sum() for s in g.sources if rng.random() < 0.5})
+        values = list(GF16.random_elements(rng, (g.n_sources, length)))
     # Arc keys bind the tail node, like node keys.
     for a in g.atomics[: len(g.atomics) // 2]:
         functions[(a, g.out_neighbors[a][0])] = functions.pop(a)
@@ -127,7 +124,9 @@ ORACLE_DECODERS = {average_decoder: average_oracle}
 
 
 def reference(g, assignment, inputs, dropped):
-    """Per-node evaluation in topological order over the children that emitted."""
+    """Per-node evaluation in topological order over the children that
+    emitted, from source packets promoted to one dtype."""
+    inputs = dict(zip(inputs, np.stack(list(inputs.values()))))
     spec_of = {
         (key[0] if isinstance(key, tuple) else key): spec
         for key, spec in assignment.functions.items()
@@ -179,31 +178,34 @@ class OneGeneration(NamedTuple):
 
 def evaluate_one(network, source_inputs, dropped=frozenset()):
     """Run one generation, a block with B = 1, from source packets keyed by
-    name or id. The sources' columns stack into one array when they share
-    dtype and shape; otherwise each source passes its own column."""
+    name or id. They stack into one array at their promoted dtype, and a
+    dropped source's packet is zeros."""
     g = network.graph
     inputs = {g.node_id(key) if isinstance(key, str) else key: p for key, p in source_inputs.items()}
     mask = np.zeros((1, g.n_nodes), dtype=bool)
     mask[0, list(dropped)] = True
-    columns = [np.asarray(inputs[s])[None] if s in inputs else None for s in g.sources]
-    if all(c is not None for c in columns) and len({(c.dtype, c.shape) for c in columns}) == 1:
-        columns = np.stack(columns, axis=1)
-    block = network.evaluate(columns, mask)
+    zeros = np.zeros_like(next(iter(inputs.values())))
+    block = network.evaluate(np.stack([zeros if s in dropped else inputs[s] for s in g.sources])[None], mask)
     emitted = block.emitted[0].tolist()
     messages = {(v, g.out_neighbors[v][0]): block.packets[v][0] for v in g.topo_order if emitted[v]}
     outputs = {d: output[0] for d, output in block.outputs.items() if output[0] is not None}
     return OneGeneration(messages, outputs, block.clamped_symbols)
 
 
-def assert_identical(actual, expected):
+def assert_identical(actual, expected, promoted=False):
+    """Equal dtype, shape and bytes; ``promoted`` lets ``actual`` hold the
+    bytes of ``expected`` at a dtype that ``expected`` casts to safely."""
     if isinstance(expected, np.ndarray):
         assert isinstance(actual, np.ndarray)
+        if promoted:
+            assert np.can_cast(expected.dtype, actual.dtype)
+            expected = expected.astype(actual.dtype)
         assert (actual.dtype, actual.shape) == (expected.dtype, expected.shape)
         assert actual.tobytes() == expected.tobytes()
     else:
         assert len(actual) == len(expected)
         for a, e in zip(actual, expected):
-            assert_identical(a, e)
+            assert_identical(a, e, promoted)
 
 
 @settings(max_examples=150, deadline=None)
@@ -223,10 +225,11 @@ def test_evaluate_matches_per_node_reference(seed, n_sources, atomic_share, fami
         dropped = {v for v in g.sources + g.atomics if rng.random() < dropout_p}
         evaluation = evaluate_one(network, inputs, dropped=dropped)
         messages, outputs, clamped = reference(g, assignment, inputs, dropped)
+        promoted = family == "mixed"  # a batch may read a node's children at a wider dtype
         assert list(evaluation.messages) == list(messages)
-        assert_identical(list(evaluation.messages.values()), list(messages.values()))
+        assert_identical(list(evaluation.messages.values()), list(messages.values()), promoted)
         assert list(evaluation.destination_outputs) == list(outputs)
-        assert_identical(list(evaluation.destination_outputs.values()), list(outputs.values()))
+        assert_identical(list(evaluation.destination_outputs.values()), list(outputs.values()), promoted)
         assert evaluation.clamped_symbols == clamped
 
 
@@ -335,20 +338,14 @@ def counted_calls(monkeypatch) -> list:
     return calls
 
 
-def expected_calls(batches, emitted, dtype_of):
-    """One call per (batch, arrival pattern), or one per pair of a pattern
-    whose arrived children's packets mix dtypes. A batch is a list of
-    (node, children) that share a function; a source is its own child."""
+def expected_calls(batches, emitted):
+    """One call per (batch, arrival pattern), and one call on zero pairs for a
+    batch that no pair emits from. A batch is a list of (node, children)
+    that share a function; a source is its own child."""
     count = 0
     for batch in batches:
-        groups: dict[tuple, list] = {}
-        for b in range(len(emitted)):
-            for v, kids in batch:
-                if emitted[b, v]:
-                    pattern = tuple(emitted[b, kids].tolist())
-                    groups.setdefault(pattern, []).append(
-                        {dtype_of[c] for c, arrived in zip(kids, pattern) if arrived})
-        count += sum(len(pairs) if len(set().union(*pairs)) > 1 else 1 for pairs in groups.values())
+        patterns = {tuple(emitted[b, kids].tolist()) for v, kids in batch for b in np.flatnonzero(emitted[:, v])}
+        count += max(1, len(patterns))
     return count
 
 
@@ -372,55 +369,69 @@ def test_a_block_with_dropout_makes_one_call_per_arrival_pattern(monkeypatch):
     block = network.evaluate(rng.normal(size=(200, 100, 1)), dropped)
     batches = [[(s, [s]) for s in g.sources]]
     batches += [list(zip(group.nodes.tolist(), group.children.tolist())) for group in g.level_plan]
-    expected = expected_calls(batches, block.emitted, dict.fromkeys(range(g.n_nodes), np.float64))
+    expected = expected_calls(batches, block.emitted)
     assert len(calls) == expected and len(g.level_plan) + 1 < expected < 200
 
 
-def test_only_a_group_that_mixes_dtypes_is_evaluated_pair_by_pair(monkeypatch):
-    """Two Max relays in one batch over float32 and float64 sources: a group
-    whose arrived children share a dtype is one call, any other one call per pair."""
-    roles = {f"s{i}": NodeRole.SOURCE for i in range(4)}
+def test_a_relay_reads_a_sum_child_and_a_forwarded_source_at_the_promoted_dtype(monkeypatch):
+    """A GF(16) Max relay over a Sum child (int64) and a forwarded source
+    (uint8), under dropout: one call per arrival pattern, an int64 column,
+    and each row the per-node reference at that dtype."""
+    roles = {f"s{i}": NodeRole.SOURCE for i in range(3)}
     roles.update(a0=NodeRole.ATOMIC, a1=NodeRole.ATOMIC, d0=NodeRole.DESTINATION)
-    children = {"a0": ["s0", "s1"], "a1": ["s2", "s3"], "d0": ["a0", "a1"]}
+    children = {"a0": ["s0", "s1"], "a1": ["a0", "s2"], "d0": ["a1"]}
     g = build_graph(TopologyConfig(roles=roles, children=children))
     a0, a1 = g.node_id("a0"), g.node_id("a1")
-    assignment = FunctionAssignment({a0: Max(), a1: Max()})
+    assignment = FunctionAssignment({a0: Sum(), a1: Max()})
     network = install_functions(g, assignment)
     rng = np.random.default_rng(7)
-    dtypes = dict(zip(g.sources, [np.float32, np.float64, np.float32, np.float32]))
-    sources = [rng.normal(size=(40, 2)).astype(dtypes[s]) for s in g.sources]
+    sources = GF16.random_elements(rng, (40, 3, 2))
     dropped = np.zeros((40, g.n_nodes), dtype=bool)
-    dropped[:, g.sources] = rng.random((40, 4)) < 0.3
+    dropped[:, [*g.sources, a0]] = rng.random((40, 4)) < 0.3
     calls = counted_calls(monkeypatch)
     block = network.evaluate(sources, dropped)
-    batches = [[(s, [s]) for s in g.sources], [(v, list(g.in_neighbors[v])) for v in (a0, a1)]]
-    assert len(calls) == expected_calls(batches, block.emitted, dtypes)
-    assert block.packets[a1].dtype == np.float32 and block.packets[a0].dtype == np.float64
+    batches = [[(s, [s]) for s in g.sources]] + [[(v, list(g.in_neighbors[v]))] for v in (a0, a1)]
+    assert len(calls) == expected_calls(batches, block.emitted) > len(batches)
+    assert block.packets[a1].dtype == np.int64 and block.packets[g.node_id("s2")].dtype == np.uint8
     for b in range(40):
-        inputs = {s: column[b] for s, column in zip(g.sources, sources)}
+        inputs = dict(zip(g.sources, sources[b]))
         messages, _, _ = reference(g, assignment, inputs, set(np.flatnonzero(dropped[b])))
         emitted = [v for v in g.topo_order if block.emitted[b, v]]
         assert [v for v, _ in messages] == emitted
-        for v in emitted:  # a node's column holds its packets at their promoted dtype
-            assert block.packets[v][b].tobytes() == messages[(v, g.out_neighbors[v][0])].astype(
-                block.packets[v].dtype).tobytes()
+        assert_identical([block.packets[v][b] for v in emitted], list(messages.values()), promoted=True)
 
 
 def test_block_rejects_a_node_whose_packet_width_changes():
-    """One generation at a time, a node emits whichever of its unequal-width
-    children arrived; a block holds one width per node, so it refuses."""
+    """a0 takes Max over s0's 2-symbol and s1's 1-symbol packets. A batch
+    reads its children as one array, so it refuses whatever arrived, even
+    one generation at a time."""
     roles = {"s0": NodeRole.SOURCE, "s1": NodeRole.SOURCE, "a0": NodeRole.ATOMIC,
              "d0": NodeRole.DESTINATION}
     g = build_graph(TopologyConfig(roles=roles, children={"a0": ["s0", "s1"], "d0": ["a0"]}))
     network = install_functions(g, FunctionAssignment({"s0": AppendCount(), "a0": Max()}))
     s0, s1 = g.node_id("s0"), g.node_id("s1")
     inputs = {s0: np.array([1.0]), s1: np.array([2.0])}
-    assert len(evaluate_one(network, inputs, dropped={s1}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 2
-    assert len(evaluate_one(network, inputs, dropped={s0}).messages[(g.node_id("a0"), g.node_id("d0"))]) == 1
+    for dropped in (set(), {s0}, {s1}):
+        with pytest.raises(DomainMismatch, match="node 'a0' emits packets of unequal widths"):
+            evaluate_one(network, inputs, dropped=dropped)
     dropped = np.zeros((2, g.n_nodes), dtype=bool)
     dropped[0, s1] = dropped[1, s0] = True
-    with pytest.raises(DomainMismatch):
+    with pytest.raises(DomainMismatch, match="node 'a0' emits packets of unequal widths"):
         network.evaluate(np.ones((2, 2, 1)), dropped)
+
+
+def test_a_batch_refuses_relays_whose_packets_differ_in_width():
+    """Two Max relays share a batch, a0 over 2-symbol AppendCount packets and
+    a1 over 1-symbol packets: the batch's packets hold one width, so it
+    refuses and names a1, the relay whose children differ from the first."""
+    roles = {f"s{i}": NodeRole.SOURCE for i in range(4)}
+    roles.update(a0=NodeRole.ATOMIC, a1=NodeRole.ATOMIC, d0=NodeRole.DESTINATION)
+    children = {"a0": ["s0", "s1"], "a1": ["s2", "s3"], "d0": ["a0", "a1"]}
+    g = build_graph(TopologyConfig(roles=roles, children=children))
+    network = install_functions(g, FunctionAssignment({"s0": AppendCount(), "s1": AppendCount(), "a0": Max(),
+                                                       "a1": Max()}))
+    with pytest.raises(DomainMismatch, match="node 'a1' emits packets of unequal widths"):
+        evaluate_one(network, {f"s{i}": np.array([1.0]) for i in range(4)})
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,8 +500,8 @@ def test_decoder_sees_only_generations_where_a_child_arrived():
 
 
 def test_decoder_rejects_children_of_unequal_widths():
-    """Refused whenever both children emit within the block, even in
-    different generations, and the error names the destination."""
+    """Refused whatever arrived, even at B = 1 with one child arriving, and
+    the error names the destination."""
     g, network = sources_under_destination(average_decoder, widen_s0=True)
     inputs = {"s0": np.array([1.0]), "s1": np.array([2.0])}
     with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
@@ -499,8 +510,8 @@ def test_decoder_rejects_children_of_unequal_widths():
     dropped[0, g.node_id("s1")] = dropped[1, g.node_id("s0")] = True
     with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
         network.evaluate(np.ones((2, 2, 1)), dropped)
-    assert_identical(evaluate_one(network, inputs, dropped={g.node_id("s1")}).destination_outputs[g.node_id("d0")],
-                     np.array([1.0]))
+    with pytest.raises(DomainMismatch, match="destination 'd0' decodes packets of unequal widths"):
+        evaluate_one(network, inputs, dropped={g.node_id("s1")})
 
 
 def dag_graph():
