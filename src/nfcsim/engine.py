@@ -126,7 +126,7 @@ class Scenario:
              "eta.value is not read under kind harmonic; it must keep its default"),
             (rlnc and self.field is None, "field", "rlnc requires a field section (digital domain)"),
             (rlnc and (self.n_prime is None or self.n_prime < 0), "n_prime", "rlnc requires n_prime >= 0"),
-            (rlnc and not self.trials, "trials", "rlnc requires trials >= 1"),
+            (rlnc and (self.trials is None or self.trials < 1), "trials", "rlnc requires trials >= 1"),
             (neural and min(self.neural.samples, self.neural.epochs) < 1, "neural",
              "neural requires samples >= 1 and epochs >= 1"),
             (neural and self.packet_length != 1, "packet_length",

@@ -5,12 +5,6 @@ class NfcSimError(Exception):
     """Base class for all simulator errors."""
 
 
-# -- finite field -------------------------------------------------------
-
-class ZeroInverse(NfcSimError):
-    """Multiplicative inverse of zero was requested."""
-
-
 # -- graph construction -------------------------------------------------
 
 class CycleDetected(NfcSimError):

@@ -12,8 +12,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from nfcsim.errors import ZeroInverse
-
 # One irreducible polynomial per supported extension degree. 0x11B for
 # m=8 keeps packets byte-aligned and matches common RLNC practice.
 DEFAULT_POLYNOMIALS = {
@@ -99,6 +97,8 @@ class FieldSpec:
             raise ValueError(f"extension degree m={m} outside supported range 1..16")
         if reduction_polynomial is None:
             reduction_polynomial = DEFAULT_POLYNOMIALS[m]
+        if reduction_polynomial < 0:
+            raise ValueError(f"reduction polynomial {reduction_polynomial} is negative")
         if reduction_polynomial.bit_length() != m + 1:
             raise ValueError(
                 f"reduction polynomial 0x{reduction_polynomial:X} does not have degree {m}"
@@ -140,21 +140,6 @@ class FieldSpec:
         self._log = np.empty(self.order, dtype=np.int32)
         self._log[exp] = np.arange(n)
         self._log[0] = sentinel
-
-    # -- scalar operations ------------------------------------------------
-
-    def add(self, a: int, b: int) -> int:
-        return a ^ b
-
-    def mul(self, a: int, b: int) -> int:
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
-            raise ZeroInverse("0 has no multiplicative inverse")
-        return int(self._exp[self.order - 1 - self._log[a]])
-
-    # -- vectorized operations --------------------------------------------
 
     def validate_array(self, arr: np.ndarray) -> np.ndarray:
         """Cast to the field dtype after checking every value fits the field.

@@ -73,9 +73,6 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.violations
 
-    def codes(self) -> set[str]:
-        return {v.code for v in self.violations}
-
     def __str__(self) -> str:
         if self.ok:
             return "valid"
@@ -247,17 +244,17 @@ def build_graph(config: TopologyConfig) -> NfcGraph:
     return report.graph
 
 
-def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, sink: int) -> int:
-    """Edmonds-Karp on integer capacities."""
+def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int]], source: int, sink: int) -> int:
+    """Edmonds-Karp over unit-capacity arcs; each repeat of an arc adds one unit."""
     capacity: dict[tuple[int, int], int] = {}
     adj: list[list[int]] = [[] for _ in range(n_nodes)]
-    for u, v, cap in arcs:
+    for u, v in arcs:
         if (u, v) not in capacity:
             capacity[(u, v)] = 0
             capacity.setdefault((v, u), 0)
             adj[u].append(v)
             adj[v].append(u)
-        capacity[(u, v)] += cap
+        capacity[(u, v)] += 1
 
     flow = 0
     while True:
@@ -283,35 +280,19 @@ def _max_flow(n_nodes: int, arcs: Iterable[tuple[int, int, int]], source: int, s
         flow += bottleneck
 
 
-def _source_cut(g: NfcGraph, dest: int, source_capacity: int) -> int:
-    """Max flow into dest over unit arcs, each source fed ``source_capacity``."""
-    if g.roles[dest] is not NodeRole.DESTINATION:
-        raise RoleConflict(f"{g.names[dest]!r} is not a destination")
-    super_source = g.n_nodes
-    arcs = [(u, v, 1) for u, v in g.arcs]
-    arcs += [(super_source, s, source_capacity) for s in g.sources]
-    return _max_flow(g.n_nodes + 1, arcs, super_source, dest)
-
-
-def min_cut(g: NfcGraph, dest: int) -> int:
-    """Minimum cut separating all sources from dest, unit arc capacities.
-
-    Computed as max flow from a synthetic super-source joined to every
-    source by infinite-capacity arcs (Edmonds-Karp). Returns 0 when no
-    source reaches dest.
-    """
-    return _source_cut(g, dest, source_capacity=len(g.arcs) + 1)
-
-
 def message_min_cut(g: NfcGraph, dest: int) -> int:
     """Max number of per-generation source symbols deliverable to dest.
 
-    Same construction as ``min_cut`` but the synthetic arc into each
-    source has capacity one (each source originates one symbol per
-    generation), so a source with no path to dest contributes nothing
-    instead of inflating the cut.
+    Max flow over unit-capacity arcs (Edmonds-Karp) from a synthetic
+    super-source joined to every source by one unit arc: each source
+    originates one symbol per generation, so a source with no path to
+    dest contributes nothing. Returns 0 when no source reaches dest.
     """
-    return _source_cut(g, dest, source_capacity=1)
+    if g.roles[dest] is not NodeRole.DESTINATION:
+        raise RoleConflict(f"{g.names[dest]!r} is not a destination")
+    super_source = g.n_nodes
+    arcs = list(g.arcs) + [(super_source, s) for s in g.sources]
+    return _max_flow(g.n_nodes + 1, arcs, super_source, dest)
 
 
 # -- topology generators -------------------------------------------------

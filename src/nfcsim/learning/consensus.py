@@ -63,10 +63,6 @@ class ConsensusTrajectory:
     states: tuple[ConsensusState, ...]  # states[t] is the estimate after t generations
     means: tuple[float, ...]
 
-    @property
-    def final(self) -> ConsensusState:
-        return self.states[-1]
-
 
 def consensus_run(
     g: NfcGraph,

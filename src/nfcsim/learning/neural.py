@@ -103,6 +103,16 @@ class DownwardResult:
                 for v, g in zip(nodes[got[:, 0]].tolist(), grads[got[:, 0]])}
 
 
+def _check_weights(graph: NfcGraph, units: Collection[int], weights: Mapping[int, np.ndarray]) -> None:
+    """Refuse weights unless every unit has one entry per child."""
+    for v in units:
+        name, dim = graph.names[v], len(graph.in_neighbors[v])
+        if v not in weights:
+            raise ValueError(f"no weights for unit {name!r}")
+        if np.shape(weights[v]) != (dim,):
+            raise ValueError(f"weight shape {np.shape(weights[v])} != ({dim},) at node {name!r}")
+
+
 class NeuralTreeNetwork:
     """Logistic units on a rooted tree; leaves are the data sources.
 
@@ -122,12 +132,7 @@ class NeuralTreeNetwork:
         if weights is None:
             rng = init_rng if init_rng is not None else np.random.default_rng(0)
             weights = {v: rng.uniform(-0.5, 0.5, size=len(graph.in_neighbors[v])) for v in units}
-        for v in units:
-            name, dim = graph.names[v], len(graph.in_neighbors[v])
-            if v not in weights:
-                raise ValueError(f"no weights for unit {name!r}")
-            if len(weights[v]) != dim:
-                raise ValueError(f"weight length {len(weights[v])} != input dim {dim} at node {name!r}")
+        _check_weights(graph, units, weights)
         self._sources = np.array(graph.sources)
         # Per level, lowest first: nodes, (k, arity) children, weight block, its (k, 1, arity)
         # view, the nodes as a (k, 1) column, and whether some child is a unit.
@@ -151,8 +156,9 @@ class NeuralTreeNetwork:
 
     @weights.setter
     def weights(self, values: Mapping[int, np.ndarray]) -> None:
-        for v, w in values.items():  # written into the blocks, which the passes read
-            self._weights[v][:] = w
+        _check_weights(self.graph, self._weights, values)
+        for v, row in self._weights.items():  # written into the blocks, which the passes read
+            row[:] = values[v]
 
     # -- passes -----------------------------------------------------------
 

@@ -416,6 +416,8 @@ def parse_scenario_text(
                 checker.fail(("capacity", key), "entries must be integers >= 1")
         if request["function_class"] not in ("all", "linear"):
             checker.fail(("capacity", "function_class"), "must be 'all' or 'linear'")
+        if request["cap"] < 1:
+            checker.fail(("capacity", "cap"), "must be >= 1")
         if request["alphabet"] < 2:  # over one symbol every target is constant
             checker.fail(("capacity", "alphabet"), "must be >= 2")
         elif request["function_class"] == "linear" and request["alphabet"] != 2:

@@ -117,13 +117,14 @@ class SolvabilityInstance:
 class Witness:
     """Per-arc encoding tables plus per-destination decodings.
 
-    Arc tables map the reachable input keys (incoming arc vectors, plus
-    the source's own symbols for source arcs) to the emitted vector;
+    Arc tables map the reachable input keys to the emitted vector. A key
+    holds the vectors on the tail's in-arcs in ``in_neighbors`` order,
+    then, on a source's arc, the tuple of the source's own K symbols;
     unlisted inputs default to the all-zero vector. Decoders map each
-    reachable received tuple to the K function values.
+    reachable received tuple, in ``in_neighbors`` order, to the K
+    function values.
     """
 
-    arc_inputs: Mapping[tuple[str, str], tuple]
     arc_tables: Mapping[tuple[str, str], Mapping[tuple, tuple[int, ...]]]
     decoders: Mapping[str, Mapping[tuple, tuple[int, ...]]]
 
@@ -361,12 +362,7 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
         for p, want in enumerate(targets):
             decoder.setdefault(tuple(symbols[(c, d)][p] for c in g.in_neighbors[d]), want)
         decoders[g.names[d]] = decoder
-    arc_inputs = {
-        (g.names[u], g.names[v]): tuple((g.names[c], g.names[u]) for c in g.in_neighbors[u])
-        + (("sigma",) if g.roles[u] is NodeRole.SOURCE else ())
-        for (u, v) in arc_order
-    }
-    witness = Witness(arc_inputs=arc_inputs, arc_tables=arc_tables, decoders=decoders)
+    witness = Witness(arc_tables=arc_tables, decoders=decoders)
     if not verify_witness(instance, witness):
         raise AssertionError("search produced a witness that fails verification")
     return SolvabilityVerdict(

@@ -98,14 +98,7 @@ def reference_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
             (g.names[u], g.names[v]): dict(table)
             for (u, v), table in arc_tables.items()
         }
-        arc_inputs = {
-            (g.names[u], g.names[v]): tuple(
-                (g.names[c], g.names[u]) for c in g.in_neighbors[u]
-            )
-            + (("sigma",) if g.roles[u] is NodeRole.SOURCE else ())
-            for (u, v) in arc_order
-        }
-        return Witness(arc_inputs=arc_inputs, arc_tables=named_tables, decoders=decoders)
+        return Witness(arc_tables=named_tables, decoders=decoders)
 
     def mappings(u: int, classes: list[tuple]) -> Iterator[dict[tuple, tuple[int, ...]]]:
         """The arc's candidate tables over its input classes, in search order."""

@@ -54,7 +54,7 @@ def row_reduce(
             a[[row, pivot_row]] = a[[pivot_row, row]]
             if b is not None:
                 b[[row, pivot_row]] = b[[pivot_row, row]]
-        inv = np.asarray(field.inv(int(a[row, col])), dtype=field.dtype)
+        inv = field.inv_arrays(a[row, col])
         a[row] = field.mul_arrays(inv, a[row])
         if b is not None:
             b[row] = field.mul_arrays(inv, b[row])

@@ -1,5 +1,8 @@
 """Command surface: exit codes, diagnostics, outputs, reproducibility."""
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 from unittest import mock
@@ -8,6 +11,7 @@ import pytest
 import yaml
 from click.testing import CliRunner
 
+import nfcsim
 from nfcsim import cli, graph
 from nfcsim.cli import main
 from nfcsim.scenario import load_scenario_file
@@ -174,6 +178,7 @@ def test_run_negative_seed_override_exit_2(runner, tmp_path):
 @pytest.mark.parametrize("name, trials, message", [
     ("consensus_tree.yaml", "3", "--trials: consensus does not read trials; it must keep its default"),
     ("rlnc_star.yaml", "0", "--trials: rlnc requires trials >= 1"),
+    ("rlnc_star.yaml", "-3", "--trials: rlnc requires trials >= 1"),
 ])
 def test_trials_override_diagnostic_names_the_flag(runner, tmp_path, name, trials, message):
     result = runner.invoke(main, ["run", str(SCENARIOS / name), "--trials", trials, "--out", str(tmp_path)])
@@ -278,6 +283,14 @@ def test_capacity_best_point_prefers_the_smaller_k_on_a_tie(runner, tmp_path):
     assert "target=xor K=2 L=2: yes (witness found and verified on all 16 inputs)" in lines
     assert "target=xor K=1 L=1: yes (witness found and verified on all 4 inputs)" in lines
     assert lines[-1] == "best achieved ratio K/L = 1.0 at K=1, L=1 (lower bound)"
+
+
+def test_capacity_max_target_on_the_shipped_star(runner, tmp_path):
+    text = (SCENARIOS / "capacity_star.yaml").read_text().replace("target: identity", "target: max")
+    text = text.replace("k_values: [1, 2]", "k_values: [1]").replace("l_values: [1, 2]", "l_values: [1]")
+    result = runner.invoke(main, ["capacity", str(write(tmp_path, "max.yaml", text))])
+    assert result.exit_code == 0, result.output
+    assert "target=max K=1 L=1: yes (witness found and verified on all 4 inputs)" in result.output.splitlines()
 
 
 def test_capacity_sweep_without_a_solvable_point(runner, tmp_path):
@@ -538,11 +551,15 @@ capacity:
         (CAPACITY_STAR + "  alphabet: 0\n", 9, "capacity.alphabet"),
         (CAPACITY_STAR + "  alphabet: 1\n", 9, "capacity.alphabet"),
         (CAPACITY_STAR + "  alphabet: 3\n  function_class: linear\n", 9, "capacity.alphabet"),
+        (VALID_RLNC.replace("trials: 4000", "trials: -3"), 11, "trials"),
+        (CAPACITY_STAR + "  cap: 0\n", 9, "capacity.cap"),
+        (CAPACITY_STAR + "  cap: -5\n", 9, "capacity.cap"),
     ],
     ids=[
         "dropout_above_1", "loss_below_0", "k_not_int", "l_not_int", "k_zero", "l_zero",
         "k_empty", "l_empty", "eta_kind_unknown", "seed_negative", "failures_seed_negative",
-        "alphabet_zero", "alphabet_one", "linear_alphabet_3",
+        "alphabet_zero", "alphabet_one", "linear_alphabet_3", "trials_negative", "cap_zero",
+        "cap_negative",
     ],
 )
 def test_validate_out_of_range_values_exit_2_line_addressed(runner, tmp_path, text, line, path):
@@ -868,6 +885,20 @@ def test_parser_diagnostic_is_the_only_line(runner, tmp_path, text, stderr):
     result = runner.invoke(main, ["validate", str(write(tmp_path, "bad.yaml", text))])
     assert result.exit_code == 2
     assert (result.stdout, result.stderr) == ("", stderr + "\n")
+
+
+@pytest.mark.parametrize("polynomial", [-5, -7])
+def test_a_negative_reduction_polynomial_exits_2(tmp_path, polynomial):
+    """-5 has the bit length of a degree-2 polynomial and once sent the
+    irreducibility test into an endless loop; -7 overflowed the tables. A
+    child process with a timeout fails here instead of hanging the suite."""
+    path = write(tmp_path, "bad.yaml", RLNC_STAR + f"field: {{m: 2, polynomial: {polynomial}}}\n")
+    src = str(Path(nfcsim.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run([sys.executable, "-m", "nfcsim.cli", "validate", str(path)],
+                            capture_output=True, text=True, timeout=10, env=env)
+    assert result.returncode == 2
+    assert (result.stdout, result.stderr) == ("", f"line 6: field: reduction polynomial {polynomial} is negative\n")
 
 
 @pytest.mark.parametrize(

@@ -62,7 +62,7 @@ def test_clt_band_for_iid_sources():
     rng = np.random.default_rng(33)
     samples = [rng.normal(5.0, 1.0, size=n) for _ in range(generations)]
     trajectory = consensus_run(g, samples, generations)
-    final = float(np.asarray(trajectory.final.estimate).ravel()[0])
+    final = float(np.asarray(trajectory.states[-1].estimate).ravel()[0])
     assert abs(final - 5.0) <= 3.0 / np.sqrt(n * generations)
 
 
@@ -92,7 +92,7 @@ def test_vector_estimates_supported():
     rng = np.random.default_rng(35)
     samples = [rng.normal(0, 1, size=(3, 4)) for _ in range(20)]
     trajectory = consensus_run(g, samples, 20)
-    final = np.asarray(trajectory.final.estimate)
+    final = np.asarray(trajectory.states[-1].estimate)
     assert final.shape == (4,)
     direct = np.mean([s.mean(axis=0) for s in samples], axis=0)
     assert np.allclose(final, direct, rtol=1e-12)

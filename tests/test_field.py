@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from nfcsim.errors import ZeroInverse
 from nfcsim.field import DEFAULT_POLYNOMIALS, FieldSpec
 from reference_solve import RankDeficient, gaussian_solve, matrix_rank
 
@@ -80,59 +79,67 @@ GF2 = FieldSpec(1)
 GF16 = FieldSpec(4)
 
 
+def elements(field: FieldSpec, *values: int) -> np.ndarray:
+    return np.array(values, dtype=field.dtype)
+
+
 def test_add_is_xor():
-    assert GF256.add(0x57, 0x83) == 0xD4
+    """combine adds its products by XOR: unit coefficients sum the rows."""
+    assert GF256.combine(elements(GF256, 1, 1), elements(GF256, 0x57, 0x83)[:, None]).tolist() == [0xD4]
     for a in (0, 1, 77, 255):
-        assert GF256.add(a, a) == 0
-        assert GF256.add(a, 0) == a
+        assert GF256.combine(elements(GF256, 1, 1), elements(GF256, a, a)[:, None]).tolist() == [0]
+        assert GF256.combine(elements(GF256, 1, 1), elements(GF256, a, 0)[:, None]).tolist() == [a]
 
 
 def test_mul_known_value_and_oracle():
-    assert GF256.mul(0x57, 0x83) == mul_oracle(0x57, 0x83, 0x11B) == 0xC1
+    assert GF256.mul_arrays(elements(GF256, 0x57), elements(GF256, 0x83)).tolist() == [0xC1]
+    assert mul_oracle(0x57, 0x83, 0x11B) == 0xC1
     rng = np.random.default_rng(1)
-    for _ in range(500):
-        a, b = int(rng.integers(0, 256)), int(rng.integers(0, 256))
-        assert GF256.mul(a, b) == mul_oracle(a, b, 0x11B)
+    a, b = GF256.random_elements(rng, 500), GF256.random_elements(rng, 500)
+    assert GF256.mul_arrays(a, b).tolist() == [mul_oracle(x, y, 0x11B) for x, y in zip(a.tolist(), b.tolist())]
 
 
 def test_mul_identities():
-    for a in range(256):
-        assert GF256.mul(a, 1) == a
-        assert GF256.mul(a, 0) == 0
+    a = np.arange(256, dtype=np.uint8)
+    assert np.array_equal(GF256.mul_arrays(a, elements(GF256, 1)), a)
+    assert not GF256.mul_arrays(a, elements(GF256, 0)).any()
 
 
 def test_inverse_known_value():
-    assert GF256.inv(0x53) == inv_oracle(0x53, 0x11B) == 0xCA
-    assert GF256.mul(0x53, GF256.inv(0x53)) == 1
-    assert GF256.inv(1) == 1
-    assert GF2.inv(1) == 1
+    assert GF256.inv_arrays(elements(GF256, 0x53)).tolist() == [inv_oracle(0x53, 0x11B)] == [0xCA]
+    assert GF256.mul_arrays(elements(GF256, 0x53), GF256.inv_arrays(elements(GF256, 0x53))).tolist() == [1]
+    assert GF256.inv_arrays(elements(GF256, 1)).tolist() == [1]
+    assert GF2.inv_arrays(elements(GF2, 1)).tolist() == [1]
 
 
-def test_inverse_of_zero_rejected():
-    with pytest.raises(ZeroInverse):
-        GF256.inv(0)
+def test_inverse_of_zero_maps_to_zero():
+    """A zero entry has no inverse; it reads the zero tail, and its
+    neighbours still invert."""
+    assert GF256.inv_arrays(elements(GF256, 0, 0x53, 0)).tolist() == [0, 0xCA, 0]
+    assert GF2.inv_arrays(elements(GF2, 0, 1)).tolist() == [0, 1]
 
 
 def test_field_axioms_exhaustive_gf16():
     q = GF16.order
-    for a, b in itertools.product(range(q), repeat=2):
-        assert GF16.add(a, b) == GF16.add(b, a)
-        assert GF16.mul(a, b) == GF16.mul(b, a)
-        if a:
-            assert GF16.mul(a, GF16.inv(a)) == 1
-    for a, b, c in itertools.product(range(q), repeat=3):
-        assert GF16.mul(a, GF16.mul(b, c)) == GF16.mul(GF16.mul(a, b), c)
-        assert GF16.add(a, GF16.add(b, c)) == GF16.add(GF16.add(a, b), c)
-        assert GF16.mul(a, GF16.add(b, c)) == GF16.add(GF16.mul(a, b), GF16.mul(a, c))
+    a, b, c = np.meshgrid(*[np.arange(q, dtype=GF16.dtype)] * 3, indexing="ij")
+    mul = GF16.mul_arrays
+    assert np.array_equal(mul(a, b), mul(b, a))
+    assert np.array_equal(mul(a, mul(b, c)), mul(mul(a, b), c))
+    assert np.array_equal((a ^ b) ^ c, a ^ (b ^ c))
+    assert np.array_equal(mul(a, b ^ c), mul(a, b) ^ mul(a, c))
+    nonzero = np.arange(1, q, dtype=GF16.dtype)
+    assert np.all(mul(nonzero, GF16.inv_arrays(nonzero)) == 1)
+    assert mul(a[:, :, 0], b[:, :, 0]).tolist() == [[mul_oracle(x, y, GF16.reduction_polynomial)
+                                                      for y in range(q)] for x in range(q)]
+    assert GF16.inv_arrays(nonzero).tolist() == [inv_oracle(x, GF16.reduction_polynomial) for x in range(1, q)]
 
 
 def test_field_axioms_random_gf256():
     rng = np.random.default_rng(2)
-    triples = rng.integers(0, 256, size=(10_000, 3))
-    for a, b, c in triples:
-        a, b, c = int(a), int(b), int(c)
-        assert GF256.mul(a, GF256.mul(b, c)) == GF256.mul(GF256.mul(a, b), c)
-        assert GF256.mul(a, GF256.add(b, c)) == GF256.add(GF256.mul(a, b), GF256.mul(a, c))
+    a, b, c = GF256.random_elements(rng, (3, 10_000))
+    mul = GF256.mul_arrays
+    assert np.array_equal(mul(a, mul(b, c)), mul(mul(a, b), c))
+    assert np.array_equal(mul(a, b ^ c), mul(a, b) ^ mul(a, c))
 
 
 def test_default_polynomials_all_construct():
@@ -140,8 +147,8 @@ def test_default_polynomials_all_construct():
         f = FieldSpec(m)
         assert f.order == 1 << m
         if m > 1:
-            a = f.order - 1
-            assert f.mul(a, f.inv(a)) == 1
+            a = elements(f, f.order - 1)
+            assert f.mul_arrays(a, f.inv_arrays(a)).tolist() == [1]
 
 
 def test_reducible_polynomial_rejected():
@@ -150,6 +157,13 @@ def test_reducible_polynomial_rejected():
         FieldSpec(4, 0b10101)
     with pytest.raises(ValueError):
         FieldSpec(8, DEFAULT_POLYNOMIALS[9])  # wrong degree
+
+
+@pytest.mark.parametrize("poly", [-5, -7, -0x11B])
+def test_negative_polynomial_rejected(poly):
+    # -5 and -7 have the bit length of a degree-2 polynomial; neither may reach the table search
+    with pytest.raises(ValueError, match=f"reduction polynomial {poly} is negative"):
+        FieldSpec(2, poly)
 
 
 def test_field_specs_are_values_of_degree_and_polynomial():
@@ -179,27 +193,28 @@ def test_validate_array_keeps_whole_floats_and_bools():
 def test_large_field_shift_reduce_path():
     f = FieldSpec(12)
     rng = np.random.default_rng(3)
-    for _ in range(200):
-        a = int(rng.integers(1, f.order))
-        b = int(rng.integers(0, f.order))
-        assert f.mul(a, b) == mul_oracle(a, b, f.reduction_polynomial)
-        assert f.mul(a, f.inv(a)) == 1
+    a = rng.integers(1, f.order, size=200).astype(f.dtype)
+    b = f.random_elements(rng, 200)
+    assert f.mul_arrays(a, b).tolist() == [mul_oracle(x, y, f.reduction_polynomial)
+                                           for x, y in zip(a.tolist(), b.tolist())]
+    assert np.all(f.mul_arrays(a, f.inv_arrays(a)) == 1)
 
 
 def test_vectorized_ops_match_scalar():
+    """mul_arrays and combine against the scalar carry-less oracle."""
     rng = np.random.default_rng(4)
     x = GF256.random_elements(rng, 64)
     y = GF256.random_elements(rng, 64)
     prod = GF256.mul_arrays(x, y)
     for i in range(64):
-        assert prod[i] == GF256.mul(int(x[i]), int(y[i]))
+        assert prod[i] == mul_oracle(int(x[i]), int(y[i]), 0x11B)
     coeffs = GF256.random_elements(rng, 5)
     rows = GF256.random_elements(rng, (5, 13))
     combined = GF256.combine(coeffs, rows)
     for j in range(13):
         acc = 0
         for i in range(5):
-            acc ^= GF256.mul(int(coeffs[i]), int(rows[i, j]))
+            acc ^= mul_oracle(int(coeffs[i]), int(rows[i, j]), 0x11B)
         assert combined[j] == acc
 
 
@@ -290,12 +305,10 @@ def check_sample(field: FieldSpec, seed: int) -> None:
     assert prod.dtype == field.dtype
     for a, b, p in zip(x.tolist(), y.tolist(), prod.tolist()):
         assert p == mul_oracle(a, b, poly)
-        assert field.mul(a, b) == p
-    for a in x[x != 0][:1000].tolist():
-        assert field.inv(a) == inv_oracle(a, poly)
+    sample = x[x != 0][:1000]
+    assert field.inv_arrays(sample).tolist() == [inv_oracle(a, poly) for a in sample.tolist()]
     nonzero = np.arange(1, field.order, dtype=field.dtype)
-    inverses = np.array([field.inv(a) for a in nonzero.tolist()], dtype=field.dtype)
-    assert np.all(field.mul_arrays(nonzero, inverses) == 1)
+    assert np.all(field.mul_arrays(nonzero, field.inv_arrays(nonzero)) == 1)
 
 
 @pytest.mark.parametrize("m", range(1, 9))

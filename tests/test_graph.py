@@ -1,4 +1,4 @@
-"""Graph construction, validation, and min-cut against brute force."""
+"""Graph construction, validation, and the message min-cut against brute force."""
 
 import dataclasses
 import itertools
@@ -18,7 +18,6 @@ from nfcsim.graph import (
     build_graph,
     chain_topology,
     message_min_cut,
-    min_cut,
     random_tree_topology,
     star_topology,
     validate_config,
@@ -28,42 +27,15 @@ from graph_patch import set_topology, validate_graph
 S, A, D = NodeRole.SOURCE, NodeRole.ATOMIC, NodeRole.DESTINATION
 
 
-def brute_force_min_cut(g: NfcGraph, dest: int) -> int:
-    """Smallest arc subset whose removal disconnects all sources from dest."""
-    arcs = list(g.arcs)
-    best = len(arcs) + 1
-    for r in range(len(arcs) + 1):
-        if r >= best:
-            break
-        for removed in itertools.combinations(range(len(arcs)), r):
-            kept = [arc for i, arc in enumerate(arcs) if i not in removed]
-            adj = {}
-            for u, v in kept:
-                adj.setdefault(u, []).append(v)
-            frontier = list(g.sources)
-            seen = set(frontier)
-            while frontier:
-                u = frontier.pop()
-                for v in adj.get(u, []):
-                    if v not in seen:
-                        seen.add(v)
-                        frontier.append(v)
-            if dest not in seen:
-                best = r
-                break
-    return best if best <= len(arcs) else 0
-
-
-def brute_force_source_cut(g: NfcGraph, dest: int, source_capacity: int) -> int:
-    """Smallest cut between a super-source feeding each source
-    ``source_capacity`` and dest, over unit arcs: over every node set on
-    the super-source side, the feeds of the sources outside it plus the
-    arcs leaving it."""
+def brute_force_source_cut(g: NfcGraph, dest: int) -> int:
+    """Smallest cut between a super-source feeding each source one unit
+    and dest, over unit arcs: over every node set on the super-source
+    side, the feeds of the sources outside it plus the arcs leaving it."""
     others = [v for v in range(g.n_nodes) if v != dest]
-    best = source_capacity * g.n_sources
+    best = g.n_sources
     for r in range(1, len(others) + 1):
         for side in map(set, itertools.combinations(others, r)):
-            cut = source_capacity * sum(s not in side for s in g.sources)
+            cut = sum(s not in side for s in g.sources)
             cut += sum(u in side and v not in side for u, v in g.arcs)
             best = min(best, cut)
     return best
@@ -180,8 +152,7 @@ def test_an_invalid_config_raises_the_same_error_on_every_build(config, error):
 def test_message_min_cut_matches_brute_force(config):
     g = build_graph(config)
     dest = g.destinations[0]
-    assert message_min_cut(g, dest) == brute_force_source_cut(g, dest, source_capacity=1)
-    assert min_cut(g, dest) == brute_force_source_cut(g, dest, source_capacity=len(g.arcs) + 1)
+    assert message_min_cut(g, dest) == brute_force_source_cut(g, dest)
 
 
 def test_star_counts_and_validity():
@@ -197,8 +168,8 @@ def test_destination_with_outgoing_arc_rejected():
         roles={"s0": S, "a0": A, "d0": D},
         children={"a0": ["s0", "d0"], "d0": ["a0"]},
     )
-    report = validate_config(config)
-    assert "RoleConflict" in report.codes() or "TreeViolation" in report.codes()
+    codes = {v.code for v in validate_config(config).violations}
+    assert "RoleConflict" in codes or "TreeViolation" in codes
     with pytest.raises((RoleConflict, TreeViolation, CycleDetected)):
         build_graph(config)
 
@@ -219,8 +190,7 @@ def test_two_cycle_reported():
         children={"a": ["b", "s"], "b": ["a"], "d": ["a"]},
         mode="dag",
     )
-    report = validate_config(config)
-    assert "CycleDetected" in report.codes()
+    assert "CycleDetected" in {v.code for v in validate_config(config).violations}
 
 
 def test_source_with_incoming_arc_flagged_in_tree_mode():
@@ -229,8 +199,7 @@ def test_source_with_incoming_arc_flagged_in_tree_mode():
         children={"s0": ["s1"], "a0": ["s0"], "d0": ["a0"]},
         mode="tree",
     )
-    report = validate_config(config)
-    assert "TreeViolation" in report.codes()
+    assert "TreeViolation" in {v.code for v in validate_config(config).violations}
     # the same wiring is legal in dag mode
     dag = TopologyConfig(config.roles, config.children, mode="dag")
     assert validate_config(dag).ok
@@ -238,12 +207,12 @@ def test_source_with_incoming_arc_flagged_in_tree_mode():
 
 def test_dangling_reference_reported():
     config = TopologyConfig(roles={"s0": S, "d0": D}, children={"d0": ["ghost"]})
-    assert "DanglingReference" in validate_config(config).codes()
+    assert "DanglingReference" in {v.code for v in validate_config(config).violations}
 
 
 def test_min_cut_star_single_bottleneck():
     g = build_graph(star_topology(3))
-    assert min_cut(g, g.destinations[0]) == 1
+    assert message_min_cut(g, g.destinations[0]) == 1
 
 
 def test_min_cut_two_disjoint_paths():
@@ -252,13 +221,13 @@ def test_min_cut_two_disjoint_paths():
         children={"a0": ["s0"], "a1": ["s1"], "d0": ["a0", "a1"]},
     )
     g = build_graph(config)
-    assert min_cut(g, g.destinations[0]) == 2
-    assert brute_force_min_cut(g, g.destinations[0]) == 2
+    assert message_min_cut(g, g.destinations[0]) == 2
+    assert brute_force_source_cut(g, g.destinations[0]) == 2
 
 
 def test_min_cut_depth2_binary_tree():
     g = build_graph(balanced_tree_topology(4))
-    assert min_cut(g, g.destinations[0]) == 2
+    assert message_min_cut(g, g.destinations[0]) == 2
 
 
 def test_min_cut_matches_brute_force_on_small_graphs():
@@ -283,7 +252,7 @@ def test_min_cut_matches_brute_force_on_small_graphs():
     for g in cases:
         if len(g.arcs) <= 10:
             dest = g.destinations[0]
-            assert min_cut(g, dest) == brute_force_min_cut(g, dest)
+            assert message_min_cut(g, dest) == brute_force_source_cut(g, dest)
 
 
 def test_min_cut_unreachable_source_returns_zero():
@@ -293,18 +262,18 @@ def test_min_cut_unreachable_source_returns_zero():
         mode="dag",
     )
     g = build_graph(config)
-    # s1 has no path, but s0 does; cut isolating ALL sources costs 1
-    assert min_cut(g, g.destinations[0]) == 1
+    # s1 has no path, so only s0's symbol reaches d0
+    assert message_min_cut(g, g.destinations[0]) == 1
     isolated = build_graph(
         TopologyConfig(roles={"s0": S, "d0": D}, children={}, mode="dag")
     )
-    assert min_cut(isolated, isolated.destinations[0]) == 0
+    assert message_min_cut(isolated, isolated.destinations[0]) == 0
 
 
 def test_min_cut_requires_destination():
     g = build_graph(star_topology(2))
     with pytest.raises(RoleConflict):
-        min_cut(g, g.sources[0])
+        message_min_cut(g, g.sources[0])
 
 
 def test_topological_order_property():

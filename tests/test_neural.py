@@ -122,8 +122,27 @@ def test_weights_must_cover_every_unit():
         NeuralTreeNetwork(g, weights={})
     with pytest.raises(ValueError, match="no weights for unit 'd0'"):
         NeuralTreeNetwork(g, weights={g.atomics[0]: np.zeros(2)})
-    with pytest.raises(ValueError, match="weight length 1 != input dim 2 at node 'a0'"):
+    with pytest.raises(ValueError, match=r"weight shape \(1,\) != \(2,\) at node 'a0'"):
         NeuralTreeNetwork(g, weights={g.atomics[0]: np.zeros(1), g.destinations[0]: np.zeros(1)})
+
+
+@pytest.mark.parametrize("values, message", [
+    ({0: np.array([0.3])}, "no weights for unit 'a0'"),  # a source id
+    ({2: np.array([0.3, 0.3])}, "no weights for unit 'd0'"),  # every unit gets a row
+    ({2: np.array([0.3]), 3: np.array([0.3])}, r"weight shape \(1,\) != \(2,\) at node 'a0'"),
+    ({2: 0.3, 3: np.array([0.3])}, r"weight shape \(\) != \(2,\) at node 'a0'"),
+    ({2: np.zeros((1, 2)), 3: np.array([0.3])}, r"weight shape \(1, 2\) != \(2,\) at node 'a0'"),
+])
+def test_weights_setter_checks_as_the_constructor_does(values, message):
+    g = build_graph(star_topology(2))
+    assert (g.atomics, g.destinations) == ((2,), (3,))
+    net = NeuralTreeNetwork(g, init_rng=np.random.default_rng(0))
+    before = {v: w.copy() for v, w in net.weights.items()}
+    with pytest.raises(ValueError, match=message):
+        NeuralTreeNetwork(g, weights=values)
+    with pytest.raises(ValueError, match=message):
+        net.weights = values
+    assert all(np.array_equal(net.weights[v], w) for v, w in before.items())  # nothing written
 
 
 def test_single_edge_gradient_matches_closed_form():

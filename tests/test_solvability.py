@@ -100,11 +100,7 @@ def test_tampered_witness_fails_verification():
         dest: {key: (1 - value[0],) for key, value in mapping.items()}
         for dest, mapping in verdict.witness.decoders.items()
     }
-    tampered = Witness(
-        arc_inputs=verdict.witness.arc_inputs,
-        arc_tables=verdict.witness.arc_tables,
-        decoders=decoders,
-    )
+    tampered = Witness(arc_tables=verdict.witness.arc_tables, decoders=decoders)
     assert not verify_witness(instance, tampered)
 
 
@@ -203,15 +199,12 @@ def assert_same_verdict(got, want, instance):
     assert (got.solvable, got.detail) == (want.solvable, want.detail)
     assert (got.witness is None) == (want.witness is None)
     if want.witness is not None:
-        for name in ("arc_inputs", "arc_tables", "decoders"):
+        for name in ("arc_tables", "decoders"):
             got_map, want_map = getattr(got.witness, name), getattr(want.witness, name)
             assert list(got_map) == list(want_map)
-            if name != "arc_inputs":
-                assert [list(m.items()) for m in got_map.values()] == [
-                    list(m.items()) for m in want_map.values()
-                ]
-            else:
-                assert got_map == want_map
+            assert [list(m.items()) for m in got_map.values()] == [
+                list(m.items()) for m in want_map.values()
+            ]
         assert verify_witness(instance, got.witness)
 
 
