@@ -104,13 +104,17 @@ class DownwardResult:
 
 
 def _check_weights(graph: NfcGraph, units: Collection[int], weights: Mapping[int, np.ndarray]) -> None:
-    """Refuse weights unless every unit has one entry per child."""
+    """Refuse weights unless every unit, and nothing else, has one entry per child."""
     for v in units:
         name, dim = graph.names[v], len(graph.in_neighbors[v])
         if v not in weights:
             raise ValueError(f"no weights for unit {name!r}")
         if np.shape(weights[v]) != (dim,):
             raise ValueError(f"weight shape {np.shape(weights[v])} != ({dim},) at node {name!r}")
+    known = set(units)
+    stray = [v for v in weights if v not in known]
+    if stray:
+        raise ValueError(f"weights for {stray[0]!r}, which is not a unit")
 
 
 class NeuralTreeNetwork:

@@ -13,6 +13,7 @@ capacity; the supremum itself is not reachable by finite sweep.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -112,6 +113,13 @@ class SolvabilityInstance:
         if self.function_class == "linear" and self.alphabet_size != 2:
             raise ValueError("linear search is implemented over GF(2)")
 
+    @functools.cached_property
+    def arc_order(self) -> tuple[tuple[int, int], ...]:
+        """Every arc, tails in topological order and each tail's heads sorted:
+        the order the bound, the search and the verification walk."""
+        g = self.graph
+        return tuple((u, v) for u in g.topo_order for v in sorted(g.out_neighbors[u]))
+
 
 @dataclass(frozen=True)
 class Witness:
@@ -172,14 +180,6 @@ def linear_identity_check(g: NfcGraph) -> LinearIdentityVerdict:
 
 # -- exhaustive search ----------------------------------------------------
 
-def _arc_order(g: NfcGraph) -> list[tuple[int, int]]:
-    order = []
-    for u in g.topo_order:
-        for v in sorted(g.out_neighbors[u]):
-            order.append((u, v))
-    return order
-
-
 def candidate_bound(instance: SolvabilityInstance) -> int:
     """Upper bound on candidate assignments, computable before search."""
     g = instance.graph
@@ -187,7 +187,7 @@ def candidate_bound(instance: SolvabilityInstance) -> int:
     k, length = instance.generation_length, instance.packet_length
     n_patterns = q ** (g.n_sources * k)
     bound = 1
-    for u, _v in _arc_order(g):
+    for u, _v in instance.arc_order:
         in_deg = len(g.in_neighbors[u])
         if instance.function_class == "linear":
             dim = length * in_deg + (k if g.roles[u] is NodeRole.SOURCE else 0)
@@ -215,6 +215,51 @@ def _pack(parts, n_patterns: int) -> np.ndarray:
     return key
 
 
+@functools.lru_cache(maxsize=4)  # an entry holds up to PATTERN_LIMIT patterns
+def _pattern_tables(target: TargetFunction, alphabet: int, k: int) -> tuple:
+    """What every search with this key shares: the input patterns of the
+    target's N sources with K symbols each, in lexicographic order; each
+    pattern's K target values; their ids in order of first appearance
+    (``wants``) and how many there are; and per source position, its K
+    symbols as one base-|A| code per pattern. The arrays are read-only."""
+    n = target.arity
+    patterns = tuple(
+        itertools.product(itertools.product(range(alphabet), repeat=k), repeat=n)
+    )
+    targets = tuple(
+        tuple(target([sigma[s][gen] for s in range(n)]) for gen in range(k))
+        for sigma in patterns
+    )
+    target_ids: dict[tuple[int, ...], int] = {}
+    wants = np.array([target_ids.setdefault(t, len(target_ids)) for t in targets])
+    index = np.arange(len(patterns), dtype=np.int64)
+    sigma_codes = tuple(index // alphabet ** (k * (n - 1 - i)) % alphabet**k for i in range(n))
+    for array in (wants, *sigma_codes):
+        array.flags.writeable = False
+    return patterns, targets, wants, len(target_ids), sigma_codes
+
+
+def _candidates(function_class: str, radix: int, length: int, width: int,
+                start: int, stop: int) -> np.ndarray:
+    """Candidates [start, stop): for "all", the output code on each of `width`
+    input classes, digit j for class j, the first most significant; for
+    "linear", the L x width GF(2) matrix of its bits, the first most significant."""
+    cand = np.arange(start, stop, dtype=np.int64)[:, None]
+    if function_class == "all":
+        return cand // radix ** np.arange(width - 1, -1, -1) % radix
+    bits = (cand >> np.arange(length * width - 1, -1, -1)) & 1
+    return bits.reshape(stop - start, length, width)
+
+
+@functools.lru_cache(maxsize=8)  # an entry is at most one block
+def _shared_candidates(function_class: str, radix: int, length: int, width: int,
+                       start: int, stop: int) -> np.ndarray:
+    """``_candidates`` for an arc whose whole range is one block, read-only."""
+    table = _candidates(function_class, radix, length, width, start, stop)
+    table.flags.writeable = False
+    return table
+
+
 def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     """Exhaustive search for encoding functions and decodings.
 
@@ -226,6 +271,13 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
     can learn; after the last arc that is what it receives, so the first
     row kept there completes the witness. Every witness is re-verified
     on all |A|^(N*K) inputs before being reported.
+
+    A sweep shares what its searches would otherwise rebuild: the input
+    patterns and target codes by (target, |A|, K), each arc's candidate
+    table by (function class, radix, L, width, range) when one block holds
+    the arc's whole range, and the arc order per instance. The caches
+    have constant sizes and hold read-only arrays, so the verdict stays a
+    pure function of the instance.
     """
     g = instance.graph
     q = instance.alphabet_size
@@ -249,25 +301,15 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
                                   f"{q**length}-valued messages on {n_patterns} inputs exceed int64 codes")
 
     sources = list(g.sources)
-    patterns = list(
-        itertools.product(itertools.product(range(q), repeat=k), repeat=len(sources))
-    )
-    targets = [
-        tuple(target([sigma[s][gen] for s in range(len(sources))]) for gen in range(k))
-        for sigma in patterns
-    ]
-    target_ids: dict[tuple[int, ...], int] = {}
-    wants = np.array([target_ids.setdefault(t, len(target_ids)) for t in targets])
-    n_targets = len(target_ids)
+    patterns, targets, wants, n_targets, codes_by_position = _pattern_tables(target, q, k)
     spacing = 2 * n_targets  # key * spacing + target: codes under n_targets apart share a key
     source_pos = {s: i for i, s in enumerate(sources)}
-    index = np.arange(n_patterns, dtype=np.int64)
-    sigma_codes = {s: index // q ** (k * (len(sources) - 1 - i)) % q**k for s, i in source_pos.items()}
+    sigma_codes = dict(zip(sources, codes_by_position))
     radix = q**length  # an arc message as a code: base-q digits, first symbol most significant
     weights = radix // q ** np.arange(1, length + 1)  # the place value of each symbol
     rows = max(1, BLOCK_ELEMENTS // n_patterns)
     linear = instance.function_class == "linear"
-    arc_order = _arc_order(g)
+    arc_order = instance.arc_order
     arc_values: dict[tuple[int, int], np.ndarray] = {}  # per-pattern code of each assigned arc
 
     def known(arcs: list, srcs: list) -> list:
@@ -299,16 +341,6 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
         gaps = pairs[..., 1:] - pairs[..., :-1] - 1
         return (gaps.view(np.uint64) >= n_targets - 1).all(-1)
 
-    def candidates(width: int, start: int, stop: int) -> np.ndarray:
-        """Candidates [start, stop): for "all", the output code on each of `width`
-        input classes, digit j for class j, the first most significant; for
-        "linear", the L x width GF(2) matrix of its bits, the first most significant."""
-        cand = np.arange(start, stop, dtype=np.int64)[:, None]
-        if not linear:
-            return cand // radix ** np.arange(width - 1, -1, -1) % radix
-        bits = (cand >> np.arange(length * width - 1, -1, -1)) & 1
-        return bits.reshape(stop - start, length, width)
-
     def rec(i: int) -> bool:
         arc = u, v = arc_order[i]
         own = [u] if u in sigma_codes else []
@@ -328,8 +360,10 @@ def brute_force_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
                 checks.append(fixed)
             elif not decodable(fixed):
                 return False
+        tabulate = _shared_candidates if count <= rows else _candidates
         for start in range(0, count, rows):
-            table = candidates(width, start, min(count, start + rows))
+            table = tabulate(instance.function_class, radix, length, width,
+                             start, min(count, start + rows))
             block = weights @ (table @ vectors & 1) if linear else table[:, vectors]
             ok = np.ones(len(block), dtype=bool)
             for fixed in checks:
@@ -382,14 +416,13 @@ def verify_witness(instance: SolvabilityInstance, witness: Witness) -> bool:
     k, length = instance.generation_length, instance.packet_length
     zero = tuple([0] * length)
     source_pos = {s: i for i, s in enumerate(g.sources)}
-    arc_order = _arc_order(g)
     for sigma in itertools.product(itertools.product(range(q), repeat=k), repeat=g.n_sources):
         want = tuple(
             instance.target([sigma[i][gen] for i in range(g.n_sources)])
             for gen in range(k)
         )
         values: dict[tuple[int, int], tuple[int, ...]] = {}
-        for u, v in arc_order:
+        for u, v in instance.arc_order:
             key: tuple = tuple(values[(c, u)] for c in g.in_neighbors[u])
             if g.roles[u] is NodeRole.SOURCE:
                 key = key + (sigma[source_pos[u]],)

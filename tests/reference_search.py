@@ -14,7 +14,6 @@ from nfcsim.solvability import (
     SolvabilityInstance,
     SolvabilityVerdict,
     Witness,
-    _arc_order,
     candidate_bound,
     verify_witness,
 )
@@ -55,7 +54,7 @@ def reference_search(instance: SolvabilityInstance) -> SolvabilityVerdict:
         for sigma in patterns
     ]
     source_pos = {s: i for i, s in enumerate(sources)}
-    arc_order = _arc_order(g)
+    arc_order = instance.arc_order
 
     # Per-pattern value of each assigned arc, filled during the DFS.
     arc_values: dict[tuple[int, int], list[tuple[int, ...]]] = {}

@@ -145,6 +145,20 @@ def test_weights_setter_checks_as_the_constructor_does(values, message):
     assert all(np.array_equal(net.weights[v], w) for v, w in before.items())  # nothing written
 
 
+
+@pytest.mark.parametrize("stray", [0, 99])  # a source id, then no node at all
+def test_weights_refuse_a_key_that_is_not_a_unit(stray):
+    g = build_graph(star_topology(2))
+    net = NeuralTreeNetwork(g, init_rng=np.random.default_rng(0))
+    before = {v: w.copy() for v, w in net.weights.items()}
+    values = {stray: np.array([9.0]), 2: np.array([0.3, 0.3]), 3: np.array([0.3])}
+    message = f"weights for {stray}, which is not a unit"
+    with pytest.raises(ValueError, match=message):
+        NeuralTreeNetwork(g, weights=values)
+    with pytest.raises(ValueError, match=message):
+        net.weights = values
+    assert all(np.array_equal(net.weights[v], w) for v, w in before.items())  # nothing written
+
 def test_single_edge_gradient_matches_closed_form():
     g = build_graph(chain_topology(0))
     dest = g.destinations[0]

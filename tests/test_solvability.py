@@ -1,11 +1,13 @@
 """Witness search, min-cut criterion, and their agreement."""
 
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from nfcsim import solvability
 from nfcsim.graph import (
     NodeRole,
     TopologyConfig,
@@ -14,6 +16,7 @@ from nfcsim.graph import (
     random_tree_topology,
     star_topology,
 )
+from nfcsim.scenario import load_scenario_file
 from nfcsim.solvability import (
     TARGET_PRESETS,
     SolvabilityInstance,
@@ -29,6 +32,7 @@ from nfcsim.solvability import (
 from graph_patch import to_config
 from reference_search import reference_search
 
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 S, A, D = NodeRole.SOURCE, NodeRole.ATOMIC, NodeRole.DESTINATION
 STAR2 = build_graph(star_topology(2))
 
@@ -267,3 +271,55 @@ def test_messages_too_wide_for_int64_codes_are_capped():
     assert verdict.detail == f"{2**60}-valued messages on 2 inputs exceed int64 codes"
     narrower = SolvabilityInstance(g, xor_target(1, 2), 2, packet_length=59, function_class="linear")
     assert_same_verdict(brute_force_search(narrower), reference_search(narrower), narrower)
+
+
+def clear_search_caches():
+    solvability._pattern_tables.cache_clear()
+    solvability._shared_candidates.cache_clear()
+
+
+def test_shared_tables_give_criterion_07_the_same_verdicts_in_either_order():
+    """Criterion 07's DAGs searched forward from empty caches, then in reverse
+    with the caches filled: each graph gets the same verdict, detail and witness."""
+    graphs = two_source_topologies(1) + two_source_topologies(2)
+
+    def instance(g):
+        return SolvabilityInstance(g, identity_target(2, 2), 2, function_class="linear")
+
+    clear_search_caches()
+    forward = [brute_force_search(instance(g)) for g in graphs]
+    backward = [brute_force_search(instance(g)) for g in reversed(graphs)][::-1]
+    assert {v.solvable for v in forward} == {"yes", "no"}
+    for g, got, want in zip(graphs, backward, forward):
+        assert_same_verdict(got, want, instance(g))
+
+
+def test_shared_tables_give_capacity_star_the_same_points_in_either_k_order():
+    loaded = load_scenario_file(SCENARIOS / "capacity_star.yaml")
+    request, g = loaded.capacity, loaded.graph
+    target = TARGET_PRESETS[request.target](g.n_sources, request.alphabet)
+
+    def instance(k, length):
+        return SolvabilityInstance(g, target, request.alphabet, k, length, request.cap,
+                                   request.function_class)
+
+    def sweep(k_values):
+        return {(k, length): brute_force_search(instance(k, length))
+                for k in k_values for length in request.l_values}
+
+    clear_search_caches()
+    first, second = sweep(request.k_values), sweep(request.k_values[::-1])
+    assert list(first) != list(second) and first[(2, 2)].solvable == "unknown-capped"
+    for point, verdict in first.items():
+        assert_same_verdict(second[point], verdict, instance(*point))
+
+
+def test_shared_tables_are_read_only():
+    _, _, wants, _, sigma_codes = solvability._pattern_tables(identity_target(2, 2), 2, 1)
+    tables = [solvability._shared_candidates(function_class, 2, 1, 2, 0, 4)
+              for function_class in ("all", "linear")]
+    for array in (wants, *sigma_codes, *tables):
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 1
+    instance = SolvabilityInstance(STAR2, identity_target(2, 2), 2)
+    assert instance.arc_order is instance.arc_order
