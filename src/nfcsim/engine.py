@@ -314,7 +314,8 @@ def _evaluated_generations(
 def _run_consensus(s: Scenario, g: NfcGraph, metrics: Metrics):
     """Average decomposition feeding the harmonic-step estimator. Only the
     first symbol's estimate is recorded, so only it is folded, as a Python
-    float: the same IEEE operations as the vector fold, element for element."""
+    float: the same IEEE operations, element for element, as the vector
+    fold of the property tests' oracle."""
     state = ConsensusState(estimate=0.0, generation=0)
     rows: list[dict[str, object]] = []
     generations = _evaluated_generations(s, g, average_network(g), metrics)
@@ -430,7 +431,7 @@ def run_scenario(s: Scenario) -> ScenarioResult:
 class CostReport:
     """Forwarding-vs-NFC symbol accounting on a shared graph."""
 
-    ratio: float  # forwarding_total / nfc_total
+    ratio: float  # forwarding_total / nfc_total; nan when both are 0
     nfc_total: int
     forwarding_total: int
     arc_rows: list[dict[str, object]]
@@ -459,7 +460,7 @@ def compare_costs(nfc: ScenarioResult, forwarding: ScenarioResult) -> CostReport
         }
         for arc in sorted(set(nfc.metrics.arc_symbols) | set(forwarding.metrics.arc_symbols))
     ]
-    ratio = fwd_total / nfc_total if nfc_total else float("inf")
+    ratio = fwd_total / nfc_total if nfc_total else float("inf" if fwd_total else "nan")
     return CostReport(
         ratio=ratio, nfc_total=nfc_total, forwarding_total=fwd_total, arc_rows=rows
     )

@@ -1,7 +1,7 @@
 """Learning applications: consensus averaging and tree-distributed
 neural-network training via upward/downward message passing."""
 
-from nfcsim.learning.consensus import ConsensusState, consensus_run, consensus_step
+from nfcsim.learning.consensus import ConsensusState, consensus_step
 from nfcsim.learning.neural import (
     FailureModel,
     NeuralTreeNetwork,
@@ -13,7 +13,6 @@ from nfcsim.learning.neural import (
 
 __all__ = [
     "ConsensusState",
-    "consensus_run",
     "consensus_step",
     "FailureModel",
     "NeuralTreeNetwork",

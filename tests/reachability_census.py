@@ -70,7 +70,6 @@ nfcsim/graph.py ValidationReport.__str__  README library API: the message build_
 nfcsim/field.py FieldSpec.__repr__  README library API: FieldSpec is a value
 nfcsim/field.py FieldSpec.__eq__  README library API: FieldSpec is a value; equal specs compare equal
 nfcsim/field.py FieldSpec.__hash__  README library API: FieldSpec is a value; equal specs hash equal
-nfcsim/learning/consensus.py consensus_run  criterion subject: criterion 04 runs consensus through it
 nfcsim/learning/neural.py gradient_check  criterion subject: criterion 05 judges training with it; bench/ calls it too
 nfcsim/learning/neural.py dataset_loss  criterion subject: criterion 06 judges training with it; bench/ calls it too
 nfcsim/learning/neural.py NeuralTreeNetwork.predict  criterion subject: gradient_check and dataset_loss read it

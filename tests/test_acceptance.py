@@ -33,13 +33,13 @@ from nfcsim.learning import (
     FailureModel,
     NeuralTreeNetwork,
     TrainingSample,
-    consensus_run,
     dataset_loss,
     gradient_check,
     nn_train,
 )
 from nfcsim.learning.neural import separable_dataset
 from nfcsim.rlnc import RlncNetwork, run_recovery_experiment
+from nfcsim.rng import DATA, substream
 from nfcsim.scenario import parse_scenario_text, write_outputs
 from nfcsim.solvability import (
     SolvabilityInstance,
@@ -123,27 +123,29 @@ def test_criterion_03_coding_vector_consistency():
 
 
 def test_criterion_04_consensus_exactness():
-    """N=100, T=1000: estimate is the running mean to 1e-12 relative."""
-    g = build_graph(balanced_tree_topology(100, branching=10))
-    rng = np.random.default_rng(44)
-    samples = [rng.normal(2.0, 3.0, size=100) for _ in range(1000)]
+    """N=100, T=1000: every recorded estimate is the running mean to 1e-12 relative."""
+    s = Scenario(
+        topology=balanced_tree_topology(100, branching=10),
+        application="consensus",
+        seed=44,
+        generations=1000,
+        data=DataModel(mean=2.0, std=3.0),
+    )
     started = time.perf_counter()
-    runs = [
-        consensus_run(g, samples, 1000, initial_estimate=w0) for w0 in (0.0, 1e9)
-    ]
+    result = run_scenario(s)
     elapsed = time.perf_counter() - started
-    running = np.cumsum(runs[0].means) / np.arange(1, 1001)
-    worst_rel = 0.0
-    for trajectory in runs:
-        for t in range(1, 1001):
-            w = float(np.asarray(trajectory.states[t].estimate).ravel()[0])
-            rel = abs(w - running[t - 1]) / max(1e-300, abs(running[t - 1]))
-            worst_rel = max(worst_rel, rel)
+    means = substream(44, DATA).normal(2.0, 3.0, size=(1000, 100)).mean(axis=1)
+    running = np.cumsum(means) / np.arange(1, 1001)
+    rows = result.tables["trajectory"][1]
+    in_order = [row["generation"] for row in rows] == list(range(1000))
+    worst_rel = max(
+        (abs(row["value"] - w) / max(1e-300, abs(w)) for row, w in zip(rows, running)), default=np.inf
+    )
     report(
         4,
-        "consensus exactness (N=100, T=1000, both initializers)",
-        worst_rel <= 1e-12 and elapsed < 5.0,
-        f"max rel err={worst_rel:.2e} t={elapsed:.1f}s",
+        "consensus exactness (run_scenario, N=100, T=1000)",
+        in_order and worst_rel <= 1e-12 and elapsed < 5.0,
+        f"max rel err={worst_rel:.2e} rows={len(rows)} t={elapsed:.1f}s",
     )
 
 

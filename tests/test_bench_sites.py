@@ -12,12 +12,10 @@ from its path and only read.
 import importlib.util
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 from nfcsim import engine
-from nfcsim.graph import build_graph, star_topology
-from nfcsim.learning.consensus import consensus_run
+from nfcsim.graph import star_topology
 
 TRACING = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
 
@@ -44,12 +42,7 @@ def run_consensus_scenario():
     engine.run_scenario(engine.Scenario(topology=star_topology(3), application="consensus", generations=5))
 
 
-def run_consensus_directly():
-    g = build_graph(star_topology(3))
-    consensus_run(g, np.random.default_rng(0).normal(size=(5, 3)), 5)
-
-
-@pytest.mark.parametrize("run", [run_consensus_scenario, run_consensus_directly])
+@pytest.mark.parametrize("run", [run_consensus_scenario])
 def test_the_evaluator_probes_read_the_consensus_evaluator(run):
     """The probe on ``ConfiguredNetwork.evaluate`` counts the evaluator that
     consensus runs; a rename would leave it reading 0."""

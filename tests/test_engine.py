@@ -99,6 +99,21 @@ def test_single_source_chain_message_parity():
     assert report.ratio == pytest.approx(1 / 2)  # L=1: 1 vs (1+1) symbols
 
 
+def test_compare_costs_ratio_without_nfc_symbols():
+    """No symbols on either side is no ratio (nan); forwarding's symbols
+    over none of the network's are an infinite one."""
+    star = star_topology(3)
+    fwd = Scenario(topology=star, application="forwarding", generations=0)
+    nothing = compare_costs(run_scenario(dataclasses.replace(fwd, application="consensus")), run_scenario(fwd))
+    assert (nothing.nfc_total, nothing.forwarding_total) == (0, 0)
+    assert np.isnan(nothing.ratio)
+    fwd = dataclasses.replace(fwd, generations=2)
+    all_dropped = dataclasses.replace(fwd, application="consensus", failures=FailureModel(node_dropout_p=1.0))
+    unmatched = compare_costs(run_scenario(all_dropped), run_scenario(fwd))
+    assert (unmatched.nfc_total, unmatched.forwarding_total) == (0, 12)  # 3 + 3 relayed, twice
+    assert unmatched.ratio == float("inf")
+
+
 def test_single_source_chain_headerless_function_ratio_one():
     from nfcsim.afc import FunctionAssignment, Max
     from nfcsim.graph import build_graph
