@@ -32,15 +32,6 @@ def is_real_packet(p: Packet) -> bool:
     return np.issubdtype(np.asarray(p).dtype, np.floating)
 
 
-def _logistic(z: np.ndarray | float) -> np.ndarray | float:
-    """``sigmoid`` without its errstate, for a caller that already ignores overflow."""
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-# exp(-z) overflows to inf only where the limit 0.0 is exact
-sigmoid = np.errstate(over="ignore")(_logistic)
-
-
 class AtomicFunction:
     """Base marker for installable atomic functions.
 
@@ -83,11 +74,6 @@ class Min(AtomicFunction):
 
 
 @dataclass(frozen=True)
-class Average(AtomicFunction):
-    pass
-
-
-@dataclass(frozen=True)
 class Identity(AtomicFunction):
     arity = 1
 
@@ -98,17 +84,6 @@ class Histogram(AtomicFunction):
     to the edge bins and are tallied in the clamp metric."""
 
     bins: int
-
-
-@dataclass(frozen=True)
-class NeuronUnit(AtomicFunction):
-    """Logistic unit sigma(w . x) applied symbol-wise."""
-
-    weights: tuple[float, ...]
-
-    @property
-    def arity(self) -> int:  # type: ignore[override]
-        return len(self.weights)
 
 
 @dataclass(frozen=True)
@@ -123,7 +98,7 @@ class Nomographic(AtomicFunction):
     """Superposition triple (pre-functions, channel coefficients, post).
 
     Pre/post functions take and return float arrays; channel
-    coefficients must be nonzero.
+    coefficients must be finite and nonzero.
     """
 
     pre_functions: tuple[Callable[[np.ndarray], np.ndarray], ...]
@@ -133,8 +108,8 @@ class Nomographic(AtomicFunction):
     def __post_init__(self):
         if len(self.pre_functions) != len(self.channel_coefficients):
             raise ArityMismatch("one pre-function per channel coefficient required")
-        if any(h == 0 for h in self.channel_coefficients):
-            raise DomainError("channel coefficients must be nonzero")
+        if not all(h != 0 and np.isfinite(h) for h in self.channel_coefficients):
+            raise DomainError("channel coefficients must be finite and nonzero")
 
     @property
     def arity(self) -> int:  # type: ignore[override]
@@ -204,8 +179,6 @@ def eval_dafc(
         return stacked.max(axis=-2)
     if isinstance(spec, Min):
         return stacked.min(axis=-2)
-    if isinstance(spec, Average):
-        return stacked.mean(axis=-2, dtype=np.float64)
     if isinstance(spec, Histogram):
         if real:
             raise DomainMismatch("Histogram requires integer-valued symbols")
@@ -217,10 +190,6 @@ def eval_dafc(
         if metrics is not None and n_clamped:
             metrics["clamped_symbols"] = metrics.get("clamped_symbols", 0) + n_clamped
         return (clamped[..., None] == np.arange(spec.bins)).sum(axis=(-3, -2), dtype=np.int64)
-    if isinstance(spec, NeuronUnit):
-        if not real:
-            raise DomainMismatch("NeuronUnit operates on real packets")
-        return sigmoid(np.asarray(spec.weights, dtype=np.float64) @ stacked)
     if isinstance(spec, Nomographic):
         raise DomainMismatch("Nomographic functions are evaluated by eval_aafc")
     raise TypeError(f"unknown atomic function {type(spec).__name__}")
@@ -235,19 +204,20 @@ def eval_aafc(
     """Simulated-analog evaluation: post(sum_s h_s * pre_s(x_s) + noise).
 
     ``inputs`` is stacked as in ``eval_dafc``. Noise is i.i.d.
-    Normal(0, noise_sigma^2) per symbol; noise_sigma > 0 requires an rng.
+    Normal(0, noise_sigma^2) per symbol, for a finite noise_sigma >= 0;
+    noise_sigma > 0 requires an rng.
     """
+    if not (noise_sigma >= 0 and np.isfinite(noise_sigma)):
+        raise DomainError("noise_sigma must be >= 0 and finite")
+    if noise_sigma > 0 and rng is None:
+        raise ValueError("noise_sigma > 0 requires an rng")
     stacked = _stack_inputs(spec, inputs)
     if not is_real_packet(stacked):
         raise DomainMismatch("analog evaluation requires real packets")
     received = np.zeros(stacked.shape[:-2] + stacked.shape[-1:], dtype=np.float64)
     for pre, h, x in zip(spec.pre_functions, spec.channel_coefficients, np.moveaxis(stacked, -2, 0)):
         received += h * np.asarray(pre(np.asarray(x, dtype=np.float64)), dtype=np.float64)
-    if noise_sigma < 0:
-        raise DomainError("noise_sigma must be >= 0")
     if noise_sigma > 0:
-        if rng is None:
-            raise ValueError("noise_sigma > 0 requires an rng")
         received += rng.normal(0.0, noise_sigma, size=received.shape)
     return np.asarray(spec.post_function(received), dtype=np.float64)
 
@@ -501,8 +471,6 @@ def _restrict_arity(spec: AtomicFunction, keep: Sequence[int], arity: int) -> At
         return spec
     if isinstance(spec, LinearCombination):
         return LinearCombination(tuple(spec.coefficients[i] for i in keep), spec.field)
-    if isinstance(spec, NeuronUnit):
-        return NeuronUnit(tuple(spec.weights[i] for i in keep))
     if isinstance(spec, Nomographic):
         return Nomographic(
             tuple(spec.pre_functions[i] for i in keep),

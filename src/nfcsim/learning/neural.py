@@ -22,7 +22,6 @@ from typing import Callable, Collection, Mapping, Sequence
 
 import numpy as np
 
-from nfcsim.afc import _logistic
 from nfcsim.errors import DomainError, NotATree
 from nfcsim.graph import NfcGraph, NodeRole
 from nfcsim.rng import DROPOUT, LOSS, substream
@@ -35,6 +34,15 @@ MESSAGE_SYMBOLS = 2  # one activity or gradient contribution + generation tag
 # separable_dataset draws 1 / acceptance samples per kept one; below this
 # floor a margin makes data generation effectively never finish.
 MIN_MARGIN_ACCEPTANCE = 1e-3
+
+
+def _logistic(z: np.ndarray | float) -> np.ndarray | float:
+    """``sigmoid`` without its errstate, for a caller that already ignores overflow."""
+    return 1.0 / (1.0 + np.exp(-z))
+
+
+# exp(-z) overflows to inf only where the limit 0.0 is exact
+sigmoid = np.errstate(over="ignore")(_logistic)
 
 
 def log_loss(prediction: float, target: float) -> float:

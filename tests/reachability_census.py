@@ -53,7 +53,6 @@ nfcsim/field.py FieldSpec.combine  {CUSTOM}, and the packet API
 nfcsim/field.py FieldSpec.random_elements  {CUSTOM}, and the packet API
 nfcsim/engine.py _run_custom  {CUSTOM}
 nfcsim/afc.py LinearCombination.arity  {CUSTOM}
-nfcsim/afc.py NeuronUnit.arity  {CUSTOM}
 nfcsim/afc.py Nomographic.__post_init__  {CUSTOM}
 nfcsim/afc.py Nomographic.arity  {CUSTOM}
 nfcsim/afc.py eval_aafc  README library API: the analog evaluator, criterion 10's subject

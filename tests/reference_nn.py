@@ -3,8 +3,8 @@ pass and textbook backprop, independent of the message-passing path."""
 
 import numpy as np
 
-from nfcsim.afc import sigmoid
 from nfcsim.learning import NeuralTreeNetwork
+from nfcsim.learning.neural import sigmoid
 
 
 class Reference:

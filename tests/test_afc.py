@@ -7,14 +7,12 @@ from hypothesis import given, settings, strategies as st
 from nfcsim.afc import (
     AppendCount,
     AtomicFunction,
-    Average,
     FunctionAssignment,
     Histogram,
     Identity,
     LinearCombination,
     Max,
     Min,
-    NeuronUnit,
     Nomographic,
     Sum,
     average_decoder,
@@ -55,14 +53,12 @@ def test_linear_combination_gf2_is_xor():
     assert out.tolist() == [1, 0, 0]
 
 
-def test_max_min_sum_average():
+def test_max_min_sum():
     a = np.array([3, 7])
     b = np.array([5, 2])
     assert eval_dafc(Max(), [a, b]).tolist() == [5, 7]
     assert eval_dafc(Min(), [a, b]).tolist() == [3, 2]
     assert eval_dafc(Sum(), [a, b]).tolist() == [8, 9]
-    packets = [np.array([float(v)] * 3) for v in (1, 2, 3, 4)]
-    assert eval_dafc(Average(), packets).tolist() == [2.5, 2.5, 2.5]
 
 
 def test_identity_and_arity():
@@ -96,17 +92,6 @@ def test_histogram_counts_and_clamps():
     empty = eval_dafc(Histogram(bins=4), np.zeros((0, 2, 3), dtype=np.int64), metrics=metrics)
     assert (empty.dtype, empty.shape) == (np.int64, (0, 4))  # a batch with no live pair
     assert metrics["clamped_symbols"] == 2
-
-
-def test_neuron_unit_sigmoid():
-    spec = NeuronUnit((1.0, -1.0))
-    out = eval_dafc(spec, [np.array([0.0, 2.0]), np.array([0.0, 2.0])])
-    assert np.allclose(out, [0.5, 0.5])
-
-
-def test_neuron_unit_saturates_to_zero_without_a_warning():
-    out = eval_dafc(NeuronUnit((1.0,)), [np.array([-1000.0])])  # exp(1000) overflows to inf
-    assert out.tolist() == [0.0]
 
 
 def test_nomographic_mean_matches_paper_class():
@@ -323,11 +308,13 @@ def test_topological_tie_break_invariance():
 
 
 def test_dropped_child_equals_zero_contribution():
+    """A dropped child's coefficient goes with it. The weighted sum
+    sum_s w_s x_s tells the coefficients apart; ``nomographic_sum`` would
+    not, because each of its pre-functions divides out its own gain."""
     g = build_graph(star_topology(3))
     weights = (0.7, -1.3, 0.4)
-    network = install_functions(
-        g, FunctionAssignment(functions={"a0": NeuronUnit(weights)})
-    )
+    weighted_sum = Nomographic((np.positive,) * 3, weights, np.positive)
+    network = install_functions(g, FunctionAssignment(functions={"a0": weighted_sum}))
     inputs = {f"s{i}": np.array([1.5]) for i in range(3)}
     dropped = evaluate_one(network, inputs, dropped={g.node_id("s1")})
     zeroed = dict(inputs)
@@ -346,6 +333,10 @@ REAL_PACKET = np.array([1.0, 2.0])
 @pytest.mark.parametrize("call, error, message", [
     pytest.param(lambda: Nomographic((np.negative,), (1.0, 2.0), np.negative),
                  ArityMismatch, "one pre-function per channel coefficient", id="nomographic_unmatched"),
+    pytest.param(lambda: nomographic_sum(2, [float("nan"), 1.0]), DomainError,
+                 "channel coefficients must be finite and nonzero", id="nan_channel_coefficient"),
+    pytest.param(lambda: nomographic_sum(2, [1.0, -float("inf")]), DomainError,
+                 "channel coefficients must be finite and nonzero", id="infinite_channel_coefficient"),
     pytest.param(lambda: eval_dafc(Sum(), []), ArityMismatch, "Sum needs at least one input",
                  id="no_inputs"),
     pytest.param(lambda: eval_dafc(AppendCount(), [FIELD_PACKET]), DomainMismatch,
@@ -354,8 +345,6 @@ REAL_PACKET = np.array([1.0, 2.0])
                  "Histogram requires integer-valued symbols", id="histogram_on_reals"),
     pytest.param(lambda: eval_dafc(Histogram(0), [FIELD_PACKET]), DomainError,
                  "Histogram needs at least one bin", id="histogram_without_bins"),
-    pytest.param(lambda: eval_dafc(NeuronUnit((0.5,)), [FIELD_PACKET]), DomainMismatch,
-                 "NeuronUnit operates on real packets", id="neuron_on_field"),
     pytest.param(lambda: eval_dafc(nomographic_sum(1), [REAL_PACKET]), DomainMismatch,
                  "Nomographic functions are evaluated by eval_aafc", id="nomographic_in_eval_dafc"),
     pytest.param(lambda: eval_dafc(AtomicFunction(), [REAL_PACKET]), TypeError,
@@ -364,6 +353,13 @@ REAL_PACKET = np.array([1.0, 2.0])
                  "analog evaluation requires real packets", id="analog_on_field"),
     pytest.param(lambda: eval_aafc(nomographic_sum(1), [REAL_PACKET], noise_sigma=-1.0), DomainError,
                  "noise_sigma must be >= 0", id="negative_noise_sigma"),
+    pytest.param(lambda: eval_aafc(nomographic_sum(2), [REAL_PACKET] * 2, noise_sigma=float("nan")),
+                 DomainError, "noise_sigma must be >= 0 and finite", id="nan_noise_sigma"),
+    pytest.param(lambda: eval_aafc(nomographic_sum(2), [REAL_PACKET] * 2, noise_sigma=float("inf"),
+                                   rng=np.random.default_rng(0)),
+                 DomainError, "noise_sigma must be >= 0 and finite", id="infinite_noise_sigma"),
+    pytest.param(lambda: eval_aafc(nomographic_geometric_mean(1), [np.zeros(2)], noise_sigma=-1.0),
+                 DomainError, "noise_sigma must be >= 0", id="noise_sigma_checked_before_pre_functions"),
     pytest.param(lambda: eval_aafc(nomographic_euclidean_norm(1), [np.zeros(64)], noise_sigma=1.0,
                                    rng=np.random.default_rng(0)),
                  DomainError, "square root of a negative superposition", id="noisy_norm_below_zero"),

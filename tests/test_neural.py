@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 import nfcsim.engine as engine
-from nfcsim.afc import sigmoid
 from nfcsim.errors import DomainError
 from nfcsim.graph import build_graph, balanced_tree_topology, chain_topology, star_topology
 from nfcsim.learning import (
@@ -24,6 +23,7 @@ from nfcsim.learning.neural import (
     log_loss,
     margin_acceptance,
     separable_dataset,
+    sigmoid,
 )
 from nfcsim.rng import DATA, INIT, substream
 from reference_nn import Reference
@@ -42,6 +42,10 @@ def test_zero_weights_give_half_activities():
     for v in net.graph.atomics + net.graph.destinations:
         assert up.activations[v] == 0.5
     assert up.prediction == 0.5
+
+
+def test_sigmoid_saturates_to_zero_without_a_warning():
+    assert sigmoid(-1000.0) == 0.0  # exp(1000) overflows to inf
 
 
 def test_single_edge_prediction_is_sigmoid():

@@ -21,14 +21,12 @@ from hypothesis import given, settings, strategies as st
 from nfcsim import afc
 from nfcsim.afc import (
     AppendCount,
-    Average,
     FunctionAssignment,
     Histogram,
     Identity,
     LinearCombination,
     Max,
     Min,
-    NeuronUnit,
     Nomographic,
     Sum,
     average_decoder,
@@ -73,7 +71,7 @@ def random_tree(rng: np.random.Generator, n_sources: int, n_atomics: int) -> Top
 def random_assignment(rng, g, family):
     """A valid assignment of one family, plus matching source packets.
 
-    real: AppendCount sources under Sum, Max, Min, Average, NeuronUnit.
+    real: AppendCount sources under Sum, Max, Min.
     field: forwarding sources under GF(16) LinearCombination, Max, Min,
     with Histogram or Sum on the destination's children.
     mixed: the field kinds, with some sources re-typing their packet to
@@ -86,12 +84,11 @@ def random_assignment(rng, g, family):
     pool: dict = {}
     for a in g.atomics:
         arity = len(g.in_neighbors[a])
-        # Two weight and coefficient vectors per arity, so equal functions recur and batch.
+        # Two coefficient vectors per arity, so equal functions recur and batch.
         variant = (arity, int(rng.integers(2)))
-        weights = pool.setdefault(("w", *variant), tuple(rng.normal(size=arity)))
-        coeffs = pool.setdefault(("c", *variant), tuple(GF16.random_elements(rng, arity).tolist()))
+        coeffs = pool.setdefault(variant, tuple(GF16.random_elements(rng, arity).tolist()))
         if family == "real":
-            kinds = [Sum(), Max(), Min(), Average(), NeuronUnit(weights)]
+            kinds = [Sum(), Max(), Min()]
         else:
             kinds = [LinearCombination(coeffs, GF16), Max(), Min()]
         if family != "real" and g.out_neighbors[a][0] == dest:
@@ -144,8 +141,6 @@ def reference(g, assignment, inputs, dropped):
         keep = [i for i, c in enumerate(kids) if c in out]
         if isinstance(spec, LinearCombination) and len(keep) < len(kids):
             spec = LinearCombination(tuple(spec.coefficients[i] for i in keep), spec.field)
-        if isinstance(spec, NeuronUnit) and len(keep) < len(kids):
-            spec = NeuronUnit(tuple(spec.weights[i] for i in keep))
         if isinstance(spec, Nomographic) and len(keep) < len(kids):
             spec = Nomographic(
                 tuple(spec.pre_functions[i] for i in keep),
@@ -307,7 +302,7 @@ def test_blocks_over_a_wide_relay_match_the_reference(seed, n_sources, wide, dro
     rng = np.random.default_rng(seed)
     base = random_tree(rng, n_sources, max(1, int(rng.integers(n_sources + 1))))
     g = build_graph(with_wide_relay(rng, base, wide))
-    assignment = FunctionAssignment({a: [Sum(), Average()][rng.integers(2)] for a in g.atomics})
+    assignment = FunctionAssignment({a: [Sum(), Max()][rng.integers(2)] for a in g.atomics})
     network = install_functions(g, assignment)
     generations = 14
     scales = 10.0 ** rng.integers(-8, 8, size=(generations, g.n_sources, 1))

@@ -35,7 +35,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from nfcsim import afc, rlnc
-from nfcsim.afc import FunctionAssignment, Sum, decompose_average, sigmoid
+from nfcsim.afc import FunctionAssignment, Sum, decompose_average
 from nfcsim.engine import (
     APPLICATION_TABLE,
     ARC_COLUMNS,
@@ -58,6 +58,7 @@ from nfcsim.learning.neural import (
     TrainingSample,
     log_loss,
     nn_train,
+    sigmoid,
 )
 from nfcsim.rng import DATA, substream
 from nfcsim.rlnc import (
